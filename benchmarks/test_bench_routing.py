@@ -1,4 +1,4 @@
-"""Benchmark — serving-engine routing overhead and sharded dispatch plans.
+"""Benchmark — serving-engine routing overhead and sharded dispatch.
 
 The engine fronts deployments by *name*; the redesign's contract is that
 this indirection is operationally free.  Three measurements:
@@ -8,26 +8,17 @@ this indirection is operationally free.  Three measurements:
   batch (10^5 and, with ``REPRO_BENCH_FULL=1``, 10^7 are also reported).
   Asserted: <= 10% overhead at 10^6 points — the engine adds one dict
   lookup and three counters to a multi-millisecond batch.
-* **Sharded dispatch plans** — the same batches through 2x2 and 4x4
-  :class:`~repro.serving.sharding.ShardedDeployment` tilings under each
-  plan: ``sequential`` (the scatter/gather baseline), ``parallel`` (the
-  shared thread pool) and the default ``auto`` dispatch (fused
-  sentinel-padded gather at these sizes).  Asserted: the default plan on
-  the 2x2 tiling holds *parity with the monolithic server* at 10^6
-  points (within a small scheduler-noise allowance) — sharding is free
-  until you need it.  All plans are checked bit-equal to the monolithic
+* **Sharded dispatch** — the same batches through 2x2 and 4x4
+  :class:`~repro.serving.sharding.ShardedDeployment` tilings, which
+  answer from one sentinel-padded composed label grid.  Asserted: the
+  2x2 tiling holds *parity with the monolithic server* at 10^6 points
+  (within a small scheduler-noise allowance) — sharding is free until
+  you need it.  Both tilings are checked bit-equal to the monolithic
   result.
-* **Large-map crossover** — batch gathers through
-  :func:`~repro.serving.sharding.build_tile_index` vs a flat 2-D fancy
-  gather on synthetic 10^6..10^7-cell grids (10^8 with
-  ``REPRO_BENCH_FULL=1``).  The bucketed kernel pays a fixed sort pass,
-  so small maps favour the flat gather; as the label grid dwarfs the
-  cache the flat gather's random walk slows while the sorted per-tile
-  pattern holds steady, and the relative overhead collapses toward — and
-  past, on TLB-constrained hosts — parity.  Asserted: the overhead at
-  the largest tier is strictly below the smallest tier's.
+* **Sanitizer overhead** and the **dispatch allocation budget** — see
+  their tests below.
 
-Both tables land in ``routing_dispatch.txt``.  Timings are best of
+Every table lands in ``routing_dispatch.txt``.  Timings are best of
 ``REPEATS``, and every candidate at one batch size is timed in
 *interleaved round-robin* order — one repetition of each candidate per
 round, not one candidate's whole loop after another's — so CPU-frequency
@@ -48,12 +39,7 @@ from repro.config import DatasetConfig, GridConfig
 from repro.core.fair_kdtree import FairKDTreePartitioner
 from repro.datasets.edgap import load_edgap_city
 from repro.experiments.reporting import format_table
-from repro.serving import (
-    PartitionServer,
-    ServingEngine,
-    ShardedDeployment,
-    build_tile_index,
-)
+from repro.serving import PartitionServer, ServingEngine, ShardedDeployment
 
 #: Batch sizes swept by default; REPRO_BENCH_FULL adds the 10^7 tier.
 SIZES = (100_000, 1_000_000)
@@ -65,30 +51,20 @@ REPEATS = 7
 #: Maximum tolerated engine overhead at the 10^6-point tier.
 MAX_OVERHEAD = 0.10
 
-#: Noise allowance on the sharded-parity assertion.  The fused plan does
-#: strictly less per-point work than the monolithic non-strict path (it
-#: skips the inside-mask compare and the ``np.all`` reduction), so its
-#: true overhead is <= 0%; but the margin is ~1 ms on a ~20 ms batch
-#: whose cost both paths share in ``Grid.locate_many``, and paired
+#: Noise allowance on the sharded-parity assertion.  The sharded path and
+#: the monolithic dense server run the same kernel (``Grid.locate_many``
+#: plus one gather from a sentinel-padded label grid), so their true
+#: difference is the sharded deployment's counter bump; but paired
 #: best-of timings carry a per-process offset of up to ~+/-6% (page/THP
 #: placement of the per-call temporaries is a per-interpreter lottery) on
-#: top of per-round scheduler noise.  The committed table must show
-#: <= 0% (the PR's acceptance bar, regenerated from a quiet run); the
-#: assertion's job is to catch *regressions* — auto falling back onto a
-#: scatter plan is a +200% signal — without being a coin flip on busy CI
-#: runners, so it allows parity plus this noise bound.
+#: top of per-round scheduler noise.  The assertion's job is to catch
+#: *regressions* — a scatter/gather path creeping back is a +200%
+#: signal — without being a coin flip on busy CI runners, so it allows
+#: parity plus this noise bound.
 PARALLEL_NOISE = 0.08
 
 #: Shard tilings compared against the monolithic server.
 SHARD_TILINGS = ((2, 2), (4, 4))
-
-#: Synthetic grid sizes (total cells) for the crossover table;
-#: REPRO_BENCH_FULL adds the 10^8-cell tier from the PR's acceptance bar.
-CROSSOVER_CELLS = (1_000_000, 10_000_000)
-FULL_CROSSOVER_CELLS = (1_000_000, 10_000_000, 100_000_000)
-
-#: Queries per crossover measurement.
-CROSSOVER_QUERIES = 1_000_000
 
 #: Both benchmarks compose one output file; sections render in key order.
 _SECTIONS = {}
@@ -135,7 +111,7 @@ def _best_of_each(candidates, repeats=REPEATS):
 @pytest.mark.benchmark(group="serving")
 def test_routing_dispatch_overhead(benchmark, output_dir):
     """Engine name-routing must cost <= 10% over a direct server call, and
-    the default sharded dispatch must not cost anything at all."""
+    sharded dispatch must not cost anything at all."""
     from bench_utils import bench_full
 
     partition = _build_partition()
@@ -151,38 +127,26 @@ def test_routing_dispatch_overhead(benchmark, output_dir):
     sizes = FULL_SIZES if bench_full() else SIZES
     rows = []
     overheads = {}
-    parallel_overheads = {}
-
-    plan_columns = {}
-    for tiling in SHARD_TILINGS:
-        label = f"{tiling[0]}x{tiling[1]}"
-        plan_columns[tiling] = (
-            ("sequential", f"sharded_{label}_ms"),
-            ("parallel", f"sharded_pool_{label}_ms"),
-            ("auto", f"sharded_parallel_{label}_ms"),
-        )
+    sharded_overheads = {}
+    columns = {tiling: f"sharded_{tiling[0]}x{tiling[1]}_ms" for tiling in SHARD_TILINGS}
 
     def run() -> None:
         for size in sizes:
             xs = rng.uniform(bounds.min_x, bounds.max_x, size)
             ys = rng.uniform(bounds.min_y, bounds.max_y, size)
 
-            # The asserted pair (direct vs the 2x2 auto plan) goes first
-            # and adjacent, so within every round the two timings run
+            # The asserted pair (direct vs the 2x2 tiling) goes first and
+            # adjacent, so within every round the two timings run
             # back-to-back under the closest possible machine state.
             candidates = {
                 "direct": lambda: server.locate_points(xs, ys),
-                "sharded_parallel_2x2_ms": (
-                    lambda d=sharded[(2, 2)]: d.locate_points(xs, ys, plan="auto")
-                ),
+                columns[(2, 2)]: lambda d=sharded[(2, 2)]: d.locate_points(xs, ys),
                 "engine": lambda: engine.locate_points("la", xs, ys),
             }
             for tiling, deployment in sharded.items():
-                for plan, column in plan_columns[tiling]:
-                    candidates.setdefault(
-                        column,
-                        lambda d=deployment, p=plan: d.locate_points(xs, ys, plan=p),
-                    )
+                candidates.setdefault(
+                    columns[tiling], lambda d=deployment: d.locate_points(xs, ys)
+                )
             bests, answers = _best_of_each(candidates)
 
             direct = answers["direct"]
@@ -197,17 +161,13 @@ def test_routing_dispatch_overhead(benchmark, output_dir):
                 "engine_ms": bests["engine"] * 1000.0,
                 "overhead_pct": overhead * 100.0,
             }
-            for tiling in SHARD_TILINGS:
-                for plan, column in plan_columns[tiling]:
-                    assert np.array_equal(direct, answers[column]), (
-                        f"{tiling} sharding ({plan}) changed assignments "
-                        f"at size {size}"
-                    )
-                    row[column] = bests[column] * 1000.0
-            parallel_overheads[size] = (
-                bests["sharded_parallel_2x2_ms"] / bests["direct"] - 1.0
-            )
-            row["parallel_overhead_pct"] = parallel_overheads[size] * 100.0
+            for tiling, column in columns.items():
+                assert np.array_equal(direct, answers[column]), (
+                    f"{tiling} sharding changed assignments at size {size}"
+                )
+                row[column] = bests[column] * 1000.0
+            sharded_overheads[size] = bests[columns[(2, 2)]] / bests["direct"] - 1.0
+            row["sharded_overhead_pct"] = sharded_overheads[size] * 100.0
             row["monolithic_mlookups_s"] = size / bests["direct"] / 1e6
             rows.append(row)
 
@@ -219,12 +179,11 @@ def test_routing_dispatch_overhead(benchmark, output_dir):
         f"PartitionServer.locate_points at 10^6 points "
         f"(budget {MAX_OVERHEAD * 100:.0f}%)"
     )
-    parallel_million = parallel_overheads[1_000_000]
-    assert parallel_million <= PARALLEL_NOISE, (
-        f"default sharded 2x2 dispatch costs {parallel_million * 100:.1f}% "
-        "over the monolithic server at 10^6 points; the fused plan must "
-        f"hold parity (<= {PARALLEL_NOISE * 100:.0f}% noise allowance; "
-        "the committed table is regenerated from a <= 0% run)"
+    sharded_million = sharded_overheads[1_000_000]
+    assert sharded_million <= PARALLEL_NOISE, (
+        f"sharded 2x2 dispatch costs {sharded_million * 100:.1f}% over the "
+        "monolithic server at 10^6 points; the shared padded-grid kernel "
+        f"must hold parity (<= {PARALLEL_NOISE * 100:.0f}% noise allowance)"
     )
 
     # Flush only after the assertions hold — a red run must not overwrite
@@ -232,9 +191,8 @@ def test_routing_dispatch_overhead(benchmark, output_dir):
     _SECTIONS["1_dispatch"] = format_table(
         rows,
         title="Serving-engine routing — named dispatch vs direct server, and "
-        "sharded dispatch plans vs monolithic (Fair KD-tree h=8, Los "
-        "Angeles, 64x64 grid, interleaved best of "
-        f"{REPEATS}; sharded_parallel_* = default auto dispatch)",
+        "sharded dispatch vs monolithic (Fair KD-tree h=8, Los Angeles, "
+        f"64x64 grid, interleaved best of {REPEATS})",
     )
     _flush_sections(output_dir)
 
@@ -466,90 +424,5 @@ def test_dispatch_allocation_budget(benchmark, output_dir):
         title="Dispatch allocation budget — tracemalloc peak over one "
         "10^6-point engine dispatch, in batch-sized (8 MB) buffers; the "
         "budget pins the audited copy-free locate path",
-    )
-    _flush_sections(output_dir)
-
-
-def _synthetic_labels(side: int, n_regions: int = 4096) -> np.ndarray:
-    """A ``side x side`` int64 label grid, synthesised in row chunks so the
-    10^8-cell tier never materialises a second full-size temporary."""
-    labels = np.empty((side, side), dtype=np.int64)
-    cols = np.arange(side, dtype=np.int64) * 17
-    chunk = max(1, 8_388_608 // side)  # ~64 MB of rows at a time
-    for start in range(0, side, chunk):
-        stop = min(side, start + chunk)
-        block = np.arange(start, stop, dtype=np.int64)[:, None] * 31 + cols
-        labels[start:stop] = block % n_regions
-    return labels
-
-
-@pytest.mark.benchmark(group="serving")
-def test_sharded_crossover_large_maps(benchmark, output_dir):
-    """Where tiling wins: bucketed tile gathers vs a flat 2-D fancy gather
-    as the synthetic label grid grows past cache sizes."""
-    from bench_utils import bench_full
-
-    cells_tiers = FULL_CROSSOVER_CELLS if bench_full() else CROSSOVER_CELLS
-    rng = np.random.default_rng(29)
-    rows_out = []
-
-    def run() -> None:
-        for cells in cells_tiers:
-            side = int(round(cells ** 0.5))
-            labels = _synthetic_labels(side)
-            rows = rng.integers(0, side, CROSSOVER_QUERIES)
-            cols = rng.integers(0, side, CROSSOVER_QUERIES)
-
-            indexes = {
-                tiling: build_tile_index(labels, *tiling)
-                for tiling in SHARD_TILINGS
-            }
-            candidates = {"mono": lambda: labels[rows, cols]}
-            for tiling, index in indexes.items():
-                candidates[tiling] = lambda i=index: i.gather(rows, cols)
-            bests, answers = _best_of_each(candidates)
-
-            row = {
-                "cells": side * side,
-                "grid": f"{side}x{side}",
-                "monolithic_ms": bests["mono"] * 1000.0,
-            }
-            best_tiled = float("inf")
-            for tiling in SHARD_TILINGS:
-                assert np.array_equal(answers["mono"], answers[tiling]), (
-                    f"{tiling} tile gather changed labels at {cells} cells"
-                )
-                row[f"tiled_{tiling[0]}x{tiling[1]}_ms"] = bests[tiling] * 1000.0
-                best_tiled = min(best_tiled, bests[tiling])
-            row["best_tiled_vs_mono_pct"] = (
-                best_tiled / bests["mono"] - 1.0
-            ) * 100.0
-            rows_out.append(row)
-            del indexes, labels
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-
-    # The crossover is a trend, not a fixed point: where it lands in
-    # wall-clock depends on the host's TLB reach (hugepage-backed hosts
-    # keep the flat gather cheap far past cache sizes).  Assert the trend
-    # — relative overhead must fall as the map grows — plus a sanity
-    # bound that bucketing never costs more than 4x the flat gather.
-    assert (
-        rows_out[-1]["best_tiled_vs_mono_pct"]
-        < rows_out[0]["best_tiled_vs_mono_pct"]
-    ), "tiled gather overhead did not shrink as the label grid grew"
-    for row in rows_out:
-        assert row["best_tiled_vs_mono_pct"] <= 300.0, (
-            f"tiled gather more than 4x slower at {row['cells']} cells"
-        )
-
-    # Flushed after the assertions for the same reason as the dispatch
-    # table: never replace committed output with a failing run's numbers.
-    _SECTIONS["2_crossover"] = format_table(
-        rows_out,
-        title="Monolithic vs tiled gather crossover — 10^6 random lookups "
-        "on synthetic label grids (best_tiled_vs_mono_pct shrinking "
-        "toward/below zero = the bucketed kernel's fixed sort cost "
-        f"amortising away as the map grows; interleaved best of {REPEATS})",
     )
     _flush_sections(output_dir)

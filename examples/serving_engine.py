@@ -99,14 +99,14 @@ def main() -> None:
         print(f"backends agree; index bytes — dense: {dense_info['index_bytes']}, "
               f"sparse: {sparse_info['index_bytes']}")
 
-        # -- spatial sharding: scatter/gather, bit-identical ----------------
+        # -- spatial sharding: versioned tiles, bit-identical --------------
         engine.deploy("la_tiled", v2, shards=(2, 2))
         assert np.array_equal(
             engine.locate_points("la_tiled", xs, ys),
             dense_engine.locate_points("la", xs, ys),
         )
-        print("2x2 sharded deployment matches monolithic; per-shard loads:",
-              engine.server_for("la_tiled").shard_loads().tolist())
+        print("2x2 sharded deployment matches monolithic; tile versions:",
+              engine.server_for("la_tiled").shard_versions())
 
         # -- persist the deployment table for another process ---------------
         manifest = engine.save_manifest(scratch / "deployments.json")

@@ -171,21 +171,15 @@ class ServingConfig:
     (:data:`repro.registry.BACKENDS`, populated by the ``@register_backend``
     decorators in :mod:`repro.serving.backends`) and aliases are accepted.
 
-    The last two knobs tune sharded deployments
-    (:class:`~repro.serving.sharding.ShardedDeployment`):
-    ``shard_workers`` sizes the shared thread pool that gathers shard
-    buckets under the ``parallel`` dispatch plan (``0``, the default,
-    means one worker per CPU core capped at the tile count), and
-    ``parallel_threshold`` is the batch size below which the ``auto`` and
-    ``parallel`` plans stay sequential so small queries never pay pool or
-    fused-index overhead.
+    Sharded deployments (:class:`~repro.serving.sharding.ShardedDeployment`)
+    take no knobs of their own: they answer every batch with the same
+    single gather as a monolithic dense server, so ``strict`` is the only
+    field that reaches them.
     """
 
     cache_entries: int = 8
     strict: bool = False
     backend: str = "dense"
-    shard_workers: int = 0
-    parallel_threshold: int = 10_000
 
     def __post_init__(self) -> None:
         if self.cache_entries < 1:
@@ -194,15 +188,6 @@ class ServingConfig:
             )
         if self.backend not in BACKENDS:
             raise ConfigurationError(BACKENDS.unknown_message(self.backend))
-        if self.shard_workers < 0:
-            raise ConfigurationError(
-                f"shard_workers must be >= 0 (0 = one per core), "
-                f"got {self.shard_workers}"
-            )
-        if self.parallel_threshold < 1:
-            raise ConfigurationError(
-                f"parallel_threshold must be >= 1, got {self.parallel_threshold}"
-            )
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,9 @@ Its unit of work is "answer queries against stored partitions", not
   behind the server (dense label grid, sparse band index), registered in
   :data:`repro.registry.BACKENDS`.
 * :class:`~repro.serving.sharding.ShardedDeployment` — one partition
-  served as a tile grid of independent shard indexes, batch queries
-  scatter/gathered across them (sequential, thread-pooled or fused
-  dispatch plans) with per-tile versioned hot-swap
-  (``swap_shard``/``rollback_shard``).
+  served as a tile grid of independently versioned shards, composed into
+  one sentinel-padded label grid that answers every batch with a single
+  gather, with per-tile hot-swap (``swap_shard``/``rollback_shard``).
 * :class:`~repro.serving.cache.ArtifactCache` — an LRU cache that keeps
   hot artifact bundles resident as ready-to-query servers and reloads
   bundles that changed on disk.
@@ -65,7 +64,7 @@ from .protocol import (
     ShardSwapRequest,
 )
 from .server import PartitionServer
-from .sharding import ShardedDeployment, TileGridIndex, build_tile_index
+from .sharding import ShardedDeployment
 from .wire import DEFAULT_WIRE_PORT, WireConnection, WireServer
 from .workers import WorkerPool
 
@@ -73,8 +72,6 @@ __all__ = [
     "ServingEngine",
     "PartitionServer",
     "ShardedDeployment",
-    "TileGridIndex",
-    "build_tile_index",
     "ArtifactCache",
     "LocateRequest",
     "RangeRequest",

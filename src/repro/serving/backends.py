@@ -6,10 +6,10 @@ covers each of these grid cells?*  Two implementations are registered in
 :data:`repro.registry.BACKENDS` (the set :class:`~repro.config.ServingConfig`
 and the CLI ``--backend`` flag choose from):
 
-* :class:`DenseGridLocator` (``dense``, the default) — reads the
-  partition's dense cell->region ``label_grid`` with one fancy-indexing
-  pass.  Fastest, but its index is O(rows x cols) integers regardless of
-  how few regions there are.
+* :class:`DenseGridLocator` (``dense``, the default) — one gather from
+  the partition's sentinel-padded cell->region label grid
+  (:func:`pad_labels`).  Fastest, but its index is O(rows x cols)
+  integers regardless of how few regions there are.
 * :class:`SparseBandLocator` (``sparse``) — walks the partition's
   structure instead of materialising it per cell: the grid's rows are cut
   into *bands* at every region boundary, each band keeps its regions'
@@ -19,8 +19,15 @@ and the CLI ``--backend`` flag choose from):
   1e5 x 1e5-cell map needs.
 
 Both backends return identical region assignments for every cell —
-``-1`` for uncovered cells of incomplete partitions — a guarantee
-enforced bit-exactly by ``tests/serving/test_backends.py``.
+``-1`` for uncovered cells of incomplete partitions and for the
+``(-1, -1)`` off-map marker of non-strict ``Grid.locate_many`` — a
+guarantee enforced bit-exactly by ``tests/serving/test_backends.py``.
+
+The module also holds the two label-grid helpers every dense reader
+shares — the server, :class:`~repro.serving.sharding.ShardedDeployment`
+and the shared-memory workers: :func:`pad_labels` builds the padded grid
+their one gather reads, and :func:`range_candidates` is the windowed
+first pass of every range query.
 """
 
 from __future__ import annotations
@@ -30,18 +37,76 @@ from typing import Any, Dict, List, Tuple
 import numpy as np
 
 from ..registry import register_backend
+from ..spatial.geometry import BoundingBox
+from ..spatial.grid import Grid
 from ..spatial.partition import Partition
 
-__all__ = ["LocatorBackend", "DenseGridLocator", "SparseBandLocator"]
+__all__ = [
+    "LocatorBackend",
+    "DenseGridLocator",
+    "SparseBandLocator",
+    "pad_labels",
+    "range_candidates",
+]
+
+
+def pad_labels(labels: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The ``(rows+1) x (cols+1)`` int64 copy of ``labels`` with a ``-1`` border.
+
+    Non-strict ``Grid.locate_many`` reports off-map points as
+    ``(-1, -1)``, and numpy's negative indexing wraps that pair onto the
+    border's last cell — so ``padded[rows, cols]`` answers a whole batch,
+    off-map points included, with one gather: no inside-mask, no result
+    scaffold, no masked scatter.  ``out`` (shape ``(rows+1, cols+1)``,
+    int64) receives the padded grid in place; the worker pool passes a
+    view over its shared-memory segment.
+    """
+    # returns: int64[u, v] contiguous
+    rows, cols = labels.shape
+    if out is None:
+        out = np.empty((rows + 1, cols + 1), dtype=np.int64)
+    out[:rows, :cols] = labels
+    out[rows, :] = -1
+    out[:rows, cols] = -1
+    return out
+
+
+def range_candidates(
+    grid: Grid, labels: np.ndarray, query: BoundingBox
+) -> np.ndarray:
+    """Region ids in the label-grid window under ``query``, uncovered dropped.
+
+    The window is widened by one cell on each side so boxes that exactly
+    touch a cell boundary cannot lose a neighbor to floating-point
+    rounding, and clipped to the grid (a padded ``labels`` reads the same:
+    the window never reaches the border).  The result is a candidate set
+    — callers keep the regions whose bounds pass the exact
+    ``intersects`` test.
+    """
+    # returns: int64[k]
+    bounds = grid.bounds
+    if not bounds.intersects(query):
+        return np.empty(0, dtype=np.int64)
+    row_lo = int(np.floor((query.min_y - bounds.min_y) / grid.cell_height)) - 1
+    row_hi = int(np.floor((query.max_y - bounds.min_y) / grid.cell_height)) + 2
+    col_lo = int(np.floor((query.min_x - bounds.min_x) / grid.cell_width)) - 1
+    col_hi = int(np.floor((query.max_x - bounds.min_x) / grid.cell_width)) + 2
+    row_lo, col_lo = max(row_lo, 0), max(col_lo, 0)
+    row_hi, col_hi = min(row_hi, grid.rows), min(col_hi, grid.cols)
+    if row_lo >= row_hi or col_lo >= col_hi:
+        return np.empty(0, dtype=np.int64)
+    candidates = np.unique(labels[row_lo:row_hi, col_lo:col_hi])
+    return candidates[candidates >= 0]
 
 
 class LocatorBackend:
     """Interface every registered locator backend implements.
 
     Construction takes the partition to index; :meth:`locate_cells` takes
-    integer cell-coordinate arrays that are already inside the grid (the
-    server masks off-map queries first) and returns the covering region
-    index per cell, ``-1`` where no region covers the cell.
+    integer cell-coordinate arrays — in-grid cells, or the ``(-1, -1)``
+    off-map marker of non-strict ``Grid.locate_many`` — and returns the
+    covering region index per cell, ``-1`` where no region covers the
+    cell and for the off-map marker.
     """
 
     #: Canonical registry name, set by each concrete class.
@@ -68,21 +133,20 @@ class LocatorBackend:
 @register_backend(
     "dense",
     aliases=("label_grid", "grid"),
-    summary="dense cell->region label grid; one fancy-indexing pass per batch",
+    summary="sentinel-padded dense cell->region label grid; one gather per batch",
 )
 class DenseGridLocator(LocatorBackend):
-    """Lookups straight off the partition's dense label grid.
+    """Lookups off the partition's sentinel-padded dense label grid.
 
-    The index *is* ``partition.label_grid`` (shared, not copied), so this
-    backend adds no memory of its own but inherits the grid's O(rows x cols)
-    footprint.
+    The index is :func:`pad_labels` of ``partition.label_grid``: the
+    grid's O(rows x cols) footprint plus one border row and column.
     """
 
     name = "dense"
 
     def __init__(self, partition: Partition) -> None:
         super().__init__(partition)
-        self._labels = partition.label_grid
+        self._labels = pad_labels(partition.label_grid)
 
     def locate_cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         # array: rows int64

@@ -50,7 +50,7 @@ from __future__ import annotations
 import json
 import os
 from collections import OrderedDict
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -80,6 +80,10 @@ MANIFEST_FORMAT_VERSION = 2
 
 #: Manifest formats :meth:`ServingEngine.from_manifest` can restore.
 _SUPPORTED_MANIFEST_FORMATS = (1, 2)
+
+#: Serving-config keys older manifests carry for sharded-dispatch knobs
+#: that no longer exist; :meth:`ServingEngine.from_manifest` drops them.
+_RETIRED_CONFIG_KEYS = ("shard_workers", "parallel_threshold")
 
 #: Deployment names the engine refuses, to keep the version-alias grammar
 #: unambiguous.
@@ -903,13 +907,7 @@ class ServingEngine:
             # table is still a valid format-1 manifest, so stamp the
             # lowest format that can express it.
             "format_version": MANIFEST_FORMAT_VERSION if any_patches else 1,
-            "config": {
-                "cache_entries": self._config.cache_entries,
-                "strict": self._config.strict,
-                "backend": self._config.backend,
-                "shard_workers": self._config.shard_workers,
-                "parallel_threshold": self._config.parallel_threshold,
-            },
+            "config": asdict(self._config),
             "deployments": deployments,
         }
         scratch = path.with_name(path.name + ".tmp")
@@ -957,8 +955,14 @@ class ServingEngine:
         try:
             if config is None:
                 stored = payload.get("config")
-                config = ServingConfig(**stored) if isinstance(stored, dict) \
-                    else ServingConfig()
+                if isinstance(stored, dict):
+                    stored = {
+                        key: value for key, value in stored.items()
+                        if key not in _RETIRED_CONFIG_KEYS
+                    }
+                    config = ServingConfig(**stored)
+                else:
+                    config = ServingConfig()
             if config_overrides:
                 config = replace(config, **dict(config_overrides))
         except (ConfigurationError, TypeError) as exc:

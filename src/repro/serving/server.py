@@ -35,6 +35,7 @@ from ..io.artifacts import load_partition_artifact
 from ..registry import BACKENDS
 from ..spatial.geometry import BoundingBox
 from ..spatial.partition import Partition, masked_cell_lookup
+from .backends import range_candidates
 
 
 def region_counts_from_assignment(assignment: np.ndarray, n_regions: int) -> np.ndarray:
@@ -183,22 +184,14 @@ class PartitionServer:
 
         In non-strict mode (the default), coordinates outside the map — or
         inside an uncovered cell of an incomplete partition — come back as
-        ``-1``.  In strict mode, off-map coordinates raise
-        :class:`~repro.exceptions.GridError`, matching ``Grid.locate_many``.
+        ``-1``: ``Grid.locate_many`` marks off-map points ``(-1, -1)`` and
+        every backend maps that marker to ``-1``.  In strict mode, off-map
+        coordinates raise :class:`~repro.exceptions.GridError`, matching
+        ``Grid.locate_many``.
         """
         # returns: int64
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if self._resolve_strict(strict):
-            rows, cols = self._grid.locate_many(xs, ys)
-            return self._backend.locate_cells(rows, cols)
-        rows, cols = self._grid.locate_many(xs, ys, strict=False)
-        inside = rows >= 0
-        if bool(np.all(inside)):
-            return self._backend.locate_cells(rows, cols)
-        result = np.full(xs.shape, -1, dtype=int)
-        result[inside] = self._backend.locate_cells(rows[inside], cols[inside])
-        return result
+        rows, cols = self._grid.locate_many(xs, ys, strict=self._resolve_strict(strict))
+        return self._backend.locate_cells(rows, cols)
 
     def locate_cells(
         self, rows: Sequence[int], cols: Sequence[int], strict: bool | None = None
@@ -227,33 +220,18 @@ class PartitionServer:
 
         Semantically identical to :func:`repro.spatial.queries.range_query`
         (closed boxes: touching counts, region order preserved), but instead
-        of testing every region it slices the label grid down to the cell
-        window covering the query box and reads the candidate region indices
-        off the slice.  The window is widened by one cell on each side so
-        boxes that exactly touch a cell boundary cannot lose a neighbor to
-        floating-point rounding; candidates then pass the exact
-        ``bounds.intersects`` test, so no false positives survive.  Cost is
-        proportional to the window area plus the handful of candidates, not
-        to the total region count.
+        of testing every region it reads the candidate region indices off
+        the label grid's cell window under the query box
+        (:func:`~repro.serving.backends.range_candidates`); candidates then
+        pass the exact ``bounds.intersects`` test, so no false positives
+        survive.  Cost is proportional to the window area plus the handful
+        of candidates, not to the total region count.
         """
-        grid = self._grid
-        bounds = grid.bounds
-        if not bounds.intersects(query):
-            return []
-        row_lo = int(np.floor((query.min_y - bounds.min_y) / grid.cell_height)) - 1
-        row_hi = int(np.floor((query.max_y - bounds.min_y) / grid.cell_height)) + 2
-        col_lo = int(np.floor((query.min_x - bounds.min_x) / grid.cell_width)) - 1
-        col_hi = int(np.floor((query.max_x - bounds.min_x) / grid.cell_width)) + 2
-        row_lo, col_lo = max(row_lo, 0), max(col_lo, 0)
-        row_hi, col_hi = min(row_hi, grid.rows), min(col_hi, grid.cols)
-        if row_lo >= row_hi or col_lo >= col_hi:
-            return []
-        candidates = np.unique(self._labels[row_lo:row_hi, col_lo:col_hi])
         regions = self._partition.regions
         return [
             int(index)
-            for index in candidates
-            if index >= 0 and regions[index].bounds.intersects(query)
+            for index in range_candidates(self._grid, self._labels, query)
+            if regions[index].bounds.intersects(query)
         ]
 
     # -- aggregates --------------------------------------------------------------

@@ -8,7 +8,9 @@ acceptors — the classic pre-fork design) and answer the wire protocol of
 :mod:`repro.serving.wire` from **shared memory**:
 
 * the parent copies each deployment's dense label grid *once* into a
-  ``multiprocessing.shared_memory`` segment at publish time;
+  ``multiprocessing.shared_memory`` segment at publish time, sentinel-padded
+  (:func:`~repro.serving.backends.pad_labels`) so a worker answers a
+  batch with the same single gather as the in-process dense server;
 * workers attach read-only views — the fork after export means the
   mapping is inherited, and a respawned worker re-attaches by name;
 * a hot-swap publishes a **new** segment and a version bump over each
@@ -55,6 +57,7 @@ from ..exceptions import ConfigurationError, ReproError, ServingError
 from ..spatial.geometry import BoundingBox
 from ..spatial.grid import Grid
 from ..spatial.region import GridRegion
+from .backends import pad_labels, range_candidates
 from .locks import new_lock
 from .protocol import LATEST, LocateRequest, QueryResult, RangeRequest
 from .wire import serve_connection
@@ -84,8 +87,9 @@ class _WorkerDeployment:
 
     Everything a worker needs to answer the read path bit-exactly
     against the in-process engine: the :class:`Grid` (reconstructed from
-    geometry — pure arithmetic, no arrays), the shared label grid (a
-    read-only view over the segment), and the region extent boxes for
+    geometry — pure arithmetic, no arrays), the shared sentinel-padded
+    label grid (a read-only ``(rows+1) x (cols+1)`` view over the
+    segment), and the region extent boxes for
     range queries.  The ``shm`` handle is kept referenced so the mapping
     outlives every in-flight request that reads through it.
     """
@@ -109,7 +113,8 @@ class _WorkerDeployment:
         )
         self.shm = shared_memory.SharedMemory(name=export["segment"])
         labels = np.ndarray(
-            (self.grid.rows, self.grid.cols), dtype=np.int64, buffer=self.shm.buf
+            (self.grid.rows + 1, self.grid.cols + 1), dtype=np.int64,
+            buffer=self.shm.buf,
         )
         labels.flags.writeable = False  # readers, by contract
         self.labels = labels
@@ -225,27 +230,17 @@ class WorkerState:
     ) -> Tuple[int, np.ndarray]:
         """Array-native batch locate against the shared label grid.
 
-        Semantically identical to
+        The in-process dense read path over shared memory —
+        ``Grid.locate_many``, then one gather from the padded grid — so
+        it is bit-identical to
         :meth:`~repro.serving.server.PartitionServer.locate_points` with
-        the dense backend (the oracle the worker tests pin against):
-        same clamp/strict behaviour through ``Grid.locate_many``, same
-        ``-1`` off-map sentinel, same int64 result.
+        the dense backend (the oracle the worker tests pin against).
         """
         # returns: int64[n]
         entry = self._resolve(name, version)
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if self._strict_default if strict is None else strict:
-            rows, cols = entry.grid.locate_many(xs, ys)
-            assignment = entry.labels[rows, cols]
-        else:
-            rows, cols = entry.grid.locate_many(xs, ys, strict=False)
-            inside = rows >= 0
-            if bool(np.all(inside)):
-                assignment = entry.labels[rows, cols]
-            else:
-                assignment = np.full(xs.shape, -1, dtype=int)
-                assignment[inside] = entry.labels[rows[inside], cols[inside]]
+        strict = self._strict_default if strict is None else strict
+        rows, cols = entry.grid.locate_many(xs, ys, strict=strict)
+        assignment = entry.labels[rows, cols]
         with self._counter_lock:
             self._queries += 1
             self._points += int(assignment.size)
@@ -272,32 +267,17 @@ class WorkerState:
         """Regions intersecting the request box, off the shared labels.
 
         The same windowed algorithm as
-        :meth:`~repro.serving.server.PartitionServer.range_query`: slice
-        the label grid down to the query's cell window (widened one cell
-        against boundary rounding), then exact ``intersects`` tests on
-        the candidates.
+        :meth:`~repro.serving.server.PartitionServer.range_query`:
+        :func:`~repro.serving.backends.range_candidates`, then exact
+        ``intersects`` tests on the candidates.
         """
         entry = self._resolve(request.deployment, request.version)
-        grid = entry.grid
-        bounds = grid.bounds
         query = request.bounds
-        regions: List[int] = []
-        if bounds.intersects(query):
-            row_lo = int(np.floor((query.min_y - bounds.min_y) / grid.cell_height)) - 1
-            row_hi = int(np.floor((query.max_y - bounds.min_y) / grid.cell_height)) + 2
-            col_lo = int(np.floor((query.min_x - bounds.min_x) / grid.cell_width)) - 1
-            col_hi = int(np.floor((query.max_x - bounds.min_x) / grid.cell_width)) + 2
-            row_lo, col_lo = max(row_lo, 0), max(col_lo, 0)
-            row_hi, col_hi = min(row_hi, grid.rows), min(col_hi, grid.cols)
-            if row_lo < row_hi and col_lo < col_hi:
-                candidates = np.unique(
-                    entry.labels[row_lo:row_hi, col_lo:col_hi]
-                )
-                regions = [
-                    int(index)
-                    for index in candidates
-                    if index >= 0 and entry.region_bounds[index].intersects(query)
-                ]
+        regions = [
+            int(index)
+            for index in range_candidates(entry.grid, entry.labels, query)
+            if entry.region_bounds[index].intersects(query)
+        ]
         with self._counter_lock:
             self._queries += 1
         return QueryResult(
@@ -453,7 +433,7 @@ def _export_labels(server: Any) -> np.ndarray:
     compose = getattr(server, "compose_labels", None)
     if callable(compose):  # sharded: apply tile swaps
         return compose()
-    return np.ascontiguousarray(server.partition.label_grid, dtype=np.int64)
+    return server.partition.label_grid
 
 
 class WorkerPool:
@@ -668,14 +648,15 @@ class WorkerPool:
             export = self._exports.get(name)  # repro: ignore[lock-guarded-attrs] -- caller holds self._lock (the _locked suffix is that contract)
             if export is not None and export.stamp == stamp:
                 continue
-            labels = _export_labels(server)
-            segment = shared_memory.SharedMemory(
-                create=True, size=int(labels.nbytes)
-            )
-            view = np.ndarray(labels.shape, dtype=np.int64, buffer=segment.buf)
-            view[:] = labels  # the one copy, parent-side, publish-time
             partition = server.partition
             grid = partition.grid
+            shape = (grid.rows + 1, grid.cols + 1)
+            segment = shared_memory.SharedMemory(
+                create=True, size=shape[0] * shape[1] * 8
+            )
+            view = np.ndarray(shape, dtype=np.int64, buffer=segment.buf)
+            # The one copy, parent-side, publish-time.
+            pad_labels(_export_labels(server), out=view)
             extents = np.array(
                 [
                     (

@@ -74,6 +74,22 @@ class TestRegistry:
         assert sparse["index_bytes"] < dense["index_bytes"]
 
 
+class TestBackendContract:
+    @pytest.mark.parametrize("name", BACKENDS.names())
+    def test_off_map_marker_maps_to_minus_one(self, name):
+        """Every backend answers the ``(-1, -1)`` off-map marker of
+        non-strict ``Grid.locate_many`` with ``-1``, alone or mixed into a
+        batch of in-grid cells (the server hands it over unmasked)."""
+        grid = Grid(6, 9)
+        backend = BACKENDS.resolve(name).obj(_kdtree_style_partition(grid, 3))
+        rows = np.array([-1, 0, 5, -1, 2])
+        cols = np.array([-1, 0, 8, -1, 4])
+        located = backend.locate_cells(rows, cols)
+        assert located[[0, 3]].tolist() == [-1, -1]
+        assert (located[[1, 2, 4]] >= 0).all()
+        assert int(backend.locate_cells(np.int64(-1), np.int64(-1))) == -1
+
+
 class TestSparseIndex:
     def test_sparse_index_is_memory_lean_on_coarse_partitions(self):
         # 4 regions over a 256x256 grid: the dense index stores 65536

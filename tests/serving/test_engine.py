@@ -1,5 +1,7 @@
 """Tests for the serving engine: deployments, versions, swap/rollback, manifest."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -338,6 +340,24 @@ class TestManifest:
         engine.deploy("mem", uniform_partition(Grid(8, 8), 2, 2))
         with pytest.raises(ServingError, match="cannot be persisted"):
             engine.save_manifest(tmp_path / "deployments.json")
+
+    def test_manifest_with_retired_shard_knobs_restores(self, bundles, tmp_path):
+        """Manifests written before the sharded dispatch knobs were retired
+        still restore: their stale config keys are dropped on load."""
+        engine = ServingEngine(config=ServingConfig(backend="sparse", strict=True))
+        engine.deploy("la", bundles["v1"])
+        manifest = engine.save_manifest(tmp_path / "deployments.json")
+        payload = json.loads(manifest.read_text())
+        payload["config"].update(shard_workers=0, parallel_threshold=10_000)
+        manifest.write_text(json.dumps(payload))
+        restored = ServingEngine.from_manifest(manifest)
+        assert restored.config == ServingConfig(backend="sparse", strict=True)
+        np.testing.assert_array_equal(
+            restored.locate_points("la", np.array([0.5, 5.0]), np.array([0.5, 0.5]),
+                                   strict=False),
+            engine.locate_points("la", np.array([0.5, 5.0]), np.array([0.5, 0.5]),
+                                 strict=False),
+        )
 
     def test_missing_and_malformed_manifests_fail_cleanly(self, tmp_path):
         with pytest.raises(ServingError, match="does not exist"):

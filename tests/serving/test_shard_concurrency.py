@@ -3,7 +3,7 @@
 Mirrors ``tests/serving/test_concurrency.py`` one level down: where that
 suite races whole-version hot-swaps, this one races *tile* swaps
 (:meth:`ShardedDeployment.swap_shard` / ``rollback_shard``) against
-readers on every dispatch plan.
+concurrent readers.
 
 The oracle construction: the swap/rollback schedule is deterministic, so
 every published deployment state S0..Sk (S0 = as built, Si = after the
@@ -27,16 +27,12 @@ import numpy as np
 import pytest
 
 from repro.analysis import sanitized
-from repro.config import ServingConfig
 from repro.serving import ShardedDeployment
 from repro.spatial.grid import Grid
 from repro.spatial.partition import uniform_partition
 
 N_READERS = 8
 N_OPS = 24
-
-#: Plans the racing readers cycle through.
-READER_PLANS = ("sequential", "parallel", "fused", "auto")
 
 
 class _TileMirror:
@@ -75,8 +71,7 @@ def _run_swap_race(n_readers, n_ops, shard_rows=2, shard_cols=2, pause=0.004):
     """Race readers against a deterministic shard-op schedule; assert every
     read is bit-exact against one of the precomputed oracle states."""
     partition = uniform_partition(Grid(16, 16), 4, 4)
-    config = ServingConfig(parallel_threshold=1)
-    sharded = ShardedDeployment(partition, shard_rows, shard_cols, config=config)
+    sharded = ShardedDeployment(partition, shard_rows, shard_cols)
     mirror = _TileMirror(sharded, partition)
     shape = partition.label_grid.shape
 
@@ -126,14 +121,13 @@ def _run_swap_race(n_readers, n_ops, shard_rows=2, shard_cols=2, pause=0.004):
     reads = [0] * n_readers
 
     def reader(index):
-        plan = READER_PLANS[index % len(READER_PLANS)]
         while not stop.is_set():
             result = np.ascontiguousarray(
-                sharded.locate_points(xs, ys, plan=plan), dtype=np.int64
+                sharded.locate_points(xs, ys), dtype=np.int64
             )
             reads[index] += 1
             if result.tobytes() not in oracle:
-                failures.append(f"torn read on plan {plan!r}")
+                failures.append(f"torn read in reader {index}")
                 return
 
     threads = [
@@ -159,32 +153,47 @@ def _run_swap_race(n_readers, n_ops, shard_rows=2, shard_cols=2, pause=0.004):
     np.testing.assert_array_equal(
         sharded.locate_points(xs, ys), expected_for(oracle_states[-1])
     )
-    sharded.close()
 
 
 def _run_counter_hammer(n_threads, batches_per_thread, n_points):
-    """Hammer the per-shard counters from the pool; totals must be exact."""
+    """Hammer the served-points counter from a thread pool; the total must
+    be exact (a lost read-modify-write update would undercount)."""
     partition = uniform_partition(Grid(16, 16), 4, 4)
-    sharded = ShardedDeployment(
-        partition, 2, 2, config=ServingConfig(parallel_threshold=1)
-    )
+    sharded = ShardedDeployment(partition, 2, 2)
     rng = np.random.default_rng(7)
-    # All inside the map, so every point lands in exactly one shard.
-    xs = rng.uniform(0.0, 0.999, n_points)
-    ys = rng.uniform(0.0, 0.999, n_points)
+    xs = rng.uniform(-0.05, 1.05, n_points)
+    ys = rng.uniform(-0.05, 1.05, n_points)
 
-    def worker(index):
-        plan = ("sequential", "parallel")[index % 2]
+    def worker(_):
         for _ in range(batches_per_thread):
-            sharded.locate_points(xs, ys, plan=plan)
+            sharded.locate_points(xs, ys)
 
     with ThreadPoolExecutor(n_threads) as pool:
         list(pool.map(worker, range(n_threads)))
 
-    total = n_threads * batches_per_thread * n_points
-    assert int(sharded.shard_loads().sum()) == total
-    assert sharded.points_served == total
-    sharded.close()
+    assert sharded.points_served == n_threads * batches_per_thread * n_points
+
+
+def _run_concurrent_determinism(n_threads, calls_per_thread, shards, n_points, seed):
+    """Threads dispatching one batch concurrently each get the byte-identical
+    answer of the first call."""
+    partition = uniform_partition(Grid(16, 16), 4, 4)
+    sharded = ShardedDeployment(partition, *shards)
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-0.05, 1.05, n_points)
+    ys = rng.uniform(-0.05, 1.05, n_points)
+    baseline = sharded.locate_points(xs, ys).tobytes()
+    failures = []
+
+    def worker(_):
+        for _ in range(calls_per_thread):
+            if sharded.locate_points(xs, ys).tobytes() != baseline:
+                failures.append("non-deterministic concurrent dispatch")
+                return
+
+    with ThreadPoolExecutor(n_threads) as pool:
+        list(pool.map(worker, range(n_threads)))
+    assert not failures
 
 
 class TestShardSwapSmoke:
@@ -205,26 +214,16 @@ class TestShardSwapSmoke:
         assert report.clean, "\n" + report.render_text()
 
     def test_parallel_dispatch_deterministic(self):
-        partition = uniform_partition(Grid(16, 16), 4, 4)
-        sharded = ShardedDeployment(
-            partition, 3, 3, config=ServingConfig(parallel_threshold=1)
+        _run_concurrent_determinism(
+            n_threads=4, calls_per_thread=5, shards=(3, 3), n_points=3000, seed=13
         )
-        rng = np.random.default_rng(13)
-        xs = rng.uniform(-0.05, 1.05, 3000)
-        ys = rng.uniform(-0.05, 1.05, 3000)
-        reference = sharded.locate_points(xs, ys, plan="sequential")
-        baseline = reference.tobytes()
-        for _ in range(20):
-            repeat = sharded.locate_points(xs, ys, plan="parallel")
-            assert repeat.tobytes() == baseline  # byte-identical every run
-        sharded.close()
 
 
 @pytest.mark.stress
 class TestShardSwapStress:
     def test_8_readers_racing_24_tile_ops(self):
-        """The PR's acceptance floor: 8 readers x 24 shard ops, all plans,
-        every read bit-exact against the single-threaded oracle."""
+        """8 readers x 24 shard ops, every read bit-exact against the
+        single-threaded oracle."""
         _run_swap_race(n_readers=N_READERS, n_ops=N_OPS)
 
     def test_counters_survive_sustained_hammering(self):
@@ -241,25 +240,8 @@ class TestShardSwapStress:
         assert report.clean, "\n" + report.render_text()
 
     def test_determinism_under_concurrent_dispatch(self):
-        """Many threads dispatching the same batch concurrently on the
-        shared pool still each get the byte-identical answer."""
-        partition = uniform_partition(Grid(16, 16), 4, 4)
-        sharded = ShardedDeployment(
-            partition, 4, 4, config=ServingConfig(parallel_threshold=1)
+        """Many threads dispatching the same batch concurrently still each
+        get the byte-identical answer."""
+        _run_concurrent_determinism(
+            n_threads=8, calls_per_thread=10, shards=(4, 4), n_points=5000, seed=17
         )
-        rng = np.random.default_rng(17)
-        xs = rng.uniform(-0.05, 1.05, 5000)
-        ys = rng.uniform(-0.05, 1.05, 5000)
-        baseline = sharded.locate_points(xs, ys, plan="sequential").tobytes()
-        failures = []
-
-        def worker(_):
-            for _ in range(10):
-                if sharded.locate_points(xs, ys, plan="parallel").tobytes() != baseline:
-                    failures.append("non-deterministic parallel dispatch")
-                    return
-
-        with ThreadPoolExecutor(8) as pool:
-            list(pool.map(worker, range(8)))
-        assert not failures
-        sharded.close()

@@ -1,4 +1,4 @@
-"""Tests for spatially sharded deployments: bucketing must be invisible."""
+"""Tests for spatially sharded deployments: tiling must be invisible."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,10 @@ from hypothesis import strategies as st
 
 from repro.config import ServingConfig
 from repro.exceptions import GridError, ServingError
-from repro.serving import PartitionServer, ShardedDeployment, build_tile_index
-from repro.serving.sharding import DISPATCH_PLANS
+from repro.serving import PartitionServer, ShardedDeployment
 from repro.spatial.geometry import BoundingBox
 from repro.spatial.grid import Grid
 from repro.spatial.partition import uniform_partition
-
-#: The concrete execution plans (everything but the "auto" selector).
-PLANS = tuple(plan for plan in DISPATCH_PLANS if plan != "auto")
 
 
 @pytest.fixture()
@@ -53,7 +49,11 @@ class TestShardedLocate:
             np.array([bounds.max_x]), np.array([bounds.max_y])
         )
         assert int(result[0]) == sharded.n_regions - 1
-        assert sharded.shard_loads().tolist() == [0, 0, 0, 1]
+        r0, _, c0, _ = sharded.tile_window(1, 1)
+        rows, cols = partition.grid.locate_many(
+            np.array([bounds.max_x]), np.array([bounds.max_y])
+        )
+        assert int(rows[0]) >= r0 and int(cols[0]) >= c0
 
     def test_scalar_and_2d_inputs_match_monolithic(self, partition):
         """Shape parity with PartitionServer: scalars and N-d batches."""
@@ -109,14 +109,15 @@ class TestShardedLocate:
         query = BoundingBox(-1.0, 1.5, 0.0, 3.0)
         assert sharded.range_query(query) == server.range_query(query)
 
-    def test_shard_loads_accumulate(self, partition):
+    def test_points_served_accumulate(self, partition):
         sharded = ShardedDeployment(partition, 2, 2)
         rng = np.random.default_rng(3)
         bounds = partition.grid.bounds
-        xs = rng.uniform(bounds.min_x, bounds.max_x, 100)
-        ys = rng.uniform(bounds.min_y, bounds.max_y, 100)
+        xs = rng.uniform(bounds.min_x - 1.0, bounds.max_x + 1.0, 100)
+        ys = rng.uniform(bounds.min_y - 1.0, bounds.max_y + 1.0, 100)
         sharded.locate_points(xs, ys)
-        assert int(sharded.shard_loads().sum()) == 100
+        sharded.locate_points(xs[:10], ys[:10])
+        assert sharded.points_served == 110  # off-map points count too
 
     def test_describe_reports_tiling(self, partition):
         info = ShardedDeployment(partition, 2, 3, provenance={"city": "la"}).describe()
@@ -175,11 +176,7 @@ class TestShardedProperties:
     def test_every_plan_matches_monolithic(
         self, seed, shard_rows, shard_cols, strict
     ):
-        """Bit-exactness per explicit dispatch plan, off-map points included.
-
-        ``parallel_threshold=1`` forces the pool and fused paths to engage
-        even on small property-test batches.
-        """
+        """Bit-exactness in both strict modes, off-map points included."""
         rng = np.random.default_rng(seed)
         rows = int(rng.integers(shard_rows, 20))
         cols = int(rng.integers(shard_cols, 20))
@@ -188,7 +185,7 @@ class TestShardedProperties:
             int(rng.integers(1, rows + 1)),
             int(rng.integers(1, cols + 1)),
         )
-        config = ServingConfig(strict=strict, parallel_threshold=1)
+        config = ServingConfig(strict=strict)
         server = PartitionServer(partition, config=config)
         sharded = ShardedDeployment(partition, shard_rows, shard_cols, config=config)
         if strict:
@@ -197,107 +194,65 @@ class TestShardedProperties:
         else:
             xs = rng.uniform(-0.5, 1.5, 200)
             ys = rng.uniform(-0.5, 1.5, 200)
-        expected = server.locate_points(xs, ys)
-        for plan in PLANS + ("auto",):
-            np.testing.assert_array_equal(
-                sharded.locate_points(xs, ys, plan=plan), expected
-            )
+        np.testing.assert_array_equal(
+            sharded.locate_points(xs, ys), server.locate_points(xs, ys)
+        )
 
 
 class TestDispatchPlans:
-    def test_unknown_plan_rejected(self, partition):
-        sharded = ShardedDeployment(partition, 2, 2)
-        with pytest.raises(ServingError, match="unknown dispatch plan"):
-            sharded.locate_points(np.zeros(1), np.zeros(1), plan="magic")
+    """Edge batches through the single padded-grid dispatch."""
 
     def test_empty_batch_every_plan(self, partition):
-        sharded = ShardedDeployment(
-            partition, 2, 2, config=ServingConfig(parallel_threshold=1)
-        )
-        for plan in PLANS + ("auto",):
-            result = sharded.locate_points(np.empty(0), np.empty(0), plan=plan)
-            assert result.shape == (0,)
-        assert sharded.shard_loads().tolist() == [0, 0, 0, 0]
+        sharded = ShardedDeployment(partition, 2, 2)
+        result = sharded.locate_points(np.empty(0), np.empty(0))
+        assert result.shape == (0,)
+        assert sharded.points_served == 0
 
     def test_empty_buckets_single_tile_batch(self, partition):
-        """A batch landing entirely in one tile leaves the others' buckets
-        empty; every plan must still answer bit-exact."""
+        """A batch landing entirely in one tile of 16 answers bit-exact."""
         server = PartitionServer(partition)
-        sharded = ShardedDeployment(
-            partition, 4, 4, config=ServingConfig(parallel_threshold=1)
-        )
+        sharded = ShardedDeployment(partition, 4, 4)
         bounds = partition.grid.bounds
         rng = np.random.default_rng(9)
         # Points in the grid's lower-left corner cell block only.
         xs = rng.uniform(bounds.min_x, bounds.min_x + 0.5, 64)
         ys = rng.uniform(bounds.min_y, bounds.min_y + 0.5, 64)
-        expected = server.locate_points(xs, ys)
-        for plan in PLANS:
-            np.testing.assert_array_equal(
-                sharded.locate_points(xs, ys, plan=plan), expected
-            )
-        assert int(np.count_nonzero(sharded.shard_loads())) == 1
+        np.testing.assert_array_equal(
+            sharded.locate_points(xs, ys), server.locate_points(xs, ys)
+        )
 
     def test_strict_mode_raises_on_every_plan(self, partition):
         sharded = ShardedDeployment(
-            partition, 2, 2, config=ServingConfig(strict=True, parallel_threshold=1)
+            partition, 2, 2, config=ServingConfig(strict=True)
         )
         bounds = partition.grid.bounds
-        for plan in PLANS:
+        for xs, ys in (
+            ([bounds.max_x + 1.0], [bounds.min_y]),
+            ([bounds.min_x], [bounds.min_y - 1.0]),
+        ):
             with pytest.raises(GridError):
-                sharded.locate_points(
-                    np.array([bounds.max_x + 1.0]), np.array([bounds.min_y]),
-                    plan=plan,
-                )
-
-    def test_parallel_plan_respects_worker_config(self, partition):
-        sharded = ShardedDeployment(
-            partition, 2, 2,
-            config=ServingConfig(shard_workers=2, parallel_threshold=1),
-        )
-        rng = np.random.default_rng(11)
-        xs = rng.uniform(-2.0, 6.0, 500)
-        ys = rng.uniform(1.0, 5.0, 500)
-        server = PartitionServer(partition)
-        np.testing.assert_array_equal(
-            sharded.locate_points(xs, ys, plan="parallel"),
-            server.locate_points(xs, ys),
-        )
-        sharded.close()  # idempotent shutdown of the pool
-        sharded.close()
+                sharded.locate_points(np.array(xs), np.array(ys))
+        # A per-call override still answers the off-map point as -1.
+        assert sharded.locate_points(
+            np.array([bounds.max_x + 1.0]), np.array([bounds.min_y]), strict=False
+        ).tolist() == [-1]
 
     def test_describe_reports_dispatch_knobs(self, partition):
-        info = ShardedDeployment(
-            partition, 2, 2, config=ServingConfig(parallel_threshold=123)
-        ).describe()
-        assert info["parallel_threshold"] == 123
+        info = ShardedDeployment(partition, 2, 2).describe()
         assert info["shard_versions"] == [[1, 1], [1, 1]]
+        assert info["index_bytes"] == partition.label_grid.size * 8
 
 
-class TestTileGridIndex:
-    def test_build_tile_index_gather_matches_direct(self):
-        rng = np.random.default_rng(21)
-        labels = rng.integers(0, 50, size=(37, 53))
-        index = build_tile_index(labels, 3, 4)
-        rows = rng.integers(0, 37, size=500)
-        cols = rng.integers(0, 53, size=500)
-        np.testing.assert_array_equal(
-            index.gather(rows, cols), labels[rows, cols]
-        )
-
-    def test_tile_views_reassemble_the_grid(self):
-        rng = np.random.default_rng(22)
-        labels = rng.integers(0, 9, size=(10, 7))
-        index = build_tile_index(labels, 2, 3)
-        rebuilt = np.empty_like(labels)
-        for i in range(index.geometry.n_tiles):
-            r0, r1, c0, c1 = index.geometry.tile_window(i)
-            rebuilt[r0:r1, c0:c1] = index.tile_view(i)
-        np.testing.assert_array_equal(rebuilt, labels)
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ServingError, match="2-D"):
-            build_tile_index(np.zeros(5, dtype=int), 1, 1)
+class TestTileComposition:
+    def test_tile_views_reassemble_the_grid(self, partition):
+        """``compose_labels`` is the full grid, tile swaps applied."""
+        sharded = ShardedDeployment(partition, 3, 2)
+        np.testing.assert_array_equal(sharded.compose_labels(), partition.label_grid)
+        r0, r1, c0, c1 = sharded.tile_window(1, 0)
+        sharded.swap_shard(1, 0, np.zeros((r1 - r0, c1 - c0), dtype=np.int64))
+        expected = partition.label_grid.copy()
+        expected[r0:r1, c0:c1] = 0
+        np.testing.assert_array_equal(sharded.compose_labels(), expected)
 
 
 class TestShardSwap:
@@ -320,10 +275,7 @@ class TestShardSwap:
         labels[r0:r1, c0:c1] = 0
         rows, cols = partition.grid.locate_many(xs, ys)
         expected = labels[rows, cols]
-        for plan in PLANS:
-            np.testing.assert_array_equal(
-                sharded.locate_points(xs, ys, plan=plan), expected
-            )
+        np.testing.assert_array_equal(sharded.locate_points(xs, ys), expected)
         # Points outside the swapped window still answer as before.
         outside = ~((rows >= r0) & (rows < r1) & (cols >= c0) & (cols < c1))
         np.testing.assert_array_equal(
@@ -379,14 +331,15 @@ class TestShardSwap:
         assert sharded.shard_versions() == [[1, 1], [1, 1]]
 
     def test_swap_visible_to_fused_plan_built_before_swap(self, partition):
-        """The fused grid is rebuilt copy-on-write on swap, not patched."""
-        sharded = ShardedDeployment(
-            partition, 2, 2, config=ServingConfig(parallel_threshold=1)
-        )
+        """The padded grid is rebuilt copy-on-write on swap, not patched:
+        an exported snapshot taken before the swap keeps the old labels."""
+        sharded = ShardedDeployment(partition, 2, 2)
         bounds = partition.grid.bounds
         xs = np.array([bounds.min_x + 0.1]); ys = np.array([bounds.min_y + 0.1])
-        first = sharded.locate_points(xs, ys, plan="fused")
+        first = sharded.locate_points(xs, ys)
+        snapshot = sharded.compose_labels()
         r0, r1, c0, c1 = sharded.tile_window(0, 0)
         sharded.swap_shard(0, 0, np.zeros((r1 - r0, c1 - c0), dtype=np.int64))
-        assert int(sharded.locate_points(xs, ys, plan="fused")[0]) == 0
+        assert int(sharded.locate_points(xs, ys)[0]) == 0
         assert int(first[0]) == int(partition.label_grid[0, 0])
+        np.testing.assert_array_equal(snapshot, partition.label_grid)

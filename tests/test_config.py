@@ -1,5 +1,7 @@
 """Unit tests for configuration objects and package-level constants."""
 
+from dataclasses import fields
+
 import pytest
 
 import repro
@@ -106,20 +108,13 @@ class TestServingConfig:
         assert config.cache_entries == 8
         assert config.strict is False
         assert config.backend == "dense"
-        assert config.shard_workers == 0  # 0 = one worker per core
-        assert config.parallel_threshold == 10_000
+        assert [f.name for f in fields(ServingConfig)] == [
+            "cache_entries", "strict", "backend",
+        ]
 
     def test_invalid_cache_entries_raise(self):
         with pytest.raises(ConfigurationError):
             ServingConfig(cache_entries=0)
-
-    def test_invalid_shard_knobs_raise(self):
-        with pytest.raises(ConfigurationError, match="shard_workers"):
-            ServingConfig(shard_workers=-1)
-        with pytest.raises(ConfigurationError, match="parallel_threshold"):
-            ServingConfig(parallel_threshold=0)
-        assert ServingConfig(shard_workers=4).shard_workers == 4
-        assert ServingConfig(parallel_threshold=1).parallel_threshold == 1
 
     def test_backend_validated_against_registry(self):
         assert ServingConfig(backend="sparse").backend == "sparse"
