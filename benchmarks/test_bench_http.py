@@ -1,9 +1,9 @@
-"""Benchmark — HTTP serving: sustained throughput and hot-swap-under-load.
+"""Benchmark — HTTP serving: throughput, small-request latency, hot-swap-under-load.
 
 The HTTP transport fronts the engine with JSON over the typed protocol;
 the question a capacity planner asks is what that costs relative to
 calling the engine in-process, and what a hot-swap does to in-flight
-latency.  Three measurements on the production-shaped partition the other
+latency.  Five measurements on the production-shaped partition the other
 serving benchmarks use (Fair KD-tree h=8, 100k-record Los Angeles, 64x64
 grid):
 
@@ -13,6 +13,12 @@ grid):
   by `engine.locate` in process.  The list form pays ~150 ms of JSON
   number formatting per batch; the dense form replaces it with ~2 ms of
   base64, which is why `locate_points` is the batch API.
+* **Small-request latency** — p50/p95 of `N_SMALL_REQUESTS` sequential
+  typed `ServingClient.locate` calls of `SMALL_POINTS` points over one
+  keep-alive connection.  Big batches hide a fixed per-request stall; this
+  row shows it.  Asserted: p50 under :data:`MAX_SMALL_P50_MS`, half the
+  ~40 ms floor Nagle's algorithm x the client's delayed ACK puts on a
+  two-write response when the server socket lacks ``TCP_NODELAY``.
 * **Sustained multi-client throughput** — `N_CLIENTS` threads, each with
   its own connection, hammering 10^5-point `locate_points` batches.
   Asserted: aggregate throughput within 3x of single-threaded in-process
@@ -55,6 +61,13 @@ from repro.serving import (
 
 #: Points per request batch (the acceptance bound is stated at 1e5).
 BATCH = 100_000
+
+#: Points per request and sequential requests for the small-request row.
+SMALL_POINTS = 16
+N_SMALL_REQUESTS = 100
+
+#: Acceptance bound: small-request p50 latency, half the delayed-ACK floor.
+MAX_SMALL_P50_MS = 20.0
 
 #: Concurrent client threads for the sustained-throughput measurement.
 N_CLIENTS = 4
@@ -112,6 +125,9 @@ def test_http_serving_throughput_and_hot_swap(benchmark, output_dir, tmp_path):
     xs = rng.uniform(bounds.min_x, bounds.max_x, BATCH)
     ys = rng.uniform(bounds.min_y, bounds.max_y, BATCH)
     request = LocateRequest(deployment="la", xs=tuple(xs), ys=tuple(ys))
+    small_request = LocateRequest(
+        deployment="la", xs=tuple(xs[:SMALL_POINTS]), ys=tuple(ys[:SMALL_POINTS])
+    )
 
     rows = []
     results = {}
@@ -129,11 +145,19 @@ def test_http_serving_throughput_and_hot_swap(benchmark, output_dir, tmp_path):
                     lambda: client.locate_points("la", xs, ys)
                 )
                 list_best, list_result = _best_of(lambda: client.locate(request))
+                small_latencies = []
+                for _ in range(N_SMALL_REQUESTS):
+                    start = time.perf_counter()
+                    small_result = client.locate(small_request)
+                    small_latencies.append(time.perf_counter() - start)
             assert np.array_equal(wire_result, np.asarray(inproc_result.regions)), (
                 "dense wire dispatch changed assignments"
             )
             assert list_result.regions == inproc_result.regions, (
                 "list wire dispatch changed assignments"
+            )
+            assert small_result == engine.locate(small_request), (
+                "small typed locate changed assignments"
             )
 
             # -- sustained multi-client throughput -------------------------
@@ -181,6 +205,18 @@ def test_http_serving_throughput_and_hot_swap(benchmark, output_dir, tmp_path):
                     "points": BATCH,
                     "best_ms": list_best * 1000.0,
                     "mlookups_s": BATCH / list_best / 1e6,
+                }
+            )
+            small_latencies.sort()
+            results["small_p50_ms"] = small_latencies[len(small_latencies) // 2] * 1000.0
+            rows.append(
+                {
+                    "mode": f"HTTP 1 client typed locate ({SMALL_POINTS} points)",
+                    "points": SMALL_POINTS,
+                    "best_ms": results["small_p50_ms"],
+                    "mlookups_s": SMALL_POINTS / results["small_p50_ms"] / 1e3,
+                    "p95_ms": small_latencies[int(len(small_latencies) * 0.95) - 1]
+                    * 1000.0,
                 }
             )
             rows.append(
@@ -327,11 +363,19 @@ def test_http_serving_throughput_and_hot_swap(benchmark, output_dir, tmp_path):
 
     table = format_table(
         rows,
-        title="HTTP serving — wire vs in-process protocol dispatch, sustained "
-        f"{N_CLIENTS}-client throughput, and hot-swap-under-load latency "
+        columns=["mode", "points", "best_ms", "mlookups_s", "p95_ms"],
+        title="HTTP serving — wire vs in-process protocol dispatch, small-request "
+        f"latency, sustained {N_CLIENTS}-client throughput, and hot-swap-under-load "
+        "latency; best_ms is the p50 on the latency rows "
         f"(Fair KD-tree h=8, Los Angeles, 64x64 grid, {BATCH:,}-point batches)",
     )
     record_output(output_dir, "http_serving", table)
+
+    assert results["small_p50_ms"] < MAX_SMALL_P50_MS, (
+        f"{SMALL_POINTS}-point HTTP locate p50 is {results['small_p50_ms']:.2f} ms "
+        f"over {N_SMALL_REQUESTS} sequential requests (budget {MAX_SMALL_P50_MS:.0f} ms)"
+        " — a per-request stall, not compute"
+    )
 
     slowdown = results["inproc_rate"] / results["sustained_rate"]
     assert slowdown <= MAX_SLOWDOWN, (

@@ -75,7 +75,10 @@ callers catch.
 Concurrency: requests are handled on worker threads (a bounded pool when
 ``threads`` is given, one thread per connection otherwise); the engine's
 per-deployment read/write locks make hot-swaps atomic under that
-parallelism.
+parallelism.  Every accepted connection runs with ``TCP_NODELAY``, like
+the wire plane's sockets: a response is written as headers then body,
+and with Nagle's algorithm on, the small body would wait ~40 ms for the
+client's delayed ACK of the headers on every request.
 """
 
 from __future__ import annotations
@@ -205,10 +208,14 @@ class _Handler(BaseHTTPRequestHandler):
     without it, N idle persistent clients would permanently starve a
     ``threads=N`` bounded pool.  A timed-out connection is simply closed;
     :class:`~repro.serving.client.ServingClient` redials transparently.
+    ``disable_nagle_algorithm`` sets ``TCP_NODELAY`` on the accepted
+    socket in ``setup()``, so both threading modes get it (the module
+    docstring's "Concurrency" paragraph says why).
     """
 
     protocol_version = "HTTP/1.1"
     timeout = 30.0
+    disable_nagle_algorithm = True
     server: "ServingHTTPServer"
 
     # -- plumbing -------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for the HTTP transport: server endpoints, client semantics, errors."""
 
 import json
+import socket
+import time
 import urllib.request
 
 import numpy as np
@@ -19,8 +21,11 @@ from repro.serving import (
     ServingClient,
     ServingEngine,
     ServingHTTPServer,
+    WireConnection,
+    WireServer,
     serve_engine,
 )
+from repro.serving.http import _Handler
 from repro.spatial.grid import Grid
 from repro.spatial.partition import uniform_partition
 
@@ -314,6 +319,68 @@ class TestClient:
             first = client._connection()
             client.healthz()
             assert client._connection() is first
+
+
+def _nodelay(sock: socket.socket) -> int:
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+class TestSocketOptions:
+    """Both planes serve with Nagle off.
+
+    An HTTP response is written as two ``send()``s (headers, then body).
+    With Nagle on, the body waits for the client's delayed ACK of the
+    headers, a ~40 ms floor under every small request.
+    """
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    def test_accepted_http_socket_sets_nodelay(self, engine, monkeypatch, threads):
+        seen = []
+        original_setup = _Handler.setup
+
+        def probed_setup(handler):
+            original_setup(handler)
+            seen.append(_nodelay(handler.connection))
+
+        monkeypatch.setattr(_Handler, "setup", probed_setup)
+        with ServingHTTPServer(
+            engine, port=0, threads=threads
+        ).serve_background() as server:
+            with _client(server) as client:
+                client.healthz()
+        assert seen and all(seen)
+
+    def test_accepted_wire_socket_sets_nodelay(self, engine):
+        with WireServer(engine, port=0).serve_background() as server:
+            connection = WireConnection(server.host, server.port).connect()
+            try:
+                # The hello handshake completed, so serve_connection has
+                # already configured the accepted socket.
+                with server._conn_lock:
+                    accepted = [_nodelay(sock) for sock in server._connections]
+            finally:
+                connection.close()
+        assert accepted and all(accepted)
+
+    def test_small_sequential_requests_do_not_stall(self, server):
+        # 40 requests behind a 40 ms delayed-ACK stall take >= 1.6 s;
+        # unstalled they take tens of milliseconds.
+        point = LocateRequest(deployment="la", xs=(0.5,), ys=(0.5,))
+        box = RangeRequest(
+            deployment="la", min_x=0.2, min_y=0.2, max_x=0.4, max_y=0.4
+        )
+        with _client(server) as client:
+            requests = (
+                client.healthz,
+                lambda: client.locate(point),
+                lambda: client.range_query(box),
+            )
+            client.healthz()  # dial outside the timed loop
+            start = time.perf_counter()
+            for i in range(40):
+                requests[i % len(requests)]()
+            elapsed = time.perf_counter() - start
+        assert elapsed < 0.8, f"40 small requests took {elapsed:.2f} s"
 
 
 class TestServerLifecycle:
