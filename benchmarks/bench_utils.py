@@ -10,9 +10,18 @@ from pathlib import Path
 QUICK_HEIGHTS = (4, 6, 8, 10)
 
 
+def _env_flag(name: str) -> bool:
+    return os.environ.get(name, "0") not in ("", "0", "false", "False")
+
+
 def bench_full() -> bool:
     """True when the full paper configuration was requested via REPRO_BENCH_FULL."""
-    return os.environ.get("REPRO_BENCH_FULL", "0") not in ("", "0", "false", "False")
+    return _env_flag("REPRO_BENCH_FULL")
+
+
+def bench_record() -> bool:
+    """True when REPRO_BENCH_RECORD asks to rewrite the committed tables."""
+    return _env_flag("REPRO_BENCH_RECORD")
 
 
 def record_output(output_dir: Path, name: str, text: str) -> None:

@@ -2,11 +2,12 @@
 
 Each benchmark module regenerates one table/figure of the paper's evaluation
 section.  The benchmark measures the wall-clock cost of the full experiment,
-and the rendered text table (the same series the paper plots) is written to
-``benchmarks/output/`` and echoed to stdout so the numbers can be inspected
-after a run:
+and the rendered text table (the same series the paper plots) is echoed to
+stdout and written to a per-session temp dir, so a plain test run leaves the
+committed tables alone.  Set ``REPRO_BENCH_RECORD=1`` to rewrite the tracked
+tables under ``benchmarks/output/`` instead:
 
-    pytest benchmarks/ --benchmark-only -s
+    REPRO_BENCH_RECORD=1 pytest benchmarks/ --benchmark-only -s
 
 Set ``REPRO_BENCH_FULL=1`` to run the paper's full configuration (both cities,
 all classifier families, heights 4-10); the default uses a reduced sweep that
@@ -26,7 +27,7 @@ for path in (str(_SRC), str(_ROOT)):
     if path not in sys.path:
         sys.path.insert(0, path)
 
-from bench_utils import QUICK_HEIGHTS, bench_full  # noqa: E402
+from bench_utils import QUICK_HEIGHTS, bench_full, bench_record  # noqa: E402
 from repro.experiments.runner import default_context, paper_context  # noqa: E402
 
 OUTPUT_DIR = _ROOT / "output"
@@ -41,6 +42,9 @@ def bench_context():
 
 
 @pytest.fixture(scope="session")
-def output_dir() -> Path:
+def output_dir(tmp_path_factory) -> Path:
+    """The committed tables' directory under REPRO_BENCH_RECORD=1, else a temp dir."""
+    if not bench_record():
+        return tmp_path_factory.mktemp("bench_output")
     OUTPUT_DIR.mkdir(exist_ok=True)
     return OUTPUT_DIR

@@ -12,14 +12,26 @@ from ..rng import SeedLike, as_generator
 from .base import Classifier
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically-stable logistic function."""
-    out = np.empty_like(z, dtype=float)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
+def _sigmoid(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Numerically-stable logistic function ``1 / (1 + exp(-z))``.
+
+    Branch-free: with ``e = exp(-|z|)`` the result is ``1 / (1 + e)`` where
+    ``z >= 0`` and ``e / (1 + e)`` elsewhere.  Those are the operands of the
+    classic two-branch form (``exp(-z)`` on one side, ``exp(z)`` on the
+    other), so the result has the same bits.  ``-|z|`` is taken as
+    ``minimum(z, -z)``, which keeps a NaN's own sign.  ``out`` may be ``z``
+    itself.
+    """
+    z = np.asarray(z, dtype=float)
+    nonnegative = z >= 0
+    e = np.negative(z, out=np.empty_like(z))
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    if out is None:
+        out = np.empty_like(z)
+    np.add(e, 1.0, out=out)
+    np.putmask(e, nonnegative, 1.0)
+    return np.divide(e, out, out=out)
 
 
 @register_model(
@@ -91,15 +103,32 @@ class LogisticRegressionClassifier(Classifier):
         normalized_weight = sample_weight / sample_weight.sum()
         step = self._learning_rate
         previous_loss = np.inf
+        # Per-record buffers, allocated once per fit; `probabilities` holds
+        # the logits until the in-place sigmoid.
+        targets = labels.astype(float)
+        negatives = 1.0 - targets
+        probabilities = np.empty(n_records)
+        error = np.empty(n_records)
+        loss_scratch = np.empty(n_records)
+        gradient_w = np.empty(n_features)
+        penalty_gradient = np.empty(n_features)
 
         for iteration in range(self._max_iter):
-            logits = features @ weights + intercept
-            probabilities = _sigmoid(logits)
-            error = (probabilities - labels) * normalized_weight
-            gradient_w = features.T @ error + self._regularization * weights / n_records
+            np.matmul(features, weights, out=probabilities)
+            probabilities += intercept
+            _sigmoid(probabilities, out=probabilities)
+            np.subtract(probabilities, targets, out=error)
+            error *= normalized_weight
+            # Both orders below are pinned by the bitwise tests: a
+            # C-contiguous copy of features.T changes BLAS's summation order,
+            # and (regularization / n) * w rounds differently.
+            np.matmul(features.T, error, out=gradient_w)
+            np.multiply(self._regularization, weights, out=penalty_gradient)
+            penalty_gradient /= n_records
+            gradient_w += penalty_gradient
             gradient_b = float(error.sum())
 
-            loss = self._loss(labels, probabilities, normalized_weight, weights)
+            loss = self._loss(negatives, probabilities, normalized_weight, weights, loss_scratch)
             if loss > previous_loss + 1e-12:
                 step *= 0.5
             previous_loss = loss
@@ -115,16 +144,28 @@ class LogisticRegressionClassifier(Classifier):
 
     def _loss(
         self,
-        labels: np.ndarray,
+        negatives: np.ndarray,
         probabilities: np.ndarray,
         normalized_weight: np.ndarray,
         weights: np.ndarray,
+        scratch: np.ndarray,
     ) -> float:
+        """Weighted negative log-likelihood plus the L2 penalty.
+
+        ``negatives`` is ``1 - labels`` as floats.  With labels in {0, 1},
+        ``y * log(p + eps) + (1 - y) * log(1 - p + eps)`` equals
+        ``log(q + eps)`` for ``q = |p - negatives|``, sign of zero included:
+        ``q`` is ``p`` where y = 1 and ``1 - p`` where y = 0, because
+        ``p - 1`` rounds to exactly ``-(1 - p)``.  So one log per record gives
+        the two-log form's bits.  ``scratch`` is overwritten with the log terms.
+        """
         eps = 1e-12
-        log_likelihood = normalized_weight @ (
-            labels * np.log(probabilities + eps) + (1 - labels) * np.log(1 - probabilities + eps)
-        )
-        penalty = 0.5 * self._regularization * float(weights @ weights) / labels.shape[0]
+        log_terms = np.subtract(probabilities, negatives, out=scratch)
+        np.abs(log_terms, out=log_terms)
+        log_terms += eps
+        np.log(log_terms, out=log_terms)
+        log_likelihood = normalized_weight @ log_terms
+        penalty = 0.5 * self._regularization * float(weights @ weights) / negatives.shape[0]
         return float(-log_likelihood + penalty)
 
     # -- inference -----------------------------------------------------------------

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..exceptions import EvaluationError, NotFittedError
 from ..rng import SeedLike, as_generator
+from .logistic import _sigmoid
 
 
 def _validate(scores: np.ndarray, labels: Optional[np.ndarray] = None) -> np.ndarray:
@@ -54,15 +55,6 @@ class PlattCalibrator:
         clipped = np.clip(scores, 1e-6, 1 - 1e-6)
         return np.log(clipped / (1 - clipped))
 
-    @staticmethod
-    def _sigmoid(z: np.ndarray) -> np.ndarray:
-        out = np.empty_like(z)
-        positive = z >= 0
-        out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-        ez = np.exp(z[~positive])
-        out[~positive] = ez / (1.0 + ez)
-        return out
-
     def fit(self, scores: np.ndarray, labels: np.ndarray) -> "PlattCalibrator":
         scores = _validate(scores, labels)
         labels = np.asarray(labels, dtype=float).ravel()
@@ -71,7 +63,7 @@ class PlattCalibrator:
         a, b = 1.0 + rng.normal(0, 0.01), 0.0
         n = scores.size
         for _ in range(self._max_iter):
-            p = self._sigmoid(a * z + b)
+            p = _sigmoid(a * z + b)
             error = p - labels
             grad_a = float((error * z).mean())
             grad_b = float(error.mean())
@@ -86,7 +78,7 @@ class PlattCalibrator:
         if self._a is None or self._b is None:
             raise NotFittedError("PlattCalibrator.transform called before fit")
         scores = _validate(scores)
-        return self._sigmoid(self._a * self._logit(scores) + self._b)
+        return _sigmoid(self._a * self._logit(scores) + self._b)
 
     def fit_transform(self, scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
         return self.fit(scores, labels).transform(scores)
