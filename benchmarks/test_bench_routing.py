@@ -18,14 +18,16 @@ this indirection is operationally free.  Three measurements:
 * **Sanitizer overhead** and the **dispatch allocation budget** — see
   their tests below.
 
-Every table lands in ``routing_dispatch.txt``.  Timings are best of
-``REPEATS``, and every candidate at one batch size is timed in
-*interleaved round-robin* order — one repetition of each candidate per
-round, not one candidate's whole loop after another's — so CPU-frequency
-and scheduler drift over the run hits all candidates alike instead of
-biasing whichever was timed last.  Tables are written only after a
-test's assertions pass, so a red run can never overwrite a committed
-green table.
+Every table lands in ``routing_dispatch.txt``.  Overheads are the
+*median of per-round paired ratios*: every round times each candidate
+back to back with its own direct-server call (the pair's order
+alternating across rounds), so CPU-frequency and scheduler drift hits
+both sides of a ratio alike, and one noisy round moves the median by at
+most one rank — where a ratio of two independent best-of minima lets a
+single lucky direct timing set the denominator.  The tables also show
+each candidate's best-of time.  Tables are written only after a test's
+assertions pass, so a red run can never overwrite a committed green
+table.
 """
 
 import time
@@ -45,19 +47,19 @@ from repro.serving import PartitionServer, ServingEngine, ShardedDeployment
 SIZES = (100_000, 1_000_000)
 FULL_SIZES = (100_000, 1_000_000, 10_000_000)
 
-#: Best-of repetitions per timing (damps scheduler noise).
+#: Rounds per timing: best-of times and the median of per-round ratios.
 REPEATS = 7
 
 #: Maximum tolerated engine overhead at the 10^6-point tier.
 MAX_OVERHEAD = 0.10
 
 #: Noise allowance on the sharded-parity assertion.  The sharded path and
-#: the monolithic dense server run the same kernel (``Grid.locate_many``
-#: plus one gather from a sentinel-padded label grid), so their true
-#: difference is the sharded deployment's counter bump; but paired
-#: best-of timings carry a per-process offset of up to ~+/-6% (page/THP
-#: placement of the per-call temporaries is a per-interpreter lottery) on
-#: top of per-round scheduler noise.  The assertion's job is to catch
+#: the monolithic dense server run the same kernel (``Grid.locate_padded``
+#: flat ids plus one ``take`` from a sentinel-padded label grid), so their
+#: true difference is the sharded deployment's counter bump; but paired
+#: timings carry a per-process offset of up to ~+/-6% (page/THP placement
+#: of the per-call temporaries is a per-interpreter lottery) on top of
+#: per-round scheduler noise.  The assertion's job is to catch
 #: *regressions* — a scatter/gather path creeping back is a +200%
 #: signal — without being a coin flip on busy CI runners, so it allows
 #: parity plus this noise bound.
@@ -89,23 +91,37 @@ def _build_partition():
     return FairKDTreePartitioner(8).build_from_residuals(dataset, residuals)
 
 
-def _best_of_each(candidates, repeats=REPEATS):
-    """Best-of wall time and last result per named candidate, interleaved.
+def _timed(callable_):
+    start = time.perf_counter()
+    result = callable_()
+    return time.perf_counter() - start, result
 
-    Each round times every candidate once, in order, so slow drift in
-    machine state (CPU frequency, cache pressure from neighbours) is
-    shared across candidates instead of accruing to whichever candidate's
-    dedicated timing loop ran last — the paired comparisons the
-    assertions make are only meaningful under a common clock environment.
+
+def _paired_ratios(baseline, candidates, repeats=REPEATS):
+    """Median per-round time ratio of each candidate to ``baseline``.
+
+    Every round times each candidate back to back with a fresh
+    ``baseline`` call, so the two timings of one ratio share the machine
+    state of that moment; the pair's order alternates across rounds so
+    neither side always runs second.  Returns ``(ratios, bests,
+    results)``: the median ratio per candidate, best-of wall time per
+    name (``"baseline"`` included) and the last result per name.
     """
-    bests = {name: float("inf") for name in candidates}
+    ratios = {name: [] for name in candidates}
+    bests = {name: float("inf") for name in ("baseline", *candidates)}
     results = {}
-    for _ in range(repeats):
+    for round_ in range(repeats):
         for name, callable_ in candidates.items():
-            start = time.perf_counter()
-            results[name] = callable_()
-            bests[name] = min(bests[name], time.perf_counter() - start)
-    return bests, results
+            if round_ % 2:
+                elapsed, results[name] = _timed(callable_)
+                base, results["baseline"] = _timed(baseline)
+            else:
+                base, results["baseline"] = _timed(baseline)
+                elapsed, results[name] = _timed(callable_)
+            ratios[name].append(elapsed / base)
+            bests[name] = min(bests[name], elapsed)
+            bests["baseline"] = min(bests["baseline"], base)
+    return {name: float(np.median(r)) for name, r in ratios.items()}, bests, results
 
 
 @pytest.mark.benchmark(group="serving")
@@ -135,40 +151,32 @@ def test_routing_dispatch_overhead(benchmark, output_dir):
             xs = rng.uniform(bounds.min_x, bounds.max_x, size)
             ys = rng.uniform(bounds.min_y, bounds.max_y, size)
 
-            # The asserted pair (direct vs the 2x2 tiling) goes first and
-            # adjacent, so within every round the two timings run
-            # back-to-back under the closest possible machine state.
-            candidates = {
-                "direct": lambda: server.locate_points(xs, ys),
-                columns[(2, 2)]: lambda d=sharded[(2, 2)]: d.locate_points(xs, ys),
-                "engine": lambda: engine.locate_points("la", xs, ys),
-            }
+            candidates = {"engine": lambda: engine.locate_points("la", xs, ys)}
             for tiling, deployment in sharded.items():
-                candidates.setdefault(
-                    columns[tiling], lambda d=deployment: d.locate_points(xs, ys)
-                )
-            bests, answers = _best_of_each(candidates)
+                candidates[columns[tiling]] = lambda d=deployment: d.locate_points(xs, ys)
+            ratios, bests, answers = _paired_ratios(
+                lambda: server.locate_points(xs, ys), candidates
+            )
 
-            direct = answers["direct"]
+            direct = answers["baseline"]
             assert np.array_equal(direct, answers["engine"]), (
                 f"engine routing changed assignments at size {size}"
             )
-            overhead = bests["engine"] / bests["direct"] - 1.0
-            overheads[size] = overhead
+            overheads[size] = ratios["engine"] - 1.0
             row = {
                 "points": size,
-                "direct_ms": bests["direct"] * 1000.0,
+                "direct_ms": bests["baseline"] * 1000.0,
                 "engine_ms": bests["engine"] * 1000.0,
-                "overhead_pct": overhead * 100.0,
+                "overhead_pct": overheads[size] * 100.0,
             }
             for tiling, column in columns.items():
                 assert np.array_equal(direct, answers[column]), (
                     f"{tiling} sharding changed assignments at size {size}"
                 )
                 row[column] = bests[column] * 1000.0
-            sharded_overheads[size] = bests[columns[(2, 2)]] / bests["direct"] - 1.0
+            sharded_overheads[size] = ratios[columns[(2, 2)]] - 1.0
             row["sharded_overhead_pct"] = sharded_overheads[size] * 100.0
-            row["monolithic_mlookups_s"] = size / bests["direct"] / 1e6
+            row["monolithic_mlookups_s"] = size / bests["baseline"] / 1e6
             rows.append(row)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
@@ -192,7 +200,8 @@ def test_routing_dispatch_overhead(benchmark, output_dir):
         rows,
         title="Serving-engine routing — named dispatch vs direct server, and "
         "sharded dispatch vs monolithic (Fair KD-tree h=8, Los Angeles, "
-        f"64x64 grid, interleaved best of {REPEATS})",
+        f"64x64 grid; times best of {REPEATS}, overheads the median of "
+        f"{REPEATS} per-round paired ratios)",
     )
     _flush_sections(output_dir)
 
@@ -259,13 +268,11 @@ def test_sanitizer_overhead(benchmark, output_dir):
     def run() -> None:
         # Phase 1 — sanitizer off.  Timed before any arming so the class
         # instrumentation cannot contaminate the baseline.
-        bests, answers = _best_of_each(
-            {
-                "direct": lambda: server.locate_points(xs, ys),
-                "engine_off": lambda: engine_off.locate_points("la", xs, ys),
-            }
+        ratios, bests, answers = _paired_ratios(
+            lambda: server.locate_points(xs, ys),
+            {"engine_off": lambda: engine_off.locate_points("la", xs, ys)},
         )
-        assert np.array_equal(answers["direct"], answers["engine_off"]), (
+        assert np.array_equal(answers["baseline"], answers["engine_off"]), (
             "uninstrumented engine routing changed assignments"
         )
         raw_pair = _time_lock_pairs(new_lock("bench.raw"))
@@ -276,31 +283,32 @@ def test_sanitizer_overhead(benchmark, output_dir):
         with sanitized() as sink:
             engine_on = ServingEngine()
             engine_on.deploy("la", PartitionServer(partition))
-            bests_on, answers_on = _best_of_each(
-                {
-                    "engine_sanitized": (
-                        lambda: engine_on.locate_points("la", xs, ys)
-                    ),
-                }
+            sanitized_best, sanitized_answer = min(
+                (
+                    _timed(lambda: engine_on.locate_points("la", xs, ys))
+                    for _ in range(REPEATS)
+                ),
+                key=lambda timing: timing[0],
             )
             wrapped_pair = _time_lock_pairs(new_lock("bench.wrapped"))
         report = sink.report()
         assert report.clean, "\n" + report.render_text()
-        assert np.array_equal(answers["direct"], answers_on["engine_sanitized"]), (
+        assert np.array_equal(answers["baseline"], sanitized_answer), (
             "sanitized engine routing changed assignments"
         )
 
         measurements.update(
-            direct=bests["direct"],
+            direct=bests["baseline"],
             engine_off=bests["engine_off"],
-            engine_sanitized=bests_on["engine_sanitized"],
+            off_overhead=ratios["engine_off"] - 1.0,
+            engine_sanitized=sanitized_best,
             raw_pair=raw_pair,
             wrapped_pair=wrapped_pair,
         )
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
-    off_overhead = measurements["engine_off"] / measurements["direct"] - 1.0
+    off_overhead = measurements["off_overhead"]
     dispatch_factor = measurements["engine_sanitized"] / measurements["engine_off"]
     pair_factor = measurements["wrapped_pair"] / measurements["raw_pair"]
 
@@ -336,7 +344,8 @@ def test_sanitizer_overhead(benchmark, output_dir):
         title="Runtime-sanitizer overhead — dispatch with the seam disabled "
         "vs a REPRO_SANITIZE-armed engine on the identical 10^6-point "
         "batch, plus the honest per-operation cost of an instrumented "
-        f"acquire/release pair (interleaved best of {REPEATS}; pairs best "
+        f"acquire/release pair (times best of {REPEATS}, off_overhead the "
+        f"median of {REPEATS} paired ratios; pairs best "
         f"of 3 x {PAIR_OPS})",
     )
     _flush_sections(output_dir)
@@ -344,15 +353,21 @@ def test_sanitizer_overhead(benchmark, output_dir):
 
 #: Ceiling on concurrently-live batch-sized buffers (8 MB each at 10^6
 #: points) during one engine dispatch, measured by tracemalloc peak.  The
-#: audited path holds ~3.1 (two coordinate temporaries plus the result,
-#: with the boolean masks adding the fraction); one reintroduced
+#: audited path holds 3.125 on an all-on-map batch and 3.25 with off-map
+#: points (one float temporary, the two int cell arrays, then the ids
+#: and the result; the boolean masks add the fraction); one reintroduced
 #: whole-batch copy — an ``astype`` without ``copy=False``, a defensive
-#: ``.copy()`` — adds a full +1.0 and breaks this budget.
+#: ``.copy()``, a compress/scatter of the on-map points — adds a full
+#: +1.0 and breaks this budget.
 MAX_LIVE_BATCH_BUFFERS = 4.0
 
 #: Ceiling on buffers still referenced after the call: the int64
 #: assignment itself (1.0) plus slack for small bookkeeping.
 MAX_RETAINED_BATCH_BUFFERS = 1.25
+
+#: Share of points moved east of the map in the off-map batch, as in the
+#: ``locate-bulk`` perfbench workload.
+OFF_MAP_SHARE = 0.01
 
 
 @pytest.mark.benchmark(group="serving")
@@ -365,64 +380,84 @@ def test_dispatch_allocation_budget(benchmark, output_dir):
     ``engine.locate_points`` call, expressed in batch-sized buffers, is an
     exact count of how many whole-batch arrays the locate path keeps live
     at once — the number the hot-path-copy lint rule bounds statically.
+    Measured on an all-on-map batch and on one with 1% off-map points,
+    each through a monolithic and a 2x2 sharded deployment.
     """
     import gc
     import tracemalloc
 
     partition = _build_partition()
-    server = PartitionServer(partition)
     engine = ServingEngine()
-    engine.deploy("la", server)
+    engine.deploy("la", PartitionServer(partition))
+    engine.deploy("la_2x2", partition, shards=(2, 2))
     bounds = partition.grid.bounds
     rng = np.random.default_rng(41)
     size = 1_000_000
     xs = rng.uniform(bounds.min_x, bounds.max_x, size)
     ys = rng.uniform(bounds.min_y, bounds.max_y, size)
+    off_xs = xs.copy()
+    n_off = int(size * OFF_MAP_SHARE)
+    off_xs[rng.choice(size, n_off, replace=False)] = (
+        bounds.max_x + bounds.width * rng.uniform(0.01, 0.5, n_off)
+    )
+    batches = {"on_map": xs, "off_map_1pct": off_xs}
     batch_bytes = size * 8.0
 
     measurements = {}
 
     def run() -> None:
-        engine.locate_points("la", xs, ys)  # warm caches and lazy imports
-        gc.collect()
-        tracemalloc.start()
-        try:
-            baseline, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            assignment = engine.locate_points("la", xs, ys)
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert assignment.size == size
-        measurements["live"] = (peak - baseline) / batch_bytes
-        measurements["retained"] = (current - baseline) / batch_bytes
+        for name in ("la", "la_2x2"):
+            for batch, batch_xs in batches.items():
+                engine.locate_points(name, batch_xs, ys)  # warm caches and lazy imports
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    baseline, _ = tracemalloc.get_traced_memory()
+                    tracemalloc.reset_peak()
+                    assignment = engine.locate_points(name, batch_xs, ys)
+                    current, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert assignment.size == size
+                measurements[(name, batch)] = (
+                    (peak - baseline) / batch_bytes,
+                    (current - baseline) / batch_bytes,
+                )
+                del assignment
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 
-    assert measurements["live"] <= MAX_LIVE_BATCH_BUFFERS, (
-        f"dispatch held {measurements['live']:.2f} batch-sized buffers live "
-        f"at peak (budget {MAX_LIVE_BATCH_BUFFERS}); a whole-batch copy "
-        "crept back into the locate path"
-    )
-    assert measurements["retained"] <= MAX_RETAINED_BATCH_BUFFERS, (
-        f"dispatch retained {measurements['retained']:.2f} batch-sized "
-        f"buffers after returning (budget {MAX_RETAINED_BATCH_BUFFERS}); "
-        "something beyond the assignment survived the call"
-    )
+    for (name, batch), (live, retained) in measurements.items():
+        assert live <= MAX_LIVE_BATCH_BUFFERS, (
+            f"{name} dispatch of the {batch} batch held {live:.2f} "
+            f"batch-sized buffers live at peak (budget "
+            f"{MAX_LIVE_BATCH_BUFFERS}); a whole-batch copy crept back into "
+            "the locate path"
+        )
+        assert retained <= MAX_RETAINED_BATCH_BUFFERS, (
+            f"{name} dispatch of the {batch} batch retained {retained:.2f} "
+            f"batch-sized buffers after returning (budget "
+            f"{MAX_RETAINED_BATCH_BUFFERS}); something beyond the assignment "
+            "survived the call"
+        )
 
     _SECTIONS["4_alloc"] = format_table(
         [
             {
+                "deployment": name,
+                "batch": batch,
                 "points": size,
                 "batch_buffer_mb": batch_bytes / 1e6,
-                "peak_live_buffers": measurements["live"],
+                "peak_live_buffers": live,
                 "live_budget": MAX_LIVE_BATCH_BUFFERS,
-                "retained_buffers": measurements["retained"],
+                "retained_buffers": retained,
                 "retained_budget": MAX_RETAINED_BATCH_BUFFERS,
             }
+            for (name, batch), (live, retained) in measurements.items()
         ],
         title="Dispatch allocation budget — tracemalloc peak over one "
-        "10^6-point engine dispatch, in batch-sized (8 MB) buffers; the "
+        "10^6-point engine dispatch, in batch-sized (8 MB) buffers, on-map "
+        "and with 1% off-map points, monolithic and 2x2 sharded; the "
         "budget pins the audited copy-free locate path",
     )
     _flush_sections(output_dir)

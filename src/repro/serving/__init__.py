@@ -37,7 +37,7 @@ Its unit of work is "answer queries against stored partitions", not
 * :class:`~repro.serving.sharding.ShardedDeployment` — one partition
   served as a tile grid of independently versioned shards, composed into
   one sentinel-padded label grid that answers every batch with a single
-  gather, with per-tile hot-swap (``swap_shard``/``rollback_shard``).
+  flat ``take``, with per-tile hot-swap (``swap_shard``/``rollback_shard``).
 * :class:`~repro.serving.cache.ArtifactCache` — an LRU cache that keeps
   hot artifact bundles resident as ready-to-query servers and reloads
   bundles that changed on disk.

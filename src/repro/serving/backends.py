@@ -2,13 +2,14 @@
 
 A backend turns a built :class:`~repro.spatial.partition.Partition` into an
 index structure answering one question, fully vectorised: *which region
-covers each of these grid cells?*  Two implementations are registered in
+covers each of these points?*  Two implementations are registered in
 :data:`repro.registry.BACKENDS` (the set :class:`~repro.config.ServingConfig`
 and the CLI ``--backend`` flag choose from):
 
-* :class:`DenseGridLocator` (``dense``, the default) — one gather from
-  the partition's sentinel-padded cell->region label grid
-  (:func:`pad_labels`).  Fastest, but its index is O(rows x cols)
+* :class:`DenseGridLocator` (``dense``, the default) — one flat ``take``
+  from the partition's sentinel-padded cell->region label grid
+  (:func:`pad_labels`), indexed by the padded-grid ids of
+  ``Grid.locate_padded``.  Fastest, but its index is O(rows x cols)
   integers regardless of how few regions there are.
 * :class:`SparseBandLocator` (``sparse``) — walks the partition's
   structure instead of materialising it per cell: the grid's rows are cut
@@ -18,15 +19,15 @@ and the CLI ``--backend`` flag choose from):
   structure, independent of grid resolution — which is what a
   1e5 x 1e5-cell map needs.
 
-Both backends return identical region assignments for every cell —
-``-1`` for uncovered cells of incomplete partitions and for the
-``(-1, -1)`` off-map marker of non-strict ``Grid.locate_many`` — a
-guarantee enforced bit-exactly by ``tests/serving/test_backends.py``.
+Both backends return identical region assignments for every point —
+``-1`` for uncovered cells of incomplete partitions and for off-map
+points of a non-strict locate — a guarantee enforced bit-exactly by
+``tests/serving/test_backends.py``.
 
 The module also holds the two label-grid helpers every dense reader
 shares — the server, :class:`~repro.serving.sharding.ShardedDeployment`
 and the shared-memory workers: :func:`pad_labels` builds the padded grid
-their one gather reads, and :func:`range_candidates` is the windowed
+their one ``take`` reads, and :func:`range_candidates` is the windowed
 first pass of every range query.
 """
 
@@ -53,13 +54,13 @@ __all__ = [
 def pad_labels(labels: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The ``(rows+1) x (cols+1)`` int64 copy of ``labels`` with a ``-1`` border.
 
-    Non-strict ``Grid.locate_many`` reports off-map points as
-    ``(-1, -1)``, and numpy's negative indexing wraps that pair onto the
-    border's last cell — so ``padded[rows, cols]`` answers a whole batch,
-    off-map points included, with one gather: no inside-mask, no result
-    scaffold, no masked scatter.  ``out`` (shape ``(rows+1, cols+1)``,
-    int64) receives the padded grid in place; the worker pool passes a
-    view over its shared-memory segment.
+    ``Grid.locate_padded`` returns flat ids into exactly this layout, with
+    ``-1`` for off-map points, which ``take`` reads as the last border
+    cell (itself ``-1``) — so ``padded.ravel().take(ids)`` answers a whole
+    batch, off-map points included: no result scaffold, no masked
+    scatter.  ``out`` (shape ``(rows+1, cols+1)``, int64, C-contiguous)
+    receives the padded grid in place; the worker pool passes a view over
+    its shared-memory segment.
     """
     # returns: int64[u, v] contiguous
     rows, cols = labels.shape
@@ -106,7 +107,8 @@ class LocatorBackend:
     integer cell-coordinate arrays — in-grid cells, or the ``(-1, -1)``
     off-map marker of non-strict ``Grid.locate_many`` — and returns the
     covering region index per cell, ``-1`` where no region covers the
-    cell and for the off-map marker.
+    cell and for the off-map marker.  :meth:`locate_points` answers
+    coordinates; its default goes through :meth:`locate_cells`.
     """
 
     #: Canonical registry name, set by each concrete class.
@@ -122,6 +124,12 @@ class LocatorBackend:
     def locate_cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def locate_points(
+        self, grid: Grid, xs: np.ndarray, ys: np.ndarray, strict: bool
+    ) -> np.ndarray:
+        """Region index per coordinate pair on ``grid``, ``-1`` off the map."""
+        return self.locate_cells(*grid.locate_many(xs, ys, strict=strict))
+
     def memory_bytes(self) -> int:
         """Size of the backend's own index structure (not the partition)."""
         raise NotImplementedError
@@ -133,7 +141,7 @@ class LocatorBackend:
 @register_backend(
     "dense",
     aliases=("label_grid", "grid"),
-    summary="sentinel-padded dense cell->region label grid; one gather per batch",
+    summary="sentinel-padded dense cell->region label grid; one take per batch",
 )
 class DenseGridLocator(LocatorBackend):
     """Lookups off the partition's sentinel-padded dense label grid.
@@ -147,12 +155,20 @@ class DenseGridLocator(LocatorBackend):
     def __init__(self, partition: Partition) -> None:
         super().__init__(partition)
         self._labels = pad_labels(partition.label_grid)
+        self._flat = self._labels.ravel()
 
     def locate_cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         # array: rows int64
         # array: cols int64
         # returns: int64
-        return self._labels[rows, cols]
+        # A -1 row or column lands on a -1 border cell of the flat grid.
+        return self._flat.take(np.multiply(rows, self._labels.shape[1]) + cols)
+
+    def locate_points(
+        self, grid: Grid, xs: np.ndarray, ys: np.ndarray, strict: bool
+    ) -> np.ndarray:
+        # returns: int64
+        return self._flat.take(grid.locate_padded(xs, ys, strict))
 
     def memory_bytes(self) -> int:
         return int(self._labels.nbytes)

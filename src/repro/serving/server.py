@@ -184,14 +184,17 @@ class PartitionServer:
 
         In non-strict mode (the default), coordinates outside the map — or
         inside an uncovered cell of an incomplete partition — come back as
-        ``-1``: ``Grid.locate_many`` marks off-map points ``(-1, -1)`` and
-        every backend maps that marker to ``-1``.  In strict mode, off-map
-        coordinates raise :class:`~repro.exceptions.GridError`, matching
+        ``-1``.  The backend answers the whole batch: the dense one with one
+        flat ``take`` at the padded-grid ids of ``Grid.locate_padded``
+        (off-map id ``-1`` reads the ``-1`` border), the sparse one from the
+        cells of ``Grid.locate_many``.  In strict mode, off-map coordinates
+        raise :class:`~repro.exceptions.GridError`, matching
         ``Grid.locate_many``.
         """
         # returns: int64
-        rows, cols = self._grid.locate_many(xs, ys, strict=self._resolve_strict(strict))
-        return self._backend.locate_cells(rows, cols)
+        return self._backend.locate_points(
+            self._grid, xs, ys, self._resolve_strict(strict)
+        )
 
     def locate_cells(
         self, rows: Sequence[int], cols: Sequence[int], strict: bool | None = None

@@ -13,12 +13,12 @@ The tiles of one in-process deployment are co-resident, so every publish
 composes them into one sentinel-padded label grid
 (:func:`~repro.serving.backends.pad_labels`: one extra ``-1`` row and
 column) and ``locate_points`` answers a batch the way every dense reader
-does — ``Grid.locate_many``, then one gather.  Non-strict ``locate_many``
-reports off-map points as ``(-1, -1)``, which wraps into the ``-1``
-border, so there is no inside-mask, no sort and no scatter.  Region
-indices are global, so the answers are bit-identical to a monolithic
-:class:`~repro.serving.server.PartitionServer` over the same partition
-(``tests/serving/test_sharding.py`` enforces this;
+does — ``Grid.locate_padded``'s flat ids, then one ``take`` from the
+raveled padded grid.  Off-map points get id ``-1``, which reads the last
+``-1`` border cell, so there is no sort, no scatter and no per-tile
+dispatch.  Region indices are global, so the answers are bit-identical
+to a monolithic :class:`~repro.serving.server.PartitionServer` over the
+same partition (``tests/serving/test_sharding.py`` enforces this;
 ``benchmarks/test_bench_routing.py`` tracks the dispatch cost).
 
 Per-tile hot-swap
@@ -306,11 +306,11 @@ class ShardedDeployment:
         Same contract as :meth:`PartitionServer.locate_points` (``-1`` for
         off-map points in non-strict mode,
         :class:`~repro.exceptions.GridError` in strict mode), answered by
-        one gather from the published padded grid.
+        one flat ``take`` from the published padded grid.
         """
         # returns: int64
-        rows, cols = self._grid.locate_many(xs, ys, strict=self._resolve_strict(strict))
-        located = self._padded[rows, cols]
+        ids = self._grid.locate_padded(xs, ys, self._resolve_strict(strict))
+        located = self._padded.ravel().take(ids)
         with self._counter_lock:
             self._points_served += int(located.size)
         return located

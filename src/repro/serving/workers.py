@@ -10,7 +10,7 @@ acceptors — the classic pre-fork design) and answer the wire protocol of
 * the parent copies each deployment's dense label grid *once* into a
   ``multiprocessing.shared_memory`` segment at publish time, sentinel-padded
   (:func:`~repro.serving.backends.pad_labels`) so a worker answers a
-  batch with the same single gather as the in-process dense server;
+  batch with the same single flat ``take`` as the in-process dense server;
 * workers attach read-only views — the fork after export means the
   mapping is inherited, and a respawned worker re-attaches by name;
 * a hot-swap publishes a **new** segment and a version bump over each
@@ -231,16 +231,16 @@ class WorkerState:
         """Array-native batch locate against the shared label grid.
 
         The in-process dense read path over shared memory —
-        ``Grid.locate_many``, then one gather from the padded grid — so
-        it is bit-identical to
+        ``Grid.locate_padded``'s flat ids, then one ``take`` from the
+        raveled padded grid (off-map id ``-1`` reads the ``-1`` border)
+        — so it is bit-identical to
         :meth:`~repro.serving.server.PartitionServer.locate_points` with
         the dense backend (the oracle the worker tests pin against).
         """
         # returns: int64[n]
         entry = self._resolve(name, version)
         strict = self._strict_default if strict is None else strict
-        rows, cols = entry.grid.locate_many(xs, ys, strict=strict)
-        assignment = entry.labels[rows, cols]
+        assignment = entry.labels.ravel().take(entry.grid.locate_padded(xs, ys, strict))
         with self._counter_lock:
             self._queries += 1
             self._points += int(assignment.size)

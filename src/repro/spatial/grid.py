@@ -134,39 +134,60 @@ class Grid:
         (default); with ``strict=False`` they yield ``-1`` in both output
         arrays instead, so batch callers can treat "not on this map" as data.
         """
+        shape, rows, cols, off_map = self._locate_cells(xs, ys, strict)
+        if off_map is not None:
+            np.copyto(rows, -1, where=off_map)
+            np.copyto(cols, -1, where=off_map)
+        return rows.reshape(shape), cols.reshape(shape)
+
+    def locate_padded(
+        self, xs: np.ndarray, ys: np.ndarray, strict: bool = True
+    ) -> np.ndarray:
+        """Flat ids into the ``(rows+1) x (cols+1)`` padded grid, in one pass.
+
+        The id of an on-map point is ``row * (cols+1) + col`` — its cell in
+        a grid with one extra column and row, the layout of
+        :func:`repro.serving.backends.pad_labels` — so a dense reader
+        answers a batch with one ``padded.ravel().take(ids)``.  Off-map
+        points (NaN included) get ``-1``, which ``take`` reads as the last
+        border cell.  ``strict`` raises :class:`GridError` for off-map
+        points exactly as :meth:`locate_many` does.
+        """
+        # returns: int64
+        shape, ids, cols, off_map = self._locate_cells(xs, ys, strict)
+        ids *= self._cols + 1
+        ids += cols
+        if off_map is not None:
+            np.copyto(ids, -1, where=off_map)
+        return ids.reshape(shape)
+
+    def _locate_cells(
+        self, xs: np.ndarray, ys: np.ndarray, strict: bool
+    ) -> Tuple[Tuple[int, ...], np.ndarray, np.ndarray, np.ndarray | None]:
+        """``(shape, rows, cols, off_map)``; off-map cells are still unmarked.
+
+        The shared body of :meth:`locate_many` and :meth:`locate_padded`.
+        ``off_map`` is ``None`` when every point is on the map.  0-d inputs
+        come back as 1-element arrays (ufuncs would hand back scalars);
+        callers reshape to ``shape``.
+        """
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        if xs.shape != ys.shape:
+        shape = xs.shape
+        if shape != ys.shape:
             raise GridError("xs and ys must have the same shape")
-        inside = (
-            (xs >= self._bounds.min_x)
-            & (xs <= self._bounds.max_x)
-            & (ys >= self._bounds.min_y)
-            & (ys <= self._bounds.max_y)
-        )
-        if bool(np.all(inside)):
-            cols = np.minimum(
-                ((xs - self._bounds.min_x) / self.cell_width).astype(int, copy=False),
-                self._cols - 1,
-            )
-            rows = np.minimum(
-                ((ys - self._bounds.min_y) / self.cell_height).astype(int, copy=False),
-                self._rows - 1,
-            )
-            return rows, cols
-        if strict:
+        if not shape:
+            xs, ys = xs.reshape(1), ys.reshape(1)
+        bounds = self._bounds
+        cols, off_x = _axis_cells(xs, bounds.min_x, bounds.max_x, self.cell_width, self._cols)
+        rows, off_y = _axis_cells(ys, bounds.min_y, bounds.max_y, self.cell_height, self._rows)
+        if off_x is None or off_y is None:
+            off_map = off_y if off_x is None else off_x
+        else:
+            off_map = np.logical_or(off_x, off_y, out=off_x)
+        if strict and off_map is not None:
             raise GridError("some coordinates fall outside the grid bounds")
-        rows = np.full(xs.shape, -1, dtype=int)
-        cols = np.full(xs.shape, -1, dtype=int)
-        cols[inside] = np.minimum(
-            ((xs[inside] - self._bounds.min_x) / self.cell_width).astype(int, copy=False),
-            self._cols - 1,
-        )
-        rows[inside] = np.minimum(
-            ((ys[inside] - self._bounds.min_y) / self.cell_height).astype(int, copy=False),
-            self._rows - 1,
-        )
-        return rows, cols
+        return shape, rows, cols, off_map
 
     def cell_bounds(self, row: int, col: int) -> BoundingBox:
         """Geographic extent of cell ``(row, col)``."""
@@ -197,6 +218,32 @@ class Grid:
         lower = self.cell_bounds(row_start, col_start)
         upper = self.cell_bounds(row_stop - 1, col_stop - 1)
         return lower.union(upper)
+
+
+def _axis_cells(
+    values: np.ndarray, low: float, high: float, cell_size: float, n_cells: int
+) -> Tuple[np.ndarray, np.ndarray | None]:
+    """Cell index of every coordinate along one axis, plus the off-map mask.
+
+    The one copy of the coordinate arithmetic: subtract, divide by the cell
+    size (a reciprocal multiply can round differently at exact cell edges),
+    cast, clamp the maximal edge into the last cell.  Off-map coordinates
+    (NaN and +/-inf included) are zeroed before the divide, so the cast
+    never sees a value it cannot represent; their cell is a valid ``0``
+    that the caller masks.  The mask is ``None`` when every coordinate is
+    on the map.  Its float temporary dies on return, so a caller that
+    locates one axis at a time holds at most one.
+    """
+    inside = values >= low
+    inside &= values <= high
+    off_map = None if inside.all() else np.logical_not(inside, out=inside)
+    offsets = values - low
+    if off_map is not None:
+        np.copyto(offsets, 0.0, where=off_map)
+    offsets /= cell_size
+    cells = offsets.astype(np.intp, copy=False)
+    np.minimum(cells, n_cells - 1, out=cells)
+    return cells, off_map
 
 
 def _validated_cell_coords(
