@@ -35,7 +35,7 @@ import time
 import numpy as np
 import pytest
 
-from bench_utils import record_output
+from bench_utils import paired_ratios, record_output, timed
 
 from repro.config import DatasetConfig, GridConfig
 from repro.core.fair_kdtree import FairKDTreePartitioner
@@ -91,39 +91,6 @@ def _build_partition():
     return FairKDTreePartitioner(8).build_from_residuals(dataset, residuals)
 
 
-def _timed(callable_):
-    start = time.perf_counter()
-    result = callable_()
-    return time.perf_counter() - start, result
-
-
-def _paired_ratios(baseline, candidates, repeats=REPEATS):
-    """Median per-round time ratio of each candidate to ``baseline``.
-
-    Every round times each candidate back to back with a fresh
-    ``baseline`` call, so the two timings of one ratio share the machine
-    state of that moment; the pair's order alternates across rounds so
-    neither side always runs second.  Returns ``(ratios, bests,
-    results)``: the median ratio per candidate, best-of wall time per
-    name (``"baseline"`` included) and the last result per name.
-    """
-    ratios = {name: [] for name in candidates}
-    bests = {name: float("inf") for name in ("baseline", *candidates)}
-    results = {}
-    for round_ in range(repeats):
-        for name, callable_ in candidates.items():
-            if round_ % 2:
-                elapsed, results[name] = _timed(callable_)
-                base, results["baseline"] = _timed(baseline)
-            else:
-                base, results["baseline"] = _timed(baseline)
-                elapsed, results[name] = _timed(callable_)
-            ratios[name].append(elapsed / base)
-            bests[name] = min(bests[name], elapsed)
-            bests["baseline"] = min(bests["baseline"], base)
-    return {name: float(np.median(r)) for name, r in ratios.items()}, bests, results
-
-
 @pytest.mark.benchmark(group="serving")
 def test_routing_dispatch_overhead(benchmark, output_dir):
     """Engine name-routing must cost <= 10% over a direct server call, and
@@ -154,8 +121,8 @@ def test_routing_dispatch_overhead(benchmark, output_dir):
             candidates = {"engine": lambda: engine.locate_points("la", xs, ys)}
             for tiling, deployment in sharded.items():
                 candidates[columns[tiling]] = lambda d=deployment: d.locate_points(xs, ys)
-            ratios, bests, answers = _paired_ratios(
-                lambda: server.locate_points(xs, ys), candidates
+            ratios, bests, answers = paired_ratios(
+                lambda: server.locate_points(xs, ys), candidates, REPEATS
             )
 
             direct = answers["baseline"]
@@ -268,9 +235,10 @@ def test_sanitizer_overhead(benchmark, output_dir):
     def run() -> None:
         # Phase 1 — sanitizer off.  Timed before any arming so the class
         # instrumentation cannot contaminate the baseline.
-        ratios, bests, answers = _paired_ratios(
+        ratios, bests, answers = paired_ratios(
             lambda: server.locate_points(xs, ys),
             {"engine_off": lambda: engine_off.locate_points("la", xs, ys)},
+            REPEATS,
         )
         assert np.array_equal(answers["baseline"], answers["engine_off"]), (
             "uninstrumented engine routing changed assignments"
@@ -285,7 +253,7 @@ def test_sanitizer_overhead(benchmark, output_dir):
             engine_on.deploy("la", PartitionServer(partition))
             sanitized_best, sanitized_answer = min(
                 (
-                    _timed(lambda: engine_on.locate_points("la", xs, ys))
+                    timed(lambda: engine_on.locate_points("la", xs, ys))
                     for _ in range(REPEATS)
                 ),
                 key=lambda timing: timing[0],

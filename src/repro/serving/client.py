@@ -17,10 +17,11 @@ callers never see it:
 * **retries** — idempotent requests (queries and reads) are retried with
   exponential backoff on connection-level failures; admin mutations are
   never retried (a replayed ``deploy`` would create a second version);
-* **batching** — :meth:`locate_points` splits arbitrarily large
-  coordinate batches into bounded requests and pins every chunk after the
-  first to the version that answered the first, so a hot-swap in the
-  middle of a split batch cannot produce a half-old/half-new assignment;
+* **batching** — :meth:`locate` and :meth:`locate_points` split
+  arbitrarily large coordinate batches into bounded requests and pin
+  every chunk after the first to the version that answered the first, so
+  a hot-swap in the middle of a split batch cannot produce a
+  half-old/half-new assignment;
 * **typed transport errors** — anything below the protocol (refused
   connection, dropped socket, non-JSON response) raises
   :class:`~repro.exceptions.TransportError`;
@@ -46,7 +47,7 @@ import logging
 import socket
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -95,8 +96,8 @@ class ServingClient:
     backoff:
         Base delay between retries, seconds; doubles per attempt.
     batch_size:
-        Largest point count per locate request;
-        :meth:`locate_points` splits bigger batches transparently.
+        Largest point count per locate request; :meth:`locate` and
+        :meth:`locate_points` split bigger batches transparently.
     transport:
         ``"auto"`` (default) negotiates the best transport the server
         offers — the binary wire protocol when advertised by
@@ -108,7 +109,10 @@ class ServingClient:
         :class:`~repro.serving.codecs.Codec` instance) pins the JSON
         dense encoding over HTTP without probing.  Only the dense batch
         path (:meth:`locate_points`) rides the wire; typed requests and
-        admin verbs always use HTTP.
+        admin verbs always use HTTP.  Over HTTP, both :meth:`locate` and
+        :meth:`locate_points` send coordinates in the bit-exact dense
+        ``json+b64`` encoding; the ``xs``/``ys`` list form is for humans
+        and foreign clients.
 
     The client is usable as a context manager; :meth:`close` drops every
     thread's persistent connection.
@@ -410,9 +414,29 @@ class ServingClient:
     # -- queries --------------------------------------------------------------
 
     def locate(self, request: LocateRequest) -> QueryResult:
-        """Answer one typed :class:`LocateRequest` over the wire."""
-        return QueryResult.from_dict(
-            self._request("POST", "/v1/locate", request.to_dict())
+        """Answer one typed :class:`LocateRequest` over HTTP.
+
+        The coordinates travel in the dense encoding, through the same
+        chunked, version-pinned loop as :meth:`locate_points`: bit-exact,
+        no decimal float formatting, and a request above ``batch_size``
+        points is split and pinned to the version that answered its first
+        chunk.  Typed locates stay on HTTP even when the binary wire is
+        negotiated: a worker republishes after a deploy, so a wire answer
+        could report a version older than an HTTP answer already seen.
+        """
+        version, regions = self._locate_chunked(
+            self._locate_chunk_http,
+            request.deployment,
+            np.asarray(request.xs, dtype=float),
+            np.asarray(request.ys, dtype=float),
+            request.strict,
+            request.version,
+        )
+        return QueryResult(
+            deployment=request.deployment,
+            version=version,
+            kind="locate",
+            regions=regions,
         )
 
     def range_query(self, request: RangeRequest) -> QueryResult:
@@ -441,9 +465,9 @@ class ServingClient:
 
         Coordinates cross the wire in the negotiated encoding: raw
         little-endian float64/int64 frames on the binary wire transport,
-        base64 inside the JSON envelope over HTTP — both bit-exact, the
-        binary form skipping base64 and JSON entirely.  Use
-        :meth:`locate` for the list form.
+        base64 inside the JSON envelope over HTTP (the same encoding
+        :meth:`locate` uses) — both bit-exact, the binary form skipping
+        base64 and JSON entirely.
         """
         # returns: int64[n]
         xs = np.asarray(xs, dtype=float)
@@ -456,9 +480,9 @@ class ServingClient:
         self._ensure_negotiated()
         if self._wire_endpoint is not None:
             try:
-                return self._locate_points_wire(
-                    deployment, xs, ys, strict, version
-                )
+                return self._locate_chunked(
+                    self._locate_chunk_wire, deployment, xs, ys, strict, version
+                )[1]
             except TransportError as exc:
                 if self._requested == "binary":
                     raise
@@ -472,56 +496,31 @@ class ServingClient:
                 )
                 self._wire_endpoint = None
                 self._codec_name = "json+b64"
-        pieces: List[np.ndarray] = []
-        pinned = version
-        for start in range(0, len(xs), self.batch_size) or (0,):
-            # The codec assembles the body by hand rather than json.dumps:
-            # the base64 alphabet never needs escaping, and the escaping
-            # scan over megabytes of it is measurable at benchmark sizes.
-            body = _DENSE_CODEC.encode_request(
-                deployment,
-                xs[start:start + self.batch_size],
-                ys[start:start + self.batch_size],
-                strict=strict,
-                version=pinned,
-            )
-            answer = self._request("POST", "/v1/locate", raw_body=body)
-            if pinned is None or pinned == "latest":
-                pinned = answer.get("version")
-            try:
-                piece = decode_b64_array(
-                    answer.get("regions_b64"), "<i8", "regions_b64"
-                )
-            except ReproError as exc:
-                raise TransportError(
-                    f"malformed dense locate response: {exc}"
-                ) from exc
-            # The decoded piece is already little-endian int64; the final
-            # concatenate below produces a fresh writable native array, so
-            # copying each read-only frombuffer view here was pure overhead.
-            pieces.append(piece)
-        return np.concatenate(pieces) if pieces else np.empty(0, dtype=int)
+        return self._locate_chunked(
+            self._locate_chunk_http, deployment, xs, ys, strict, version
+        )[1]
 
-    def _locate_points_wire(
+    def _locate_chunked(
         self,
+        send: Callable[..., Tuple[int, np.ndarray]],
         deployment: str,
         xs: np.ndarray,
         ys: np.ndarray,
         strict: Optional[bool],
         version: Optional[Union[int, str]],
-    ) -> np.ndarray:
-        """The binary-wire twin of the HTTP dense loop: chunk, pin, stitch.
+    ) -> Tuple[int, np.ndarray]:
+        """Chunk, pin, stitch: the one locate loop of both transports.
 
-        Same batch split and same mid-batch pinning discipline — the
+        ``send`` answers one chunk as ``(version, int64 regions)``.  The
         version that answers the first chunk pins the rest, so a hot-swap
         (or a worker respawn onto a newer snapshot) cannot split one
-        logical batch across two partitions.
+        logical batch across two partitions.  An empty batch still makes
+        one request, so the deployment and version are checked.
         """
-        # returns: int64[n]
         pieces: List[np.ndarray] = []
         pinned = version
         for start in range(0, len(xs), self.batch_size) or (0,):
-            answered, piece = self._locate_chunk_wire(
+            answered, piece = send(
                 deployment,
                 xs[start:start + self.batch_size],
                 ys[start:start + self.batch_size],
@@ -531,7 +530,43 @@ class ServingClient:
             if pinned is None or pinned == "latest":
                 pinned = answered
             pieces.append(piece)
-        return np.concatenate(pieces) if pieces else np.empty(0, dtype=int)
+        # The pieces may be read-only frombuffer views; concatenate returns
+        # a fresh writable native array even for a single chunk.
+        return answered, np.concatenate(pieces)
+
+    def _locate_chunk_http(
+        self,
+        deployment: str,
+        xs: np.ndarray,
+        ys: np.ndarray,
+        strict: Optional[bool],
+        version: Optional[Union[int, str]],
+    ) -> Tuple[int, np.ndarray]:
+        """One locate chunk as a dense ``json+b64`` HTTP request.
+
+        The codec assembles the body by hand rather than ``json.dumps``:
+        the base64 alphabet never needs escaping, and the escaping scan
+        over megabytes of it is measurable at benchmark sizes.
+        """
+        body = _DENSE_CODEC.encode_request(
+            deployment, xs, ys, strict=strict, version=version
+        )
+        answer = self._request("POST", "/v1/locate", raw_body=body)
+        answered = answer.get("version")
+        if isinstance(answered, bool) or not isinstance(answered, int):
+            raise TransportError(
+                f"malformed dense locate response: 'version' must be an "
+                f"integer, got {answered!r}"
+            )
+        try:
+            regions = decode_b64_array(
+                answer.get("regions_b64"), "<i8", "regions_b64"
+            )
+        except ReproError as exc:
+            raise TransportError(
+                f"malformed dense locate response: {exc}"
+            ) from exc
+        return answered, regions
 
     # -- admin ----------------------------------------------------------------
 

@@ -62,9 +62,10 @@ response answers with ``regions_b64`` (base64 little-endian int64) instead
 of a ``regions`` list.  The envelope stays JSON and the values are
 bit-exact (binary float64 round-trips where decimal repr must be
 re-parsed), but marshalling a 10^5-point batch drops from ~150 ms of
-number formatting to ~2 ms of base64.  :meth:`ServingClient.locate_points`
-uses it automatically; the list form remains for humans and foreign
-clients.
+number formatting to ~2 ms of base64.  :class:`ServingClient` sends it
+for every HTTP locate, typed :meth:`~ServingClient.locate` and
+:meth:`~ServingClient.locate_points` alike; the list form remains for
+humans and foreign clients.
 
 Errors cross the wire as ``{"error": {"type": <exception class>,
 "message": ...}}`` with a mapped status code;

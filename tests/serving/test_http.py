@@ -17,6 +17,7 @@ from repro.exceptions import (
 from repro.io.artifacts import save_partition_artifact
 from repro.serving import (
     LocateRequest,
+    QueryResult,
     RangeRequest,
     ServingClient,
     ServingEngine,
@@ -319,6 +320,132 @@ class TestClient:
             first = client._connection()
             client.healthz()
             assert client._connection() is first
+
+
+def _spy_locate_bodies(client, after_first=None):
+    """Record every ``/v1/locate`` body ``client`` sends, decoded as JSON.
+
+    ``after_first`` runs once, right after the first locate answer — the
+    seam between the chunks of a split batch.
+    """
+    bodies = []
+    send = client._request
+
+    def spy(method, path, payload=None, retry=True, raw_body=None):
+        answer = send(method, path, payload, retry=retry, raw_body=raw_body)
+        if path == "/v1/locate":
+            bodies.append(json.loads(raw_body) if raw_body is not None else payload)
+            if len(bodies) == 1 and after_first is not None:
+                after_first()
+        return answer
+
+    client._request = spy
+    return bodies
+
+
+def _edge_coordinates():
+    """Bit-level edge cases around the unit map of the test grid."""
+    edges = []
+    for edge in (0.0, 1.0):
+        edges += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+    xs = [-0.0, 5e-324, 0.0, 1.0, 0.0, 1.0, 1e300, 0.5] + edges + [0.5] * len(edges)
+    ys = [0.5, 0.5, 0.0, 0.0, 1.0, 1.0, 0.5, 1e300] + [0.5] * len(edges) + edges
+    return tuple(xs), tuple(ys)
+
+
+class TestTypedLocate:
+    def test_sends_the_dense_encoding(self, engine, server):
+        request = LocateRequest(deployment="la", xs=(0.1, 0.9), ys=(0.1, 0.9))
+        with _client(server) as client:
+            bodies = _spy_locate_bodies(client)
+            result = client.locate(request)
+        assert result == engine.locate(request)
+        assert len(bodies) == 1
+        assert {"xs_b64", "ys_b64"} <= set(bodies[0])
+        assert not {"xs", "ys"} & set(bodies[0])
+
+    def test_edge_coordinates_bit_equal_to_in_process(self, engine, server):
+        xs, ys = _edge_coordinates()
+        request = LocateRequest(deployment="la", xs=xs, ys=ys)
+        with _client(server) as client:
+            result = client.locate(request)
+        expected = engine.locate(request)
+        assert result == expected
+        assert -1 in result.regions and max(result.regions) >= 0
+        assert all(type(region) is int for region in result.regions)
+
+    def test_empty_request(self, engine, server):
+        request = LocateRequest(deployment="la", xs=(), ys=())
+        with _client(server) as client:
+            result = client.locate(request)
+        assert result == engine.locate(request)
+        assert result.regions == () and result.version == 1
+
+    def test_strict_offmap_raises_grid_error(self, server):
+        request = LocateRequest(deployment="la", xs=(5.0,), ys=(5.0,), strict=True)
+        with _client(server) as client:
+            with pytest.raises(GridError):
+                client.locate(request)
+            assert client.healthz()["status"] == "ok"
+
+    def test_pinned_and_latest_versions(self, engine, server, tmp_path):
+        engine.deploy("la", _bundle(tmp_path, "v2", 4))
+        with _client(server) as client:
+            for version, answered in ((1, 1), ("latest", 2), (None, 2)):
+                request = LocateRequest(
+                    deployment="la", xs=(0.9,), ys=(0.9,), version=version
+                )
+                result = client.locate(request)
+                assert result.version == answered
+                assert result == engine.locate(request)
+
+    def test_split_request_pins_one_version_across_hot_swap(
+        self, engine, server, tmp_path
+    ):
+        request = LocateRequest(
+            deployment="la", xs=tuple(np.full(10, 0.9)), ys=tuple(np.full(10, 0.9))
+        )
+        v1 = engine.locate(request)
+        with _client(server, batch_size=4) as client:
+            bodies = _spy_locate_bodies(
+                client,
+                after_first=lambda: engine.deploy("la", _bundle(tmp_path, "v2", 4)),
+            )
+            result = client.locate(request)
+        # 10 points at batch_size 4 -> 3 requests, the last two pinned to v1.
+        assert [len(body["xs_b64"]) for body in bodies] == [44, 44, 24]
+        assert "version" not in bodies[0]
+        assert [body["version"] for body in bodies[1:]] == [1, 1]
+        assert result == v1
+        assert engine.locate(request).version == 2
+        assert engine.locate(request).regions != v1.regions
+
+    @pytest.mark.parametrize(
+        "answer",
+        [
+            {"version": 1, "regions_b64": "not base64!"},
+            {"regions_b64": ""},
+            {"version": "1", "regions_b64": ""},
+        ],
+    )
+    def test_malformed_dense_answer_is_transport_error(self, server, answer):
+        request = LocateRequest(deployment="la", xs=(), ys=())
+        with _client(server, transport="json+b64") as client:
+            client._request = lambda *args, **kwargs: answer
+            with pytest.raises(TransportError, match="malformed dense locate"):
+                client.locate(request)
+            with pytest.raises(TransportError, match="malformed dense locate"):
+                client.locate_points("la", [], [])
+
+    def test_list_form_post_matches_dense_answer(self, engine, server):
+        xs, ys = _edge_coordinates()
+        request = LocateRequest(deployment="la", xs=xs, ys=ys)
+        with _client(server) as client:
+            listed = client._request("POST", "/v1/locate", request.to_dict())
+            dense = client.locate(request)
+        assert "regions_b64" not in listed
+        assert listed["regions"] == list(dense.regions)
+        assert QueryResult.from_dict(listed) == dense
 
 
 def _nodelay(sock: socket.socket) -> int:
