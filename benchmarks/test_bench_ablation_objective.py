@@ -1,4 +1,4 @@
-"""Benchmark E8 — ablation over split objectives (DESIGN.md design-choice study).
+"""Benchmark E8 — ablation over split objectives (a design-choice study).
 
 The paper's future work mentions exploring "custom split metrics".  This
 ablation compares the paper's balance objective (Eq. 9) against the total-

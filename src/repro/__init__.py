@@ -27,10 +27,8 @@ from __future__ import annotations
 
 from .config import (
     DatasetConfig,
-    ExperimentConfig,
     GridConfig,
     ModelConfig,
-    PartitionerConfig,
     ServingConfig,
     PAPER_ACT_THRESHOLD,
     PAPER_ECE_BINS,
@@ -78,7 +76,6 @@ from .api import (
     build_partition,
     make_partitioner,
     open_engine,
-    open_server,
     run_pipeline,
 )
 from .registry import (
@@ -96,8 +93,6 @@ __all__ = [
     "GridConfig",
     "DatasetConfig",
     "ModelConfig",
-    "PartitionerConfig",
-    "ExperimentConfig",
     "ServingConfig",
     "PAPER_HEIGHTS",
     "PAPER_MULTI_OBJECTIVE_HEIGHTS",
@@ -141,7 +136,6 @@ __all__ = [
     "build_partition",
     "run_pipeline",
     "open_engine",
-    "open_server",
     "register_partitioner",
     "register_model",
     "register_task",

@@ -71,9 +71,7 @@ from .facade import (
     dataset_for,
     make_partitioner,
     model_factory_for,
-    open_cache,
     open_engine,
-    open_server,
     run_pipeline,
     task_for,
 )
@@ -111,6 +109,4 @@ __all__ = [
     "QueryResult",
     "LATEST",
     "open_engine",
-    "open_server",
-    "open_cache",
 ]

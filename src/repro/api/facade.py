@@ -15,9 +15,6 @@ figure sweeps — now builds a spec and calls one of:
   whose deploys re-validate every bundle's embedded spec; the serve-side
   entry point (``engine.deploy(name, path)``, then query by name).
 
-:func:`open_server` and :func:`open_cache` — the old path-addressed serve
-entry points — survive as thin deprecation shims over the engine.
-
 Construction is metadata-driven: each registry entry declares which spec
 fields its constructor understands (``accepts_split_engine``,
 ``accepts_objective``, ``accepts_alphas``, ``height_param``), so a new
@@ -27,7 +24,6 @@ benchmarkable, servable and persistable with zero facade edits.
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
@@ -41,7 +37,7 @@ from ..exceptions import ExperimentError
 from ..io.artifacts import save_partition_artifact
 from ..ml.model_selection import ModelFactory, factory_for
 from ..registry import MODELS, PARTITIONERS, TASKS
-from ..serving import ArtifactCache, PartitionServer, ServingEngine
+from ..serving import ServingEngine
 from ..spatial.partition import Partition
 from .specs import PartitionSpec, RunSpec
 
@@ -51,9 +47,7 @@ __all__ = [
     "dataset_for",
     "make_partitioner",
     "model_factory_for",
-    "open_cache",
     "open_engine",
-    "open_server",
     "run_pipeline",
     "task_for",
 ]
@@ -239,39 +233,3 @@ def open_engine(config: Optional[ServingConfig] = None) -> ServingEngine:
     """
     return ServingEngine(config=config, spec_validator=RunSpec.from_dict)
 
-
-def open_server(
-    path: Union[str, Path], config: Optional[ServingConfig] = None
-) -> PartitionServer:
-    """Deprecated: open one artifact by path as a ready-to-query server.
-
-    Thin shim over the engine — deploys the bundle into a throwaway
-    :class:`~repro.serving.ServingEngine` (same cache-backed loading and
-    embedded-spec re-validation) and returns the underlying server.  New
-    code should keep the engine and query deployments by name.
-    """
-    warnings.warn(
-        "open_server is deprecated; use open_engine().deploy(name, path) "
-        "and query the engine by deployment name",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    engine = open_engine(config)
-    engine.deploy("default", path)
-    return engine.server_for("default")
-
-
-def open_cache(config: Optional[ServingConfig] = None) -> ArtifactCache:
-    """Deprecated: a path-addressed artifact cache with spec re-validation.
-
-    Thin shim kept for code that addressed partitions by bundle path; the
-    engine owns such a cache already (``open_engine().cache``), with the
-    same embedded-spec re-validation on every miss.
-    """
-    warnings.warn(
-        "open_cache is deprecated; use open_engine() — the engine's cache "
-        "(engine.cache) performs the same spec re-validation",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return ArtifactCache(config=config, spec_validator=RunSpec.from_dict)

@@ -9,10 +9,10 @@ mutable state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from .exceptions import ConfigurationError
-from .registry import BACKENDS, MODELS, PARTITIONERS
+from .registry import BACKENDS, MODELS
 
 #: Tree heights swept in the paper's Figures 7 and 8.
 PAPER_HEIGHTS: Tuple[int, ...] = (4, 5, 6, 7, 8, 9, 10)
@@ -122,42 +122,6 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class PartitionerConfig:
-    """Configuration of a spatial partitioner run.
-
-    ``split_engine`` selects how tree builders compute per-node split
-    statistics: ``"prefix_sum"`` (default) uses cumulative-sum tables built
-    once per tree, ``"record_scan"`` re-scans the record arrays per node
-    (the original, slower reference path).
-    """
-
-    method: str = "fair_kdtree"
-    height: int = 6
-    alpha: Tuple[float, ...] = (1.0,)
-    objective: str = "balance"
-    split_engine: str = "prefix_sum"
-
-    def __post_init__(self) -> None:
-        # Known methods live in the partitioner registry
-        # (repro.registry.PARTITIONERS), populated by the
-        # @register_partitioner decorators in repro.core.
-        if self.method not in PARTITIONERS:
-            raise ConfigurationError(PARTITIONERS.unknown_message(self.method))
-        if self.height < 0:
-            raise ConfigurationError(f"height must be non-negative, got {self.height}")
-        total = sum(self.alpha)
-        if self.alpha and abs(total - 1.0) > 1e-9:
-            raise ConfigurationError(
-                f"alpha weights must sum to 1, got {self.alpha} (sum={total})"
-            )
-        if self.split_engine not in SPLIT_ENGINES:
-            raise ConfigurationError(
-                f"unknown split engine {self.split_engine!r}; "
-                f"expected one of {SPLIT_ENGINES}"
-            )
-
-
-@dataclass(frozen=True)
 class ServingConfig:
     """Configuration of the partition serving layer.
 
@@ -189,27 +153,3 @@ class ServingConfig:
         if self.backend not in BACKENDS:
             raise ConfigurationError(BACKENDS.unknown_message(self.backend))
 
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Top-level experiment description used by the harness and benches."""
-
-    name: str
-    dataset: DatasetConfig
-    model: ModelConfig = field(default_factory=ModelConfig)
-    heights: Sequence[int] = PAPER_HEIGHTS
-    test_fraction: float = 0.3
-    ece_bins: int = PAPER_ECE_BINS
-    seed: int = 101
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigurationError("experiment name must be non-empty")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigurationError(
-                f"test_fraction must be in (0, 1), got {self.test_fraction}"
-            )
-        if self.ece_bins < 1:
-            raise ConfigurationError("ece_bins must be >= 1")
-        if any(h < 0 for h in self.heights):
-            raise ConfigurationError("heights must be non-negative")

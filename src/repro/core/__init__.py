@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 # Zipcode tessellations are a valid partitioning *method* (accepted by
-# PartitionerConfig, compared in disparity audits) but have no partitioner
+# PartitionSpec, compared in disparity audits) but have no partitioner
 # class: the regions come from real zipcode geometry in
 # repro.datasets.zipcodes, not from a build() call.  Registering the name
 # with obj=None keeps the registry the single list of known methods while

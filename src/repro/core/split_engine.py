@@ -27,7 +27,7 @@ representable (e.g. dyadic-rational residuals, which the equivalence tests
 use) and agree empirically — to the last bit in practice — for arbitrary
 residuals.  The record-scan path is kept available (via the
 ``split_engine`` flag on the partitioners and on
-:class:`~repro.config.PartitionerConfig`) for equivalence testing and as a
+:class:`~repro.api.specs.PartitionSpec`) for equivalence testing and as a
 reference implementation.
 """
 

@@ -5,7 +5,7 @@ results plus a ``*_rows`` helper flattening them into table rows; the
 benchmark suite and the examples render those rows with
 :mod:`repro.experiments.reporting`.
 
-Experiment index (see DESIGN.md section 4):
+Experiment index:
 
 * Figure 6 — :mod:`repro.experiments.disparity`
 * Figure 7 — :mod:`repro.experiments.ence_sweep`
@@ -25,24 +25,10 @@ from .timing import TimingResult, run_timing_experiment
 from .utility_sweep import UtilitySweepResult, run_utility_sweep
 
 
-def __getattr__(name: str):
-    """Deprecated re-exports (``PAPER_METHODS``, ``build_partitioner``).
-
-    Forwarded lazily to :mod:`repro.experiments.runner`, whose shims emit
-    the :class:`DeprecationWarning` — importing this package stays silent.
-    """
-    if name in ("PAPER_METHODS", "build_partitioner"):
-        from . import runner
-
-        return getattr(runner, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "ExperimentContext",
     "default_context",
     "build_dataset",
-    "build_partitioner",
-    "PAPER_METHODS",
     "run_disparity_experiment",
     "run_ence_sweep",
     "EnceSweepResult",

@@ -8,20 +8,16 @@ small and consistent.
 Method and model rosters come from the registries
 (:data:`repro.registry.PARTITIONERS` / :data:`repro.registry.MODELS`);
 partitioners are instantiated through :func:`repro.api.make_partitioner`.
-The old string-dispatch helpers (``build_partitioner``,
-``build_partitioner_from_config``) and the ``PAPER_METHODS`` tuple remain
-as thin deprecation shims over that registry path.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 from ..api.facade import make_partitioner, model_factory_for
 from ..api.specs import PartitionSpec
-from ..config import DatasetConfig, GridConfig, PartitionerConfig
+from ..config import DatasetConfig, GridConfig
 from ..core.base import SpatialPartitioner
 from ..core.pipeline import RedistrictingPipeline
 from ..core.split_engine import DEFAULT_SPLIT_ENGINE
@@ -35,19 +31,6 @@ PAPER_MODELS: Tuple[str, ...] = MODELS.paper_models()
 
 #: Cities evaluated throughout Section 5.
 PAPER_CITIES: Tuple[str, ...] = ("los_angeles", "houston")
-
-
-def __getattr__(name: str):
-    """Deprecation shim: ``PAPER_METHODS`` now lives in the registry."""
-    if name == "PAPER_METHODS":
-        warnings.warn(
-            "repro.experiments.runner.PAPER_METHODS is deprecated; use "
-            "repro.registry.PARTITIONERS.paper_methods()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return PARTITIONERS.paper_methods()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def build_dataset(
@@ -66,64 +49,6 @@ def build_dataset(
         seed=seed,
     )
     return load_edgap_city(config)
-
-
-def build_partitioner(
-    method: str,
-    height: int,
-    alphas: Sequence[float] = (0.5, 0.5),
-    split_engine: str = DEFAULT_SPLIT_ENGINE,
-) -> SpatialPartitioner:
-    """Instantiate a partitioner by its method name.
-
-    .. deprecated::
-        Use :func:`repro.api.make_partitioner` with a
-        :class:`~repro.api.specs.PartitionSpec`.  This shim delegates to the
-        registry resolver, so unknown methods raise
-        :class:`~repro.exceptions.ExperimentError` listing the available
-        names with a nearest-match suggestion.
-    """
-    warnings.warn(
-        "build_partitioner is deprecated; use "
-        "repro.api.make_partitioner(PartitionSpec(method=..., height=...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    entry = PARTITIONERS.resolve(method)
-    return make_partitioner(
-        PartitionSpec(
-            method=entry.name,
-            height=height,
-            alphas=tuple(alphas) if entry.flag("accepts_alphas") else None,
-            split_engine=split_engine,
-        )
-    )
-
-
-def build_partitioner_from_config(config: PartitionerConfig) -> SpatialPartitioner:
-    """Instantiate a partitioner from a :class:`~repro.config.PartitionerConfig`.
-
-    .. deprecated::
-        Use :func:`repro.api.make_partitioner`; a ``PartitionerConfig``
-        translates field-for-field into a
-        :class:`~repro.api.specs.PartitionSpec`.
-    """
-    warnings.warn(
-        "build_partitioner_from_config is deprecated; use "
-        "repro.api.make_partitioner(PartitionSpec(...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    entry = PARTITIONERS.resolve(config.method)
-    return make_partitioner(
-        PartitionSpec(
-            method=entry.name,
-            height=config.height,
-            objective=config.objective,
-            alphas=tuple(config.alpha) if entry.flag("accepts_alphas") else None,
-            split_engine=config.split_engine,
-        )
-    )
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,7 @@ from .artifacts import (
     FORMAT_VERSION,
     SUPPORTED_FORMAT_VERSIONS,
     PartitionArtifact,
-    ensure_grid_sidecar,
     load_partition_artifact,
-    open_grid_mmap,
     save_partition_artifact,
 )
 from .export import (
@@ -39,8 +37,6 @@ __all__ = [
     "PartitionArtifact",
     "save_partition_artifact",
     "load_partition_artifact",
-    "ensure_grid_sidecar",
-    "open_grid_mmap",
     "read_points_csv",
     "write_points_csv",
 ]

@@ -52,13 +52,6 @@ SUPPORTED_FORMAT_VERSIONS: Tuple[int, ...] = (1,)
 MANIFEST_NAME = "manifest.json"
 ARRAYS_NAME = "arrays.npz"
 
-#: Optional raw ``.npy`` sidecar of the label grid, for mmap-backed loads.
-#: ``arrays.npz`` is a *compressed* zip and cannot be memory-mapped; the
-#: sidecar is the same ``label_grid`` array in plain ``.npy`` layout, so
-#: :func:`open_grid_mmap` can hand out a zero-copy read-only view and N
-#: processes mapping the same bundle share one page-cache copy.
-LABELS_SIDECAR_NAME = "label_grid.npy"
-
 
 @dataclass(frozen=True)
 class PartitionArtifact:
@@ -178,74 +171,6 @@ def bundle_fingerprint(path: str | Path) -> Tuple[int, int, int, int]:
             f"(expected {MANIFEST_NAME} and {ARRAYS_NAME})"
         ) from exc
     return (manifest.st_mtime_ns, manifest.st_size, arrays.st_mtime_ns, arrays.st_size)
-
-
-def ensure_grid_sidecar(path: str | Path) -> Path:
-    """Materialise the bundle's mmap sidecar (``label_grid.npy``), idempotent.
-
-    ``arrays.npz`` is deflate-compressed, so loading it always inflates a
-    private copy per process; the sidecar stores the label grid in raw
-    ``.npy`` layout, which :func:`open_grid_mmap` can map read-only —
-    many processes then share one page-cache copy, the same
-    shared-readers economics :mod:`repro.serving.workers` gets from
-    ``multiprocessing.shared_memory``, but durable and demand-paged.
-
-    A sidecar at least as new as ``arrays.npz`` is trusted and returned
-    untouched; a stale one (the bundle was re-saved in place) is
-    rewritten.  The write lands in a temporary file first and is renamed
-    into place, so a reader never maps a half-written sidecar.  Returns
-    the sidecar path.
-    """
-    path = Path(path)
-    arrays_path = path / ARRAYS_NAME
-    sidecar = path / LABELS_SIDECAR_NAME
-    try:
-        arrays_mtime = arrays_path.stat().st_mtime_ns
-    except OSError as exc:
-        raise PartitionError(
-            f"{path} is not a partition artifact bundle "
-            f"(expected {MANIFEST_NAME} and {ARRAYS_NAME})"
-        ) from exc
-    try:
-        if sidecar.stat().st_mtime_ns >= arrays_mtime:
-            return sidecar
-    except OSError:
-        pass  # no sidecar yet
-    artifact = load_partition_artifact(path)
-    staging = sidecar.with_name(sidecar.name + ".tmp")
-    with open(staging, "wb") as handle:
-        np.save(
-            handle,
-            np.ascontiguousarray(artifact.partition.label_grid, dtype=np.int64),
-        )
-    staging.replace(sidecar)
-    return sidecar
-
-
-def open_grid_mmap(path: str | Path) -> np.ndarray:
-    """A read-only mmap-backed view of the bundle's dense label grid.
-
-    Creates (or refreshes) the ``label_grid.npy`` sidecar via
-    :func:`ensure_grid_sidecar`, then maps it with ``mmap_mode="r"`` —
-    no bytes are read until touched, and pages are shared between every
-    process mapping the same bundle.  The view is int64 and never
-    writable; callers that need to mutate must copy explicitly.
-    """
-    # returns: int64[r, c]
-    sidecar = ensure_grid_sidecar(path)
-    try:
-        labels = np.load(sidecar, mmap_mode="r")
-    except (ValueError, OSError) as exc:
-        raise PartitionError(
-            f"artifact sidecar {sidecar} is unreadable: {exc}"
-        ) from exc
-    if labels.dtype != np.int64 or labels.ndim != 2:
-        raise PartitionError(
-            f"artifact sidecar {sidecar} holds {labels.dtype}"
-            f"[{'x'.join(map(str, labels.shape))}], expected a 2-D int64 "
-            "label grid; delete it to let ensure_grid_sidecar rebuild it"
-        )
-    return labels
 
 
 def load_partition_artifact(path: str | Path) -> PartitionArtifact:

@@ -21,7 +21,7 @@ one decorator: the CLI ``choices``, the experiment sweeps, artifact
 provenance and the serving layer all pick the new name up through the
 registry.  Each registry knows which module populates it and imports that
 module lazily on first lookup, so ``from repro.config import
-PartitionerConfig`` alone is enough to get validated names.
+ModelConfig`` alone is enough to get validated names.
 
 Resolution failures raise :class:`~repro.exceptions.ExperimentError`
 listing every available name plus a nearest-match suggestion; duplicate

@@ -22,10 +22,6 @@ Both codecs canonicalise to the same :class:`DenseLocate` value and are
 property-tested bit-exact against each other — NaN payloads, signed
 infinities and off-map ``-1`` sentinels survive either encoding
 unchanged, because both move the raw IEEE-754/int64 bytes.
-
-The base64 array helpers (``encode_b64_array``/``decode_b64_array``)
-moved here from :mod:`repro.serving.http`, which re-exports them as
-deprecation shims.
 """
 
 from __future__ import annotations

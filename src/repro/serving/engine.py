@@ -694,30 +694,24 @@ class ServingEngine:
         deployment = self._resolve_deployment(name)
         resolved, server = self._snapshot(deployment, version)
         assignment = server.locate_points(xs, ys, strict=strict)
-        self._record_locate(deployment, assignment)
-        return resolved.version, assignment
-
-    @staticmethod
-    def _record_locate(deployment: _Deployment, assignment: np.ndarray) -> None:
-        # array: assignment int64
         with deployment.counters:
             deployment.queries += 1
             deployment.points += int(assignment.size)
             deployment.located += int(np.count_nonzero(assignment >= 0))
+        return resolved.version, assignment
 
     def locate(self, request: LocateRequest) -> QueryResult:
         """Answer a typed :class:`LocateRequest` with a :class:`QueryResult`."""
-        deployment = self._resolve_deployment(request.deployment)
-        resolved, server = self._snapshot(deployment, request.version)
-        assignment = server.locate_points(
+        version, assignment = self.locate_batch(
+            request.deployment,
             np.asarray(request.xs, dtype=float),
             np.asarray(request.ys, dtype=float),
             strict=request.strict,
+            version=request.version,
         )
-        self._record_locate(deployment, assignment)
         return QueryResult(
-            deployment=deployment.name,
-            version=resolved.version,
+            deployment=request.deployment,
+            version=version,
             kind="locate",
             regions=tuple(assignment.tolist()),  # repro: ignore[hot-path-copy] -- QueryResult is the typed protocol boundary; regions leave numpy here by design
         )

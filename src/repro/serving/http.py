@@ -88,12 +88,9 @@ import json
 import logging
 import socket
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple, Union
-
-import numpy as np
 
 from ..exceptions import (
     ConfigurationError,
@@ -106,8 +103,6 @@ from .codecs import (
     codec_names,
     require_finite_coords,
 )
-from .codecs import decode_b64_array as _codecs_decode_b64_array
-from .codecs import encode_b64_array as _codecs_encode_b64_array
 from .engine import ServingEngine
 from .protocol import (
     PROTOCOL_VERSION,
@@ -122,8 +117,6 @@ from .workers import WorkerPool
 __all__ = [
     "ServingHTTPServer",
     "serve_engine",
-    "decode_b64_array",
-    "encode_b64_array",
     "DEFAULT_PORT",
 ]
 
@@ -133,38 +126,6 @@ __all__ = [
 DEFAULT_PORT = 8350
 
 
-def encode_b64_array(values: np.ndarray, dtype: str) -> str:
-    """Base64 of ``values`` as raw ``dtype``, the dense encoding's payload.
-
-    .. deprecated::
-        The dense encoding belongs to the codec layer now; use
-        :func:`repro.serving.codecs.encode_b64_array`.  This shim
-        delegates there unchanged.
-    """
-    warnings.warn(
-        "repro.serving.http.encode_b64_array is deprecated; use "
-        "repro.serving.codecs.encode_b64_array",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _codecs_encode_b64_array(values, dtype)
-
-
-def decode_b64_array(text: Any, dtype: str, field: str) -> np.ndarray:
-    """Decode a dense-encoding field back to an array, failing typed.
-
-    .. deprecated::
-        The dense encoding belongs to the codec layer now; use
-        :func:`repro.serving.codecs.decode_b64_array`.  This shim
-        delegates there unchanged.
-    """
-    warnings.warn(
-        "repro.serving.http.decode_b64_array is deprecated; use "
-        "repro.serving.codecs.decode_b64_array",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _codecs_decode_b64_array(text, dtype, field)
 
 logger = logging.getLogger(__name__)
 

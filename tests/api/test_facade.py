@@ -1,11 +1,12 @@
 """Tests for the repro.api facade: spec -> partitioner/pipeline/server."""
 
+import importlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-import repro.api as api
 from repro.api import (
     BuildResult,
     PartitionSpec,
@@ -58,10 +59,21 @@ class TestMakePartitioner:
         built = make_partitioner({"method": "fair_kdtree", "height": 3})
         assert built.height == 3
 
-    def test_split_engine_threaded(self):
+    @pytest.mark.parametrize("engine", ["prefix_sum", "record_scan"])
+    def test_split_engine_threaded(self, engine):
         for method in ("median_kdtree", "fair_kdtree", "iterative_fair_kdtree"):
-            spec = PartitionSpec(method=method, height=4, split_engine="record_scan")
-            assert make_partitioner(spec).split_engine == "record_scan"
+            spec = PartitionSpec(method=method, height=4, split_engine=engine)
+            assert make_partitioner(spec).split_engine == engine
+
+    def test_all_spec_fields_honoured_together(self):
+        spec = PartitionSpec(
+            method="fair_kdtree", height=5, objective="total", split_engine="record_scan"
+        )
+        partitioner = make_partitioner(spec)
+        assert isinstance(partitioner, FairKDTreePartitioner)
+        assert partitioner.height == 5
+        assert partitioner.split_engine == "record_scan"
+        assert partitioner._scorer.name == "total"
 
     def test_quadtree_height_halved_to_depth(self):
         assert make_partitioner(PartitionSpec(method="fair_quadtree", height=6)).depth == 3
@@ -71,6 +83,15 @@ class TestMakePartitioner:
         spec = PartitionSpec(method="multi_objective", alphas=(0.3, 0.7))
         assert make_partitioner(spec).alphas == (0.3, 0.7)
 
+    def test_alphas_must_sum_to_one(self):
+        make_partitioner(PartitionSpec(method="multi_objective", alphas=(0.5, 0.5)))
+        with pytest.raises(ConfigurationError, match="sum to 1"):
+            make_partitioner(PartitionSpec(method="multi_objective", alphas=(0.5, 0.6)))
+
+    def test_negative_alphas_rejected(self):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            make_partitioner(PartitionSpec(method="multi_objective", alphas=(1.5, -0.5)))
+
     def test_objective_forwarded(self):
         spec = PartitionSpec(method="fair_kdtree", height=3, objective="total")
         assert make_partitioner(spec)._scorer.name == "total"
@@ -78,6 +99,10 @@ class TestMakePartitioner:
     def test_zipcode_has_no_class(self):
         with pytest.raises(ExperimentError, match="no partitioner class"):
             make_partitioner("zipcode")
+
+    def test_unknown_method_lists_names_and_suggests(self):
+        with pytest.raises(ExperimentError, match="available:.*did you mean"):
+            make_partitioner("fair_kdtee")
 
 
 class TestHelpers:
@@ -170,6 +195,33 @@ class TestBuildAndServe:
         assert 0.0 <= result.test_metrics.accuracy <= 1.0
         assert result.test_metrics.ence >= 0.0
 
-    def test_public_all_resolves(self):
-        for name in api.__all__:
-            assert getattr(api, name) is not None, name
+    def test_engine_answers_like_the_artifact_server(self, tmp_path):
+        from repro.serving import PartitionServer
+
+        path = build_partition(small_run()).save(tmp_path / "bundle")
+        engine = open_engine()
+        engine.deploy("la", path)
+        direct = PartitionServer.from_artifact(path)
+        rng = np.random.default_rng(11)
+        xs, ys = rng.uniform(-2.0, 3.0, 300), rng.uniform(-2.0, 3.0, 300)
+        expected = direct.locate_points(xs, ys)
+        assert (expected == -1).any() and (expected >= 0).any()
+        np.testing.assert_array_equal(engine.locate_points("la", xs, ys), expected)
+
+
+@pytest.mark.parametrize(
+    "package",
+    [
+        "repro", "repro.api", "repro.experiments", "repro.io",
+        "repro.serving", "repro.serving.http", "repro.serving.codecs",
+    ],
+)
+def test_public_all_resolves(package):
+    """Every public ``__all__`` entry resolves, and none through a
+    warning: a name deleted from a module but left in its ``__all__``,
+    or kept only behind a deprecation ``__getattr__``, fails here."""
+    module = importlib.import_module(package)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in module.__all__:
+            assert hasattr(module, name), f"{package}.{name}"

@@ -96,9 +96,9 @@ class TestFairnessBehaviour:
 
 
 class TestRunnerIntegration:
-    def test_build_partitioner_supports_fair_quadtree(self):
-        from repro.experiments.runner import build_partitioner
+    def test_context_partitioner_supports_fair_quadtree(self):
+        from repro.experiments.runner import default_context
 
-        partitioner = build_partitioner("fair_quadtree", height=6)
+        partitioner = default_context().partitioner("fair_quadtree", 6)
         assert isinstance(partitioner, FairQuadTreePartitioner)
         assert partitioner.depth == 3

@@ -7,19 +7,16 @@ from repro.core.grid_reweighting import GridReweightingPartitioner
 from repro.core.iterative import IterativeFairKDTreePartitioner
 from repro.core.median_kdtree import MedianKDTreePartitioner
 from repro.core.multi_objective import MultiObjectiveFairKDTreePartitioner
-from repro.config import PartitionerConfig
 from repro.exceptions import ExperimentError
 from repro.experiments.runner import (
     PAPER_CITIES,
-    PAPER_METHODS,
     PAPER_MODELS,
     ExperimentContext,
     build_dataset,
-    build_partitioner,
-    build_partitioner_from_config,
     default_context,
     paper_context,
 )
+from repro.registry import PARTITIONERS
 
 
 class TestBuilders:
@@ -29,54 +26,39 @@ class TestBuilders:
         assert dataset.grid.shape == (8, 8)
         assert dataset.name == "houston"
 
-    def test_build_partitioner_dispatch(self):
-        assert isinstance(build_partitioner("median_kdtree", 4), MedianKDTreePartitioner)
-        assert isinstance(build_partitioner("fair_kdtree", 4), FairKDTreePartitioner)
-        assert isinstance(
-            build_partitioner("iterative_fair_kdtree", 4), IterativeFairKDTreePartitioner
-        )
-        assert isinstance(build_partitioner("grid_reweighting", 4), GridReweightingPartitioner)
-        assert isinstance(
-            build_partitioner("multi_objective_fair_kdtree", 4),
-            MultiObjectiveFairKDTreePartitioner,
-        )
+    @pytest.mark.parametrize(
+        "method, cls",
+        [
+            ("median_kdtree", MedianKDTreePartitioner),
+            ("fair_kdtree", FairKDTreePartitioner),
+            ("iterative_fair_kdtree", IterativeFairKDTreePartitioner),
+            ("grid_reweighting", GridReweightingPartitioner),
+            ("multi_objective_fair_kdtree", MultiObjectiveFairKDTreePartitioner),
+        ],
+    )
+    def test_context_partitioner_dispatch(self, method, cls):
+        partitioner = default_context().partitioner(method, 4)
+        assert isinstance(partitioner, cls)
 
-    def test_unknown_method_raises(self):
+    @pytest.mark.parametrize("engine", ["prefix_sum", "record_scan"])
+    def test_context_partitioner_threads_split_engine(self, engine):
+        context = default_context(split_engine=engine)
+        for method in ("median_kdtree", "fair_kdtree", "iterative_fair_kdtree"):
+            assert context.partitioner(method, 4).split_engine == engine
+
+    def test_context_partitioner_unknown_method_raises(self):
         with pytest.raises(ExperimentError):
-            build_partitioner("quadtree", 4)
+            default_context().partitioner("quadtree", 4)
 
-    def test_build_partitioner_threads_split_engine(self):
-        for engine in ("prefix_sum", "record_scan"):
-            for method in ("median_kdtree", "fair_kdtree", "iterative_fair_kdtree"):
-                assert build_partitioner(method, 4, split_engine=engine).split_engine == engine
-
-    def test_build_partitioner_from_config_honours_all_fields(self):
-        config = PartitionerConfig(
-            method="fair_kdtree", height=5, objective="total", split_engine="record_scan"
-        )
-        partitioner = build_partitioner_from_config(config)
-        assert isinstance(partitioner, FairKDTreePartitioner)
-        assert partitioner.height == 5
-        assert partitioner.split_engine == "record_scan"
-        assert partitioner._scorer.name == "total"
-
-        multi = build_partitioner_from_config(
-            PartitionerConfig(
-                method="multi_objective_fair_kdtree", height=3, alpha=(0.3, 0.7)
-            )
-        )
-        assert isinstance(multi, MultiObjectiveFairKDTreePartitioner)
-        assert multi.alphas == (0.3, 0.7)
-
-    def test_build_partitioner_from_config_rejects_zipcode(self):
+    def test_context_partitioner_rejects_zipcode(self):
         with pytest.raises(ExperimentError):
-            build_partitioner_from_config(PartitionerConfig(method="zipcode"))
+            default_context().partitioner("zipcode", 4)
 
 
 class TestContext:
     def test_paper_constants(self):
         assert PAPER_CITIES == ("los_angeles", "houston")
-        assert len(PAPER_METHODS) == 4
+        assert len(PARTITIONERS.paper_methods()) == 4
         assert set(PAPER_MODELS) == {"logistic_regression", "decision_tree", "naive_bayes"}
 
     def test_dataset_cached_per_city(self):
@@ -109,7 +91,7 @@ class TestContext:
     def test_context_is_dataclass_with_defaults(self):
         context = ExperimentContext()
         assert context.grid_rows == 32
-        assert context.methods == PAPER_METHODS
+        assert context.methods == PARTITIONERS.paper_methods()
         assert context.split_engine == "prefix_sum"
 
     def test_context_split_engine_override(self):

@@ -235,13 +235,3 @@ class TestB64Helpers:
         values = np.array([1.5, np.nan, -np.inf])
         decoded = decode_b64_array(encode_b64_array(values, "<f8"), "<f8", "xs_b64")
         assert decoded.tobytes() == values.astype("<f8").tobytes()
-
-    def test_http_shims_warn_and_delegate(self):
-        from repro.serving import http
-
-        values = np.array([1.0, 2.0])
-        with pytest.warns(DeprecationWarning, match="repro.serving.codecs"):
-            text = http.encode_b64_array(values, "<f8")
-        with pytest.warns(DeprecationWarning, match="repro.serving.codecs"):
-            decoded = http.decode_b64_array(text, "<f8", "xs_b64")
-        assert np.array_equal(decoded, values)

@@ -178,6 +178,44 @@ class TestTypedQueries:
                 LocateRequest(deployment="la", xs=(5.0,), ys=(0.1,), strict=True)
             )
 
+    @pytest.mark.parametrize("version", [None, 1, LATEST])
+    def test_typed_locate_matches_locate_batch(self, bundles, version):
+        xs, ys = (0.1, 0.9, 5.0, 0.55), (0.1, 0.9, 0.1, 0.3)
+        typed_engine, batch_engine = ServingEngine(), ServingEngine()
+        for engine in (typed_engine, batch_engine):
+            engine.deploy("la", bundles["v1"])
+            engine.deploy("la", bundles["v2"])
+            engine.rollback("la")
+        typed = typed_engine.locate(
+            LocateRequest(deployment="la", xs=xs, ys=ys, version=version)
+        )
+        batch_version, regions = batch_engine.locate_batch(
+            "la", np.array(xs), np.array(ys), version=version
+        )
+        assert typed.version == batch_version
+        assert typed.regions == tuple(regions.tolist())
+        assert typed.deployment == "la"
+        assert typed_engine.stats["deployments"]["la"] == \
+            batch_engine.stats["deployments"]["la"]
+        assert typed_engine.stats["deployments"]["la"]["located"] == 3
+
+    def test_typed_strict_failure_matches_locate_batch(self, bundles):
+        from repro.exceptions import GridError
+
+        typed_engine, batch_engine = ServingEngine(), ServingEngine()
+        for engine in (typed_engine, batch_engine):
+            engine.deploy("la", bundles["v1"])
+        with pytest.raises(GridError):
+            typed_engine.locate(
+                LocateRequest(deployment="la", xs=(0.1, 5.0), ys=(0.1, 0.1), strict=True)
+            )
+        with pytest.raises(GridError):
+            batch_engine.locate_batch(
+                "la", np.array([0.1, 5.0]), np.array([0.1, 0.1]), strict=True
+            )
+        assert typed_engine.stats["deployments"]["la"] == \
+            batch_engine.stats["deployments"]["la"]
+
     def test_range_request(self, bundles):
         engine = ServingEngine()
         engine.deploy("la", bundles["v2"])

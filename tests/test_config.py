@@ -7,10 +7,8 @@ import pytest
 import repro
 from repro.config import (
     DatasetConfig,
-    ExperimentConfig,
     GridConfig,
     ModelConfig,
-    PartitionerConfig,
     ServingConfig,
     PAPER_ACT_THRESHOLD,
     PAPER_ECE_BINS,
@@ -83,25 +81,6 @@ class TestModelConfig:
             ModelConfig(learning_rate=0.0)
 
 
-class TestPartitionerConfig:
-    def test_valid_methods(self):
-        config = PartitionerConfig(method="fair_kdtree", height=6)
-        assert config.height == 6
-
-    def test_invalid_method_raises(self):
-        with pytest.raises(ConfigurationError):
-            PartitionerConfig(method="rtree")
-
-    def test_negative_height_raises(self):
-        with pytest.raises(ConfigurationError):
-            PartitionerConfig(height=-1)
-
-    def test_alpha_must_sum_to_one(self):
-        PartitionerConfig(method="multi_objective_fair_kdtree", alpha=(0.5, 0.5))
-        with pytest.raises(ConfigurationError):
-            PartitionerConfig(method="multi_objective_fair_kdtree", alpha=(0.5, 0.6))
-
-
 class TestServingConfig:
     def test_defaults(self):
         config = ServingConfig()
@@ -120,20 +99,3 @@ class TestServingConfig:
         assert ServingConfig(backend="sparse").backend == "sparse"
         with pytest.raises(ConfigurationError, match="unknown locator backend"):
             ServingConfig(backend="rtree")
-
-
-class TestExperimentConfig:
-    def test_valid_configuration(self):
-        config = ExperimentConfig(name="fig7", dataset=DatasetConfig())
-        assert config.heights == PAPER_HEIGHTS
-        assert 0 < config.test_fraction < 1
-
-    def test_invalid_values_raise(self):
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig(name="", dataset=DatasetConfig())
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig(name="x", dataset=DatasetConfig(), test_fraction=0.0)
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig(name="x", dataset=DatasetConfig(), ece_bins=0)
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig(name="x", dataset=DatasetConfig(), heights=(4, -1))

@@ -153,50 +153,43 @@ class TestPointsCsv:
             write_points_csv(tmp_path / "p.csv", np.zeros(3), np.zeros(4))
 
 
-class TestGridSidecar:
-    """The mmap sidecar (``label_grid.npy``) behind shared-readers loads."""
+class TestLegacySidecar:
+    """Bundles may still carry the ``label_grid.npy`` mmap sidecar that
+    older releases wrote beside ``arrays.npz``; nothing reads it now."""
 
-    def test_sidecar_created_once_and_reused(self, partition, tmp_path):
-        from repro.io.artifacts import LABELS_SIDECAR_NAME, ensure_grid_sidecar
-
-        path = save_partition_artifact(partition, tmp_path / "bundle")
-        sidecar = ensure_grid_sidecar(path)
-        assert sidecar == path / LABELS_SIDECAR_NAME
-        first_stat = sidecar.stat()
-        assert ensure_grid_sidecar(path) == sidecar
-        assert sidecar.stat().st_mtime_ns == first_stat.st_mtime_ns  # no rewrite
-
-    def test_mmap_view_matches_the_loaded_grid_and_is_readonly(
+    def test_bundle_with_sidecar_loads_deploys_and_keeps_fingerprint(
         self, partition, tmp_path
     ):
-        from repro.io.artifacts import open_grid_mmap
+        from repro.api import open_engine
+        from repro.io.artifacts import bundle_fingerprint
 
         path = save_partition_artifact(partition, tmp_path / "bundle")
-        view = open_grid_mmap(path)
-        assert view.dtype == np.int64
-        np.testing.assert_array_equal(view, np.asarray(partition.label_grid))
-        with pytest.raises(ValueError):
-            view[0, 0] = 99
+        before = bundle_fingerprint(path)
+        # The old writer's layout: a raw int64 .npy of the label grid,
+        # staged under a .tmp name and renamed into place.
+        staging = path / "label_grid.npy.tmp"
+        with open(staging, "wb") as handle:
+            np.save(handle, np.asarray(partition.label_grid, dtype=np.int64))
+        staging.replace(path / "label_grid.npy")
 
-    def test_stale_sidecar_is_rebuilt_after_bundle_update(
-        self, partition, tmp_path
-    ):
-        import os
+        assert bundle_fingerprint(path) == before
+        loaded = load_partition_artifact(path).partition
+        np.testing.assert_array_equal(
+            np.asarray(loaded.label_grid), np.asarray(partition.label_grid)
+        )
+        engine = open_engine()
+        engine.deploy("legacy", path)
+        engine.deploy("plain", save_partition_artifact(partition, tmp_path / "plain"))
+        rng = np.random.default_rng(5)
+        xs, ys = rng.uniform(-6.0, 10.0, 400), rng.uniform(-1.0, 11.0, 400)
+        located = engine.locate_points("legacy", xs, ys)
+        assert (located >= 0).any() and (located == -1).any()
+        np.testing.assert_array_equal(located, engine.locate_points("plain", xs, ys))
 
-        from repro.io.artifacts import ensure_grid_sidecar, open_grid_mmap
-
+    def test_sidecar_contents_are_ignored(self, partition, tmp_path):
         path = save_partition_artifact(partition, tmp_path / "bundle")
-        sidecar = ensure_grid_sidecar(path)
-        # simulate an in-place bundle refresh: arrays.npz newer than sidecar
-        stale = sidecar.stat().st_mtime_ns - 10_000_000_000
-        os.utime(sidecar, ns=(stale, stale))
-        replacement = uniform_partition(partition.grid, 2, 2)
-        save_partition_artifact(replacement, path)
-        view = open_grid_mmap(path)
-        np.testing.assert_array_equal(view, np.asarray(replacement.label_grid))
-
-    def test_missing_bundle_fails_typed(self, tmp_path):
-        from repro.io.artifacts import ensure_grid_sidecar
-
-        with pytest.raises(PartitionError, match="arrays"):
-            ensure_grid_sidecar(tmp_path / "nope")
+        np.save(path / "label_grid.npy", np.full((3, 3), 7, dtype=np.int64))
+        loaded = load_partition_artifact(path).partition
+        np.testing.assert_array_equal(
+            np.asarray(loaded.label_grid), np.asarray(partition.label_grid)
+        )
