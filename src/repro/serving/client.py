@@ -13,7 +13,9 @@ callers never see it:
 
 * **connection reuse** — one persistent HTTP/1.1 connection per thread
   (``threading.local``), so a client shared across worker threads is safe
-  and each thread pays the TCP handshake once;
+  and each thread pays the TCP handshake once.  Each request leaves in
+  one ``sendall`` and each response head is read by the server's own
+  bounded reader (:func:`~repro.serving.http.read_headers`);
 * **retries** — idempotent requests (queries and reads) are retried with
   exponential backoff on connection-level failures; admin mutations are
   never retried (a replayed ``deploy`` would create a second version);
@@ -41,19 +43,18 @@ callers never see it:
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, BinaryIO, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..exceptions import ReproError, ServingError, TransportError
 from .codecs import Codec, JsonB64Codec, decode_b64_array, resolve_codec
-from .http import DEFAULT_PORT
+from .http import DEFAULT_PORT, MAX_LINE_BYTES, HeadError, read_headers
 from .protocol import LocateRequest, QueryResult, RangeRequest
 from .wire import WireConnection, error_to_exception
 
@@ -77,6 +78,95 @@ _DENSE_CODEC = JsonB64Codec()
 #: mapping lives once in :mod:`repro.serving.wire`; this name remains as
 #: the historical import point.
 _exception_for = error_to_exception
+
+
+class _HTTPConnection:
+    """One persistent HTTP/1.1 client connection, dialled on demand.
+
+    Not thread-safe by design: the client keeps one per thread.
+    :meth:`exchange` writes the request line, ``Host``, ``Content-Type``,
+    ``Content-Length`` and the body in one ``sendall`` and reads the
+    answer, which must carry ``Content-Length``.  End of stream, a
+    truncated body or a malformed head raise
+    :class:`~repro.exceptions.TransportError` (socket failures stay
+    :class:`OSError`) and close the connection, so the next exchange
+    dials fresh.  A ``Connection: close`` answer (or an HTTP/1.0 one
+    without keep-alive) closes it after the body is read.
+    """
+
+    def __init__(self, host: str, port: int, timeout: float) -> None:
+        self.host = host
+        self.port = port
+        self.timeout = timeout
+        self._host_header = f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+        self.sock: Optional[socket.socket] = None
+        self._rfile: Optional[BinaryIO] = None
+
+    def exchange(self, method: str, path: str, body: bytes) -> Tuple[int, bytes]:
+        """One request/response round trip -> ``(status, body)``."""
+        if self.sock is None:
+            self.sock = socket.create_connection(
+                (self.host, self.port), timeout=self.timeout
+            )
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._rfile = self.sock.makefile("rb")
+        head = (
+            f"{method} {path} HTTP/1.1\r\nHost: {self._host_header}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode("latin-1")
+        answered = False
+        try:
+            self.sock.sendall(head + body)
+            answer = self._read_response(self._rfile)
+            answered = True
+        finally:
+            # Whatever aborted the exchange left the stream position
+            # unknown: the next request must not read this one's answer.
+            if not answered:
+                self.close()
+        return answer
+
+    def _read_response(self, rfile: BinaryIO) -> Tuple[int, bytes]:
+        line = rfile.readline(MAX_LINE_BYTES + 1)
+        if not line:
+            raise TransportError("server closed the connection before answering")
+        version, _, rest = line.partition(b" ")
+        code = rest[:3]
+        if (
+            len(line) > MAX_LINE_BYTES
+            or version not in (b"HTTP/1.1", b"HTTP/1.0")
+            or not (code.isdigit() and rest[3:4] in (b" ", b"\r", b"\n"))
+        ):
+            raise TransportError(f"malformed HTTP status line {line[:80]!r}")
+        try:
+            headers = read_headers(rfile)
+        except HeadError as exc:
+            raise TransportError(f"malformed HTTP response head: {exc}") from exc
+        length = headers.get("content-length", "")
+        if not (length.isascii() and length.isdigit()):
+            raise TransportError(
+                f"HTTP response without a usable Content-Length ({length!r})"
+            )
+        size = int(length)
+        body = rfile.read(size)
+        if len(body) != size:
+            raise TransportError(
+                f"HTTP response body was truncated ({len(body)} of {length} bytes)"
+            )
+        connection = headers.get("connection", "").lower()
+        if connection == "close" or (
+            version == b"HTTP/1.0" and connection != "keep-alive"
+        ):
+            self.close()
+        return int(code), body
+
+    def close(self) -> None:
+        if self._rfile is not None:
+            self._rfile.close()
+        if self.sock is not None:
+            self.sock.close()
+        self.sock = self._rfile = None
 
 
 class ServingClient:
@@ -145,7 +235,7 @@ class ServingClient:
             # front so a typo fails at construction, not first query.
             self._requested = resolve_codec(transport).name
         self._local = threading.local()
-        self._connections: List[http.client.HTTPConnection] = []
+        self._connections: List[_HTTPConnection] = []
         self._connections_lock = threading.Lock()
         self._wire_connections: List[WireConnection] = []
         self._negotiate_lock = threading.Lock()
@@ -155,12 +245,10 @@ class ServingClient:
 
     # -- transport ------------------------------------------------------------
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> _HTTPConnection:
         connection = getattr(self._local, "connection", None)
         if connection is None:
-            connection = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
+            connection = _HTTPConnection(self.host, self.port, self.timeout)
             self._local.connection = connection
             with self._connections_lock:
                 self._connections.append(connection)
@@ -181,19 +269,19 @@ class ServingClient:
         path: str,
         payload: Optional[Dict[str, Any]] = None,
         retry: bool = True,
-        raw_body: Optional[Union[str, bytes]] = None,
+        raw_body: Optional[bytes] = None,
     ) -> Dict[str, Any]:
         """One HTTP exchange -> parsed JSON, with retries below the protocol.
 
         Only connection-level failures are retried (and only when
         ``retry`` — admin mutations pass ``False``): an HTTP response, even
         a 5xx, means the server made a decision, and replaying it is the
-        caller's call.  ``raw_body`` sends pre-encoded JSON text verbatim
+        caller's call.  ``raw_body`` sends pre-encoded UTF-8 JSON verbatim
         (the dense locate path assembles its own, skipping ``json.dumps``'s
         escaping scan over megabytes of base64).
         """
         body = raw_body if raw_body is not None else (
-            None if payload is None else json.dumps(payload)
+            b"" if payload is None else json.dumps(payload).encode("utf-8")
         )
         attempts = (self.retries if retry else 0) + 1
         last_error: Optional[Exception] = None
@@ -201,23 +289,15 @@ class ServingClient:
             if attempt:
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
             try:
-                connection = self._connection()
-                connection.request(
-                    method,
-                    path,
-                    body=body,
-                    headers={"Content-Type": "application/json"},
-                )
-                response = connection.getresponse()
-                raw = response.read()  # must drain before connection reuse
-            except (OSError, http.client.HTTPException) as exc:
+                status, raw = self._connection().exchange(method, path, body)
+            except (OSError, TransportError) as exc:
                 # Covers refused/reset connections, timeouts and protocol
                 # breakage; the stale keep-alive connection is dropped so
                 # the retry dials fresh.
                 self._drop_connection()
                 last_error = exc
                 continue
-            return self._parse(response.status, raw, path)
+            return self._parse(status, raw, path)
         raise TransportError(
             f"{method} {self.url}{path} failed after {attempts} attempt(s): "
             f"{last_error}"

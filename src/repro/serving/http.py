@@ -77,20 +77,30 @@ Concurrency: requests are handled on worker threads (a bounded pool when
 ``threads`` is given, one thread per connection otherwise); the engine's
 per-deployment read/write locks make hot-swaps atomic under that
 parallelism.  Every accepted connection runs with ``TCP_NODELAY``, like
-the wire plane's sockets: a response is written as headers then body,
-and with Nagle's algorithm on, the small body would wait ~40 ms for the
-client's delayed ACK of the headers on every request.
+the wire plane's sockets and the client's dialled ones.  A response is
+buffered whole and leaves in one ``sendall``, so Nagle's algorithm has
+nothing to hold back; the option stays for the one exchange that writes
+twice (the ``100 Continue`` interim answer, then the response), where
+the second write would otherwise wait ~40 ms for the peer's delayed ACK
+of the first.
+
+Framing: both ends read an HTTP/1.1 head with :func:`read_headers`, one
+bounded line loop (the stdlib's 64 KiB line and 100-header limits) into
+a dict keyed by lower-cased field name.  The stdlib's parser builds an
+``email.message.Message`` per head, which cost more than the engine work
+of a small typed read.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, BinaryIO, Dict, List, Optional, Tuple, Union
 
 from ..exceptions import (
     ConfigurationError,
@@ -134,6 +144,74 @@ logger = logging.getLogger(__name__)
 #: chunked by the client's batcher).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Longest request, status or header line either end reads, in bytes,
+#: and most header lines in one head: the stdlib's own limits.
+MAX_LINE_BYTES = 65536
+MAX_HEADERS = 100
+
+
+class HeadError(ValueError):
+    """An HTTP head :func:`read_headers` refuses; ``status`` is the answer
+    a server gives it (400 malformed, 431 too large)."""
+
+    def __init__(self, message: str, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+def read_headers(rfile: BinaryIO) -> Dict[str, str]:
+    """Read header lines up to the blank line that ends an HTTP head.
+
+    Returns the fields keyed by lower-cased name; a repeated field's
+    values are joined with ``", "``, so two different ``Content-Length``
+    values parse as neither.  End of stream ends the head, as in the
+    stdlib.  Raises :class:`HeadError` for a line over
+    :data:`MAX_LINE_BYTES`, more than :data:`MAX_HEADERS` lines, or a
+    line that is not ``name: value`` (obsolete line folding included).
+    """
+    headers: Dict[str, str] = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = rfile.readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            raise HeadError("header line too long", 431)
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, colon, value = line.partition(b":")
+        if not colon or not name or name != name.strip():
+            raise HeadError(f"malformed header line {line[:80]!r}")
+        key = name.decode("latin-1").lower()
+        text = value.strip().decode("latin-1")
+        headers[key] = f"{headers[key]}, {text}" if key in headers else text
+    raise HeadError(f"more than {MAX_HEADERS} header lines", 431)
+
+
+class _ResponseWriter(io.BufferedIOBase):
+    """The handler's ``wfile``: holds a response until ``flush()``, then
+    sends head and body in one ``sendall``.
+
+    ``handle_one_request`` flushes after each request; a request refused
+    while parsing closes the connection, and ``finish()`` flushes then.
+    """
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+        self._parts: List[bytes] = []
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data: bytes) -> int:
+        self._parts.append(data)
+        return len(data)
+
+    def flush(self) -> None:
+        if self._parts:
+            # Cleared before sending: a failed send must not be replayed
+            # by finish()'s flush on the way out.
+            parts, self._parts = self._parts, []
+            self._sock.sendall(parts[0] if len(parts) == 1 else b"".join(parts))
+
+
 #: Engine exception -> HTTP status.  The class *name* travels in the JSON
 #: error body and is what the client maps back; the status code is for
 #: generic HTTP middleboxes and curl users.
@@ -148,6 +226,20 @@ _STATUS_BY_EXCEPTION = (
 #: The codec behind the HTTP dense encoding — stateless, shared by every
 #: handler thread.  The same class serves ``json+b64`` on the wire plane.
 _DENSE_CODEC = JsonB64Codec()
+
+
+def _http_version(word: str) -> Optional[Tuple[int, int]]:
+    """``(major, minor)`` of a request line's ``HTTP/x.y``, or ``None``
+    where the stdlib answers 400 (not ``HTTP/``, not two short digit
+    runs)."""
+    if not word.startswith("HTTP/"):
+        return None
+    parts = word[5:].split(".")
+    if len(parts) != 2 or not all(
+        p.isascii() and p.isdigit() and len(p) <= 10 for p in parts
+    ):
+        return None
+    return int(parts[0]), int(parts[1])
 
 
 def _status_for(exc: BaseException) -> int:
@@ -179,11 +271,84 @@ class _Handler(BaseHTTPRequestHandler):
     timeout = 30.0
     disable_nagle_algorithm = True
     server: "ServingHTTPServer"
+    headers: Dict[str, str]  # type: ignore[assignment]
 
     # -- plumbing -------------------------------------------------------------
 
+    def setup(self) -> None:
+        super().setup()
+        self.wfile = _ResponseWriter(self.connection)
+
+    def parse_request(self) -> bool:
+        """The stdlib's request-line checks, heads read by :func:`read_headers`.
+
+        Same answers as :meth:`BaseHTTPRequestHandler.parse_request`: 400
+        for a bad request line or version, 505 for HTTP/2 and later, 431
+        for an over-long header line or too many headers, the HTTP/1.0
+        and HTTP/1.1 keep-alive defaults, ``Connection:
+        close``/``keep-alive``, and ``Expect: 100-continue``.  Two
+        differences: a malformed header line (no colon, obsolete line
+        folding) is refused with 400 where the stdlib skipped it, and the
+        400/505 version refusals carry a status line.  A refusal closes
+        the connection.  Header names in :attr:`headers` are lower-case.
+        """
+        self.command = None  # type: ignore[assignment]
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = _http_version(version)
+            # Set before refusing: the stdlib refuses a bad or too-new
+            # version as if it were HTTP/0.9, a body with no status line.
+            self.request_version = version
+            if number is None:
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            if number >= (2, 0):
+                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.close_connection = number < (1, 1)
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+        self.command = command
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        try:
+            self.headers = read_headers(self.rfile)
+        except HeadError as exc:
+            self.send_error(exc.status, str(exc))
+            return False
+        connection = self.headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (
+            self.headers.get("expect", "").lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            self.handle_expect_100()
+            # The client holds the body back until the interim answer
+            # arrives, so it cannot wait in the buffer for the final one.
+            self.wfile.flush()
+        return True
+
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        logger.debug("%s %s", self.address_string(), format % args)
+        # send_response logs every request: keep the formatting (and the
+        # address lookup) off the hot path unless DEBUG is on.
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("%s %s", self.address_string(), format % args)
 
     def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
         self._send_raw_json(status, json.dumps(payload))
@@ -211,7 +376,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _content_length(self) -> int:
         try:
-            return int(self.headers.get("Content-Length") or 0)
+            return int(self.headers.get("content-length") or 0)
         except ValueError as exc:
             # The body length is unknowable, so the stream cannot be
             # resynchronised — refuse and close.
@@ -316,16 +481,11 @@ class _Handler(BaseHTTPRequestHandler):
                     f"known: {', '.join(sorted(routes))}"
                 )
             handler(body) if with_body else handler()
-        except BrokenPipeError:  # client went away mid-response
-            pass
         except Exception as exc:  # repro: ignore[exception-discipline] -- dispatch boundary: every failure, expected or not, must become a JSON error response instead of a dropped connection
             status = _status_for(exc)
             if status == 500:
                 logger.exception("unhandled error serving %s", self.path)
-            try:
-                self._send_error_json(status, exc)
-            except BrokenPipeError:
-                pass
+            self._send_error_json(status, exc)
 
     def _get_healthz(self) -> None:
         self._send_json(

@@ -1,7 +1,10 @@
 """Tests for the HTTP transport: server endpoints, client semantics, errors."""
 
+import contextlib
+import http.client
 import json
 import socket
+import threading
 import time
 import urllib.request
 
@@ -212,8 +215,6 @@ class TestAdmin:
 
     def test_get_with_body_keeps_connection_usable(self, server):
         host, port = server.server_address[:2]
-        import http.client
-
         connection = http.client.HTTPConnection(host, port, timeout=10)
         try:
             # Unusual but legal: a GET with a body; the server must drain
@@ -230,8 +231,6 @@ class TestAdmin:
 
     def test_malformed_content_length_is_typed_and_closes(self, server):
         host, port = server.server_address[:2]
-        import socket
-
         with socket.create_connection((host, port), timeout=10) as sock:
             sock.sendall(
                 b"POST /v1/locate HTTP/1.1\r\nHost: x\r\n"
@@ -453,11 +452,12 @@ def _nodelay(sock: socket.socket) -> int:
 
 
 class TestSocketOptions:
-    """Both planes serve with Nagle off.
+    """Every accepted and dialled socket on both planes runs with Nagle off.
 
-    An HTTP response is written as two ``send()``s (headers, then body).
-    With Nagle on, the body waits for the client's delayed ACK of the
-    headers, a ~40 ms floor under every small request.
+    A request and a response each leave in one ``sendall`` today, but a
+    second small write (a response after its ``100 Continue`` interim
+    answer) would otherwise wait for the peer's delayed ACK of the
+    first, a ~40 ms floor under every such request.
     """
 
     @pytest.mark.parametrize("threads", [None, 2])
@@ -476,6 +476,11 @@ class TestSocketOptions:
             with _client(server) as client:
                 client.healthz()
         assert seen and all(seen)
+
+    def test_dialled_http_socket_sets_nodelay(self, server):
+        with _client(server) as client:
+            client.healthz()
+            assert _nodelay(client._connection().sock)
 
     def test_accepted_wire_socket_sets_nodelay(self, engine):
         with WireServer(engine, port=0).serve_background() as server:
@@ -508,6 +513,239 @@ class TestSocketOptions:
                 requests[i % len(requests)]()
             elapsed = time.perf_counter() - start
         assert elapsed < 0.8, f"40 small requests took {elapsed:.2f} s"
+
+
+def _read_response(rfile):
+    """One HTTP response off ``rfile``, head parsed by the stdlib as the
+    independent reference: ``(status, headers, body)``."""
+    status = int(rfile.readline().split()[1])
+    headers = http.client.parse_headers(rfile)
+    body = rfile.read(int(headers["Content-Length"]))
+    return status, headers, body
+
+
+@contextlib.contextmanager
+def _raw_connection(server):
+    host, port = server.server_address[:2]
+    with socket.create_connection((host, port), timeout=10) as sock:
+        with sock.makefile("rb") as rfile:
+            yield sock, rfile
+
+
+_LOCATE_BODY = json.dumps({"deployment": "la", "xs": [0.1, 0.9], "ys": [0.1, 0.9]})
+
+
+def _post_head(*headers: str, version: str = "HTTP/1.1") -> bytes:
+    lines = [f"POST /v1/locate {version}", "Host: x", *headers]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode()
+
+
+class TestRequestHead:
+    """The server's request-head reader: the stdlib's answers and keep-alive
+    rules, read without the stdlib's ``email`` parser."""
+
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+            (b"GET /v1/healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n", 431),
+            (
+                b"GET /v1/healthz HTTP/1.1\r\n"
+                + b"".join(b"X-%d: 1\r\n" % i for i in range(101))
+                + b"\r\n",
+                431,
+            ),
+            (b"GET /v1/healthz HTTP/2.0\r\n\r\n", 505),
+            (b"GET /v1/healthz HTTP/1.x\r\n\r\n", 400),
+            (b"GET /v1/healthz HTTP/1.1\r\nno colon here\r\n\r\n", 400),
+            (b"GET /v1/healthz HTTP/1.1\r\nX: 1\r\n Y: folded\r\n\r\n", 400),
+            (b"GET /v1/healthz HTTP/1.1\r\nHost : x\r\n\r\n", 400),
+        ],
+        ids=[
+            "long-request-line",
+            "long-header-line",
+            "too-many-headers",
+            "http2",
+            "bad-version",
+            "no-colon",
+            "obs-fold",
+            "space-before-colon",
+        ],
+    )
+    def test_refused_head_gets_its_status_and_closes(self, server, head, status):
+        with _raw_connection(server) as (sock, rfile):
+            sock.sendall(head)
+            line = rfile.readline()
+            assert int(line.split()[1]) == status
+            rest = rfile.read()  # the server closes: read to EOF
+        assert b"Connection: close" in rest
+
+    def test_http10_request_is_answered_then_closed(self, server):
+        with _raw_connection(server) as (sock, rfile):
+            sock.sendall(b"GET /v1/healthz HTTP/1.0\r\n\r\n")
+            status, headers, body = _read_response(rfile)
+            assert rfile.read() == b""
+        assert status == 200 and json.loads(body)["status"] == "ok"
+        assert headers["Connection"] == "close"
+
+    def test_http10_keep_alive_is_honoured(self, server):
+        with _raw_connection(server) as (sock, rfile):
+            for _ in range(2):
+                sock.sendall(
+                    b"GET /v1/healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+                )
+                status, headers, _ = _read_response(rfile)
+                assert status == 200 and "Connection" not in headers
+
+    def test_connection_close_is_honoured(self, server):
+        with _raw_connection(server) as (sock, rfile):
+            sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+            status, headers, _ = _read_response(rfile)
+            assert rfile.read() == b""
+        assert status == 200 and headers["Connection"] == "close"
+
+    def test_expect_100_continue_gets_interim_then_answer(self, engine, server):
+        body = _LOCATE_BODY.encode()
+        with _raw_connection(server) as (sock, rfile):
+            sock.sendall(
+                _post_head(f"Content-Length: {len(body)}", "Expect: 100-continue")
+            )
+            # The body is held back until the interim answer arrives.
+            assert rfile.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert rfile.readline() == b"\r\n"
+            sock.sendall(body)
+            status, _, answer = _read_response(rfile)
+        assert status == 200
+        expected = engine.locate(LocateRequest.from_dict(json.loads(body)))
+        assert QueryResult.from_dict(json.loads(answer)) == expected
+
+    def test_lower_case_content_length_is_accepted(self, engine, server):
+        body = _LOCATE_BODY.encode()
+        with _raw_connection(server) as (sock, rfile):
+            for _ in range(2):  # and the keep-alive stream stays in step
+                sock.sendall(
+                    _post_head(f"content-length: {len(body)}", "content-type: x")
+                    + body
+                )
+                status, _, answer = _read_response(rfile)
+                assert status == 200
+                assert json.loads(answer)["regions"] == list(
+                    engine.locate(LocateRequest.from_dict(json.loads(body))).regions
+                )
+
+    def test_conflicting_content_lengths_are_refused(self, server):
+        body = _LOCATE_BODY.encode()
+        with _raw_connection(server) as (sock, rfile):
+            sock.sendall(
+                _post_head(f"Content-Length: {len(body)}", "Content-Length: 1") + body
+            )
+            status, headers, answer = _read_response(rfile)
+        assert status == 400 and headers["Connection"] == "close"
+        assert json.loads(answer)["error"]["type"] == "ConfigurationError"
+
+
+@contextlib.contextmanager
+def _fake_server(answer: bytes):
+    """A listener that answers every request with ``answer`` and closes.
+
+    Yields ``(port, accepted)``; ``accepted`` counts the connections.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    stop = threading.Event()
+    accepted = []
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except socket.timeout:
+                continue
+            with conn:
+                accepted.append(conn)
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    chunk = conn.recv(65536)
+                    if not chunk:
+                        break
+                    request += chunk
+                conn.sendall(answer)
+                conn.shutdown(socket.SHUT_WR)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[1], accepted
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+        listener.close()
+    assert not thread.is_alive()
+
+
+class TestClientResilience:
+    def test_server_timed_out_keep_alive_redials_for_reads(
+        self, engine, monkeypatch
+    ):
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        with ServingHTTPServer(engine, port=0).serve_background() as server:
+            with _client(server, backoff=0.0) as client:
+                client.healthz()
+                first = client._connection()
+                time.sleep(0.6)  # the server closes the idle connection
+                assert client.healthz()["status"] == "ok"
+                assert client._connection() is not first
+
+    def test_no_retry_deploy_on_dead_connection_is_not_replayed(
+        self, engine, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        bundle = str(_bundle(tmp_path, "v2", 4))
+        with ServingHTTPServer(engine, port=0, admin=True).serve_background() as server:
+            with _client(server, backoff=0.0) as client:
+                client.healthz()
+                time.sleep(0.6)
+                with pytest.raises(TransportError, match="after 1 attempt"):
+                    client.deploy("la", bundle)
+                assert engine.describe("la")["versions"] == [1]
+                # The failed exchange dropped the dead socket: the next
+                # deploy dials fresh and lands exactly one new version.
+                assert client.deploy("la", bundle)["version"] == 2
+        assert engine.describe("la")["versions"] == [1, 2]
+
+    @pytest.mark.parametrize(
+        "answer",
+        [
+            b"garbage\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"status\"",
+            b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\n\r\n{}",
+            b"",
+        ],
+        ids=["garbage-status", "truncated-body", "long-header", "no-length", "eof"],
+    )
+    def test_broken_response_is_transport_error_after_retries(self, answer):
+        with _fake_server(answer) as (port, accepted):
+            client = ServingClient(port=port, retries=2, backoff=0.0, timeout=5.0)
+            start = time.perf_counter()
+            with pytest.raises(TransportError, match="after 3 attempt"):
+                client.healthz()
+            elapsed = time.perf_counter() - start
+            client.close()
+        assert len(accepted) == 3
+        assert elapsed < client.timeout
+
+    def test_connection_close_answer_is_honoured(self):
+        answer = (
+            b"HTTP/1.1 200 OK\r\nConnection: close\r\n"
+            b"Content-Length: 16\r\n\r\n{\"status\": \"ok\"}"
+        )
+        with _fake_server(answer) as (port, accepted):
+            # No retries: the second request succeeds only if the client
+            # closed the first connection instead of reusing it.
+            with ServingClient(port=port, retries=0) as client:
+                assert client.healthz() == client.healthz() == {"status": "ok"}
+        assert len(accepted) == 2
 
 
 class TestServerLifecycle:
