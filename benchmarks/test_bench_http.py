@@ -7,13 +7,15 @@ latency.  Five measurements on the production-shaped partition the other
 serving benchmarks use (Fair KD-tree h=8, 100k-record Los Angeles, 64x64
 grid):
 
-* **Single-client dispatch** — one 10^5-point batch three ways:
-  `ServingClient.locate_points` and the typed `ServingClient.locate`,
-  which both send the dense base64 encoding, and a raw `xs`/`ys` list
-  body POSTed to ``/v1/locate`` — the form `curl` and foreign clients
-  send — vs the same request answered by `engine.locate` in process.
-  The list form pays ~150 ms of JSON number formatting per batch; the
-  dense form replaces it with ~2 ms of base64.
+* **Single-client dispatch** — one 10^5-point batch four ways:
+  `ServingClient.locate_points` with a binary body (the default client,
+  which negotiates it) and with a ``json+b64`` body (a client pinned to
+  ``transport="json+b64"``), the typed `ServingClient.locate` (binary
+  body), and a raw `xs`/`ys` list body POSTed to ``/v1/locate`` — the
+  form `curl` and foreign clients send — vs the same request answered by
+  `engine.locate` in process.  The list form pays ~150 ms of JSON number
+  formatting per batch; ``json+b64`` replaces it with ~2 ms of base64,
+  and the binary body drops the base64 too.
 * **Small-request latency** — p50/p95 of `N_SMALL_REQUESTS` sequential
   typed `ServingClient.locate` calls of `SMALL_POINTS` points over one
   keep-alive connection.  Big batches hide a fixed per-request stall; this
@@ -21,16 +23,18 @@ grid):
   ~40 ms floor Nagle's algorithm x the client's delayed ACK puts on a
   two-write response when the server socket lacks ``TCP_NODELAY``.
 * **Sustained multi-client throughput** — `N_CLIENTS` threads, each with
-  its own connection, hammering 10^5-point `locate_points` batches.
-  Asserted: aggregate throughput within 3x of single-threaded in-process
-  protocol dispatch (the PR 6 acceptance bound).
+  its own connection, hammering 10^5-point `locate_points` batches with
+  the default client's binary body.  Asserted: aggregate throughput
+  within 3x of single-threaded in-process protocol dispatch (the
+  transport's acceptance bound).  The same load with ``json+b64``
+  bodies is a row of the table, not asserted.
 * **Binary wire dispatch** — the same 10^5-point `locate_points` batch
   over the length-prefixed binary framing (PR 10), against the in-process
   wire server (``wire_port=0``) and against ``workers=N_WORKERS``
   shared-memory worker processes.  Asserted: binary + workers throughput
   at least :data:`MIN_BINARY_SPEEDUP` x single-threaded in-process
-  protocol dispatch — raw float64 framing must beat the tuple-conversion
-  tax `engine.locate` pays on a protocol request.
+  protocol dispatch — two processes answering raw float64 frames must
+  outrun one `engine.locate` building the typed result in process.
 * **Hot-swap under load** — per-request latency of a busy client while an
   admin client hot-swaps the deployment 20 times; reports idle-vs-swapping
   p50/p95, and asserts the readers observed only whole versions (the
@@ -138,9 +142,9 @@ def test_http_serving_throughput_and_hot_swap(benchmark, output_dir, tmp_path):
     rng = np.random.default_rng(23)
     xs = rng.uniform(bounds.min_x, bounds.max_x, BATCH)
     ys = rng.uniform(bounds.min_y, bounds.max_y, BATCH)
-    request = LocateRequest(deployment="la", xs=tuple(xs), ys=tuple(ys))
+    request = LocateRequest(deployment="la", xs=xs, ys=ys)
     small_request = LocateRequest(
-        deployment="la", xs=tuple(xs[:SMALL_POINTS]), ys=tuple(ys[:SMALL_POINTS])
+        deployment="la", xs=xs[:SMALL_POINTS], ys=ys[:SMALL_POINTS]
     )
 
     rows = []
@@ -153,21 +157,30 @@ def test_http_serving_throughput_and_hot_swap(benchmark, output_dir, tmp_path):
         with ServingHTTPServer(engine, port=0).serve_background() as server, \
                 ThreadPoolExecutor(N_CLIENTS) as pool:
             host, port = server.server_address[:2]
-            with ServingClient(host=host, port=port, batch_size=BATCH) as client:
+            with ServingClient(host=host, port=port, batch_size=BATCH) as client, \
+                    ServingClient(
+                        host=host, port=port, batch_size=BATCH, transport="json+b64"
+                    ) as dense_client:
                 # -- single HTTP client, then N_CLIENTS sustained, each
                 # paired with in-process protocol dispatch (the baseline)
                 ratios, bests, answers = paired_ratios(
                     inproc,
                     {
-                        "dense": lambda: client.locate_points("la", xs, ys),
+                        "binary_body": lambda: client.locate_points("la", xs, ys),
+                        "dense": lambda: dense_client.locate_points("la", xs, ys),
                         "typed": lambda: client.locate(request),
                         "lists": lambda: QueryResult.from_dict(
                             client._request("POST", "/v1/locate", request.to_dict())
                         ),
                         "sustained": lambda: _sustained(pool, client, xs, ys),
+                        "dense_sustained": lambda: _sustained(
+                            pool, dense_client, xs, ys
+                        ),
                     },
                     REPEATS,
                 )
+                assert client._http_codec.name == "binary"
+                assert dense_client._http_codec.name == "json+b64"
                 small_latencies = []
                 for _ in range(N_SMALL_REQUESTS):
                     start = time.perf_counter()
@@ -177,6 +190,9 @@ def test_http_serving_throughput_and_hot_swap(benchmark, output_dir, tmp_path):
             assert np.array_equal(
                 answers["dense"], np.asarray(inproc_result.regions)
             ), "dense wire dispatch changed assignments"
+            assert np.array_equal(
+                answers["binary_body"], np.asarray(inproc_result.regions)
+            ), "binary-body dispatch changed assignments"
             assert answers["typed"] == inproc_result, (
                 "typed dense dispatch changed the result"
             )
@@ -192,8 +208,9 @@ def test_http_serving_throughput_and_hot_swap(benchmark, output_dir, tmp_path):
 
             for mode, name in (
                 ("in-process engine.locate", "baseline"),
+                ("HTTP 1 client (binary body)", "binary_body"),
                 ("HTTP 1 client (dense b64)", "dense"),
-                ("HTTP 1 client typed locate (dense)", "typed"),
+                ("HTTP 1 client typed locate (binary body)", "typed"),
                 ("HTTP 1 client (JSON lists)", "lists"),
             ):
                 rows.append(
@@ -216,14 +233,18 @@ def test_http_serving_throughput_and_hot_swap(benchmark, output_dir, tmp_path):
                     * 1000.0,
                 }
             )
-            rows.append(
-                {
-                    "mode": f"HTTP {N_CLIENTS} clients sustained",
-                    "points": total_points,
-                    "best_ms": bests["sustained"] * 1000.0,
-                    "mlookups_s": total_points / bests["sustained"] / 1e6,
-                }
-            )
+            for mode, name in (
+                (f"HTTP {N_CLIENTS} clients sustained (binary body)", "sustained"),
+                (f"HTTP {N_CLIENTS} clients sustained (dense b64)", "dense_sustained"),
+            ):
+                rows.append(
+                    {
+                        "mode": mode,
+                        "points": total_points,
+                        "best_ms": bests[name] * 1000.0,
+                        "mlookups_s": total_points / bests[name] / 1e6,
+                    }
+                )
 
         # -- binary wire: in-process server, then shared-memory workers ----
         expected = np.asarray(inproc_result.regions)
@@ -283,7 +304,7 @@ def test_http_serving_throughput_and_hot_swap(benchmark, output_dir, tmp_path):
         swap_engine = ServingEngine()
         swap_engine.deploy("la", str(bundle_a))
         small = LocateRequest(
-            deployment="la", xs=tuple(xs[:10_000]), ys=tuple(ys[:10_000])
+            deployment="la", xs=xs[:10_000], ys=ys[:10_000]
         )
         with ServingHTTPServer(swap_engine, port=0, admin=True).serve_background() as server:
             host, port = server.server_address[:2]
@@ -344,7 +365,7 @@ def test_http_serving_throughput_and_hot_swap(benchmark, output_dir, tmp_path):
     )
     table += (
         f"\nmedian of {REPEATS} paired rounds vs in-process engine.locate: "
-        f"sustained HTTP {results['slowdown']:.2f}x slower per point "
+        f"sustained HTTP (binary body) {results['slowdown']:.2f}x slower per point "
         f"(budget {MAX_SLOWDOWN:.1f}x); binary wire + {N_WORKERS} workers "
         f"{results['speedup']:.2f}x faster (floor {MIN_BINARY_SPEEDUP:.1f}x)"
     )

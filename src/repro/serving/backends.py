@@ -27,13 +27,14 @@ points of a non-strict locate — a guarantee enforced bit-exactly by
 The module also holds the two label-grid helpers every dense reader
 shares — the server, :class:`~repro.serving.sharding.ShardedDeployment`
 and the shared-memory workers: :func:`pad_labels` builds the padded grid
-their one ``take`` reads, and :func:`range_candidates` is the windowed
-first pass of every range query.
+their one ``take`` reads, and :func:`range_regions` answers every range
+query from the :func:`range_candidates` window and a table of region
+extents.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +49,7 @@ __all__ = [
     "SparseBandLocator",
     "pad_labels",
     "range_candidates",
+    "range_regions",
 ]
 
 
@@ -98,6 +100,28 @@ def range_candidates(
         return np.empty(0, dtype=np.int64)
     candidates = np.unique(labels[row_lo:row_hi, col_lo:col_hi])
     return candidates[candidates >= 0]
+
+
+def range_regions(
+    grid: Grid,
+    labels: np.ndarray,
+    extents: Sequence[BoundingBox],
+    query: BoundingBox,
+) -> List[int]:
+    """Indices of the regions whose extent intersects ``query``, in order.
+
+    The range query of every reader: :func:`range_candidates` reads the
+    candidates off the label window, and each passes the exact closed-box
+    ``intersects`` test against its box in ``extents`` (each reader builds
+    that table once), so no false positive survives.
+    Cost is the window area plus the handful of candidates, not the
+    region count.
+    """
+    return [
+        int(index)
+        for index in range_candidates(grid, labels, query)
+        if extents[index].intersects(query)
+    ]
 
 
 class LocatorBackend:

@@ -28,17 +28,23 @@ callers never see it:
   connection, dropped socket, non-JSON response) raises
   :class:`~repro.exceptions.TransportError`;
 * **transport negotiation** — ``transport="auto"`` (the default) probes
-  ``GET /v1/capabilities`` once and upgrades :meth:`locate_points` to the
+  ``GET /v1/capabilities`` once, before the first locate, and picks two
+  things from the answer.  :meth:`locate_points` moves to the
   length-prefixed binary wire protocol of :mod:`repro.serving.wire` when
-  the server advertises it, falling back to JSON over HTTP silently when
-  it does not (an old server without the endpoint answers 404, which is
-  the "JSON only" signal).  ``transport="binary"`` demands the upgrade
-  and fails typed when the server cannot; ``transport="json+b64"`` (or a
-  :class:`~repro.serving.codecs.Codec` instance) pins the JSON dense
-  encoding and never probes.  The capabilities probe rides the same
-  retry/backoff machinery as every read, and the wire handshake is
-  retried with the same policy — a connection blip during negotiation
-  degrades exactly like one during a query.
+  the server advertises a wire endpoint.  Every dense HTTP locate chunk
+  (typed :meth:`locate`, and :meth:`locate_points` without a wire) is
+  sent as a :class:`~repro.serving.codecs.BinaryCodec` body when the
+  server lists ``binary`` under ``http_codecs``, and as a ``json+b64``
+  body otherwise.  A server that predates either field gets the older
+  form silently (one without the endpoint answers 404, which is the
+  "JSON only" signal).  ``transport="binary"`` demands the wire upgrade
+  for :meth:`locate_points` and fails typed when the server cannot;
+  ``transport="json+b64"`` (or a :class:`~repro.serving.codecs.Codec`
+  instance) pins ``json+b64`` bodies over HTTP and never probes.  The
+  capabilities probe rides the same retry/backoff machinery as every
+  read, and the wire handshake is retried with the same policy — a
+  connection blip during negotiation degrades exactly like one during a
+  query.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from typing import Any, BinaryIO, Callable, Dict, List, Optional, Sequence, Tupl
 import numpy as np
 
 from ..exceptions import ReproError, ServingError, TransportError
-from .codecs import Codec, JsonB64Codec, decode_b64_array, resolve_codec
+from .codecs import BinaryCodec, Codec, JsonB64Codec, resolve_codec
 from .http import DEFAULT_PORT, MAX_LINE_BYTES, HeadError, read_headers
 from .protocol import LocateRequest, QueryResult, RangeRequest
 from .wire import WireConnection, error_to_exception
@@ -67,10 +73,10 @@ logger = logging.getLogger(__name__)
 #: the HTTP round-trip, small enough to keep per-request latency bounded.
 DEFAULT_BATCH_SIZE = 50_000
 
-#: The stateless codec behind the HTTP dense encoding — the same class
-#: the server negotiates as ``json+b64`` on the wire plane, so client
-#: and server bodies cannot drift.
+#: The stateless codecs of the two dense HTTP locate bodies — the same
+#: classes the server decodes with, so client and server cannot drift.
 _DENSE_CODEC = JsonB64Codec()
+_BINARY_CODEC = BinaryCodec()
 
 
 #: The typed exception a server-side JSON error body maps back to.  Both
@@ -102,7 +108,13 @@ class _HTTPConnection:
         self.sock: Optional[socket.socket] = None
         self._rfile: Optional[BinaryIO] = None
 
-    def exchange(self, method: str, path: str, body: bytes) -> Tuple[int, bytes]:
+    def exchange(
+        self,
+        method: str,
+        path: str,
+        body: bytes,
+        content_type: str = "application/json",
+    ) -> Tuple[int, bytes]:
         """One request/response round trip -> ``(status, body)``."""
         if self.sock is None:
             self.sock = socket.create_connection(
@@ -112,7 +124,7 @@ class _HTTPConnection:
             self._rfile = self.sock.makefile("rb")
         head = (
             f"{method} {path} HTTP/1.1\r\nHost: {self._host_header}\r\n"
-            "Content-Type: application/json\r\n"
+            f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n\r\n"
         ).encode("latin-1")
         answered = False
@@ -191,8 +203,8 @@ class ServingClient:
     transport:
         ``"auto"`` (default) negotiates the best transport the server
         offers — the binary wire protocol when advertised by
-        ``GET /v1/capabilities``, JSON over HTTP otherwise (including
-        against servers that predate the endpoint entirely).
+        ``GET /v1/capabilities``, HTTP otherwise (including against
+        servers that predate the endpoint entirely).
         ``"binary"`` requires the wire upgrade and raises
         :class:`~repro.exceptions.TransportError` when the server cannot
         provide it; ``"json+b64"`` (aliases ``"json"``, ``"dense"``, or a
@@ -200,9 +212,11 @@ class ServingClient:
         dense encoding over HTTP without probing.  Only the dense batch
         path (:meth:`locate_points`) rides the wire; typed requests and
         admin verbs always use HTTP.  Over HTTP, both :meth:`locate` and
-        :meth:`locate_points` send coordinates in the bit-exact dense
-        ``json+b64`` encoding; the ``xs``/``ys`` list form is for humans
-        and foreign clients.
+        :meth:`locate_points` send coordinates in a bit-exact dense
+        body: binary when the server lists it under ``http_codecs`` and
+        the client is not pinned to ``json+b64``, ``json+b64``
+        otherwise.  The ``xs``/``ys`` list form is for humans and
+        foreign clients.
 
     The client is usable as a context manager; :meth:`close` drops every
     thread's persistent connection.
@@ -242,6 +256,8 @@ class ServingClient:
         self._negotiated = False  # guarded-by: self._negotiate_lock
         self._wire_endpoint: Optional[Tuple[str, int]] = None
         self._codec_name = "json+b64"
+        # The dense HTTP locate body: json+b64 until the server lists binary.
+        self._http_codec: Codec = _DENSE_CODEC
 
     # -- transport ------------------------------------------------------------
 
@@ -269,35 +285,39 @@ class ServingClient:
         path: str,
         payload: Optional[Dict[str, Any]] = None,
         retry: bool = True,
-        raw_body: Optional[bytes] = None,
     ) -> Dict[str, Any]:
-        """One HTTP exchange -> parsed JSON, with retries below the protocol.
+        """One JSON exchange -> parsed JSON, with retries below the protocol."""
+        body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+        return self._parse(*self._exchange(method, path, body, retry=retry), path)
+
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        body: bytes,
+        retry: bool = True,
+        content_type: str = "application/json",
+    ) -> Tuple[int, bytes]:
+        """One HTTP exchange -> ``(status, body)``, with transport retries.
 
         Only connection-level failures are retried (and only when
         ``retry`` — admin mutations pass ``False``): an HTTP response, even
         a 5xx, means the server made a decision, and replaying it is the
-        caller's call.  ``raw_body`` sends pre-encoded UTF-8 JSON verbatim
-        (the dense locate path assembles its own, skipping ``json.dumps``'s
-        escaping scan over megabytes of base64).
+        caller's call.
         """
-        body = raw_body if raw_body is not None else (
-            b"" if payload is None else json.dumps(payload).encode("utf-8")
-        )
         attempts = (self.retries if retry else 0) + 1
         last_error: Optional[Exception] = None
         for attempt in range(attempts):
             if attempt:
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
             try:
-                status, raw = self._connection().exchange(method, path, body)
+                return self._connection().exchange(method, path, body, content_type)
             except (OSError, TransportError) as exc:
                 # Covers refused/reset connections, timeouts and protocol
                 # breakage; the stale keep-alive connection is dropped so
                 # the retry dials fresh.
                 self._drop_connection()
                 last_error = exc
-                continue
-            return self._parse(status, raw, path)
         raise TransportError(
             f"{method} {self.url}{path} failed after {attempts} attempt(s): "
             f"{last_error}"
@@ -392,34 +412,27 @@ class ServingClient:
     def _ensure_negotiated(self) -> None:
         """Resolve ``transport="auto"``/``"binary"`` against the server, once.
 
-        Thread-safe and idempotent; every dense query funnels through
-        here, so the capabilities probe happens at most once per client,
-        not per batch.
+        Thread-safe and idempotent; every locate funnels through here, so
+        the capabilities probe happens at most once per client, not per
+        batch.  It settles the wire endpoint (``codecs`` plus ``wire``)
+        and the dense HTTP body (``http_codecs``) together.
         """
         if self._negotiated:  # repro: ignore[lock-guarded-attrs] -- double-checked fast path: a stale False only re-enters the lock; bool loads never tear
             return
         with self._negotiate_lock:
             if self._negotiated:
                 return
-            if self._requested == "json+b64":
-                self._negotiated = True  # pinned: nothing to probe
-                return
-            capabilities = self.capabilities() or {}
-            wire = capabilities.get("wire")
-            offered = capabilities.get("codecs", [])
-            if wire and "binary" in offered:
-                self._wire_endpoint = (
-                    str(wire.get("host") or self.host),
-                    int(wire["port"]),
-                )
-                self._codec_name = "binary"
-            elif self._requested == "binary":
-                raise TransportError(
-                    "transport='binary' was requested but the server at "
-                    f"{self.url} does not offer a binary wire endpoint "
-                    "(it predates the wire protocol or runs without one); "
-                    "use transport='auto' to fall back to JSON over HTTP"
-                )
+            if self._requested != "json+b64":  # pinned: nothing to probe
+                capabilities = self.capabilities() or {}
+                wire = capabilities.get("wire")
+                if wire and "binary" in capabilities.get("codecs", []):
+                    self._wire_endpoint = (
+                        str(wire.get("host") or self.host),
+                        int(wire["port"]),
+                    )
+                    self._codec_name = "binary"
+                if "binary" in capabilities.get("http_codecs", []):
+                    self._http_codec = _BINARY_CODEC
             self._negotiated = True
 
     def _wire_connection(self) -> WireConnection:
@@ -496,19 +509,21 @@ class ServingClient:
     def locate(self, request: LocateRequest) -> QueryResult:
         """Answer one typed :class:`LocateRequest` over HTTP.
 
-        The coordinates travel in the dense encoding, through the same
-        chunked, version-pinned loop as :meth:`locate_points`: bit-exact,
-        no decimal float formatting, and a request above ``batch_size``
-        points is split and pinned to the version that answered its first
-        chunk.  Typed locates stay on HTTP even when the binary wire is
-        negotiated: a worker republishes after a deploy, so a wire answer
-        could report a version older than an HTTP answer already seen.
+        The request's float64 arrays travel as a dense body, through the
+        same chunked, version-pinned loop as :meth:`locate_points`:
+        bit-exact, no decimal float formatting, and a request above
+        ``batch_size`` points is split and pinned to the version that
+        answered its first chunk.  Typed locates stay on HTTP even when
+        the binary wire is negotiated: a worker republishes after a
+        deploy, so a wire answer could report a version older than an
+        HTTP answer already seen.
         """
+        self._ensure_negotiated()
         version, regions = self._locate_chunked(
             self._locate_chunk_http,
             request.deployment,
-            np.asarray(request.xs, dtype=float),
-            np.asarray(request.ys, dtype=float),
+            request.xs,
+            request.ys,
             request.strict,
             request.version,
         )
@@ -543,11 +558,9 @@ class ServingClient:
         version that answered it, so a hot-swap mid-batch cannot split the
         result across two partitions.
 
-        Coordinates cross the wire in the negotiated encoding: raw
-        little-endian float64/int64 frames on the binary wire transport,
-        base64 inside the JSON envelope over HTTP (the same encoding
-        :meth:`locate` uses) — both bit-exact, the binary form skipping
-        base64 and JSON entirely.
+        Coordinates cross in the negotiated encoding: raw little-endian
+        float64/int64 frames on the binary wire transport, otherwise the
+        dense HTTP body :meth:`locate` uses — all bit-exact.
         """
         # returns: int64[n]
         xs = np.asarray(xs, dtype=float)
@@ -558,6 +571,13 @@ class ServingClient:
                 f"got shapes {xs.shape} and {ys.shape}"
             )
         self._ensure_negotiated()
+        if self._wire_endpoint is None and self._requested == "binary":
+            raise TransportError(
+                "transport='binary' was requested but the server at "
+                f"{self.url} does not offer a binary wire endpoint "
+                "(it predates the wire protocol or runs without one); "
+                "use transport='auto' to fall back to HTTP"
+            )
         if self._wire_endpoint is not None:
             try:
                 return self._locate_chunked(
@@ -572,7 +592,7 @@ class ServingClient:
                 # HTTP plane can still answer.
                 logger.warning(
                     "binary wire transport failed (%s); falling back to "
-                    "JSON over HTTP", exc,
+                    "HTTP", exc,
                 )
                 self._wire_endpoint = None
                 self._codec_name = "json+b64"
@@ -622,31 +642,24 @@ class ServingClient:
         strict: Optional[bool],
         version: Optional[Union[int, str]],
     ) -> Tuple[int, np.ndarray]:
-        """One locate chunk as a dense ``json+b64`` HTTP request.
+        """One locate chunk as a dense HTTP body in the negotiated codec.
 
-        The codec assembles the body by hand rather than ``json.dumps``:
-        the base64 alphabet never needs escaping, and the escaping scan
-        over megabytes of it is measurable at benchmark sizes.
+        The answer comes back in the same codec; an error answers a JSON
+        error body under a non-200 status, raised here typed.
         """
-        body = _DENSE_CODEC.encode_request(
-            deployment, xs, ys, strict=strict, version=version
+        codec = self._http_codec
+        body = codec.encode_request(deployment, xs, ys, strict=strict, version=version)
+        status, raw = self._exchange(
+            "POST", "/v1/locate", body, content_type=codec.content_type
         )
-        answer = self._request("POST", "/v1/locate", raw_body=body)
-        answered = answer.get("version")
-        if isinstance(answered, bool) or not isinstance(answered, int):
-            raise TransportError(
-                f"malformed dense locate response: 'version' must be an "
-                f"integer, got {answered!r}"
-            )
+        if status != 200:
+            self._parse(status, raw, "/v1/locate")  # raises the error body typed
         try:
-            regions = decode_b64_array(
-                answer.get("regions_b64"), "<i8", "regions_b64"
-            )
+            return codec.decode_response(raw)
         except ReproError as exc:
             raise TransportError(
                 f"malformed dense locate response: {exc}"
             ) from exc
-        return answered, regions
 
     # -- admin ----------------------------------------------------------------
 

@@ -9,19 +9,21 @@ partitioner/backend registries).  Two codecs ship:
 
 * ``json+b64`` — the PR 5/6 wire format, byte-for-byte: a JSON object
   with ``xs_b64``/``ys_b64`` (base64 of raw little-endian float64) in and
-  ``regions_b64`` (base64 little-endian int64) out.  Every server since
-  PR 5 speaks it; it remains the HTTP transport's format and the
-  fallback when capability negotiation fails.
+  ``regions_b64`` (base64 little-endian int64) out.  Every HTTP server
+  speaks it; it is the fallback when capability negotiation fails.
 * ``binary`` — raw little-endian buffers with a fixed-layout prefix, no
   base64 and no JSON on the hot path.  A 10^5-point batch costs a
   struct pack plus two buffer writes instead of ~2 ms of base64 and a
   JSON scan; it is what the persistent-socket wire transport
-  (:mod:`repro.serving.wire`) negotiates by default.
+  (:mod:`repro.serving.wire`) negotiates by default, and the same bytes
+  are an HTTP ``/v1/locate`` body under :data:`BINARY_CONTENT_TYPE`.
 
 Both codecs canonicalise to the same :class:`DenseLocate` value and are
 property-tested bit-exact against each other — NaN payloads, signed
 infinities and off-map ``-1`` sentinels survive either encoding
-unchanged, because both move the raw IEEE-754/int64 bytes.
+unchanged, because both move the raw IEEE-754/int64 bytes.  Every
+server-side dense locate, on either transport and in either codec, is
+:func:`serve_locate`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import base64
 import binascii
 import json
 import struct
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -48,7 +50,13 @@ __all__ = [
     "resolve_codec",
     "codec_names",
     "require_finite_coords",
+    "serve_locate",
+    "BINARY_CONTENT_TYPE",
 ]
+
+#: The HTTP ``Content-Type`` of a :class:`BinaryCodec` body, request and
+#: answer alike.
+BINARY_CONTENT_TYPE = "application/x-repro-binary"
 
 
 def require_finite_coords(request: "DenseLocate") -> None:
@@ -63,6 +71,32 @@ def require_finite_coords(request: "DenseLocate") -> None:
     if (xs.size and not np.isfinite(xs).all()) or \
             (ys.size and not np.isfinite(ys).all()):
         raise ConfigurationError("locate coordinates must be finite")
+
+
+def serve_locate(
+    engine: Any, codec: "Codec", payload: Union[bytes, Mapping[str, Any]]
+) -> bytes:
+    """One dense locate, server side: the answer's payload in ``codec``.
+
+    Decode, refuse non-finite coordinates, answer through
+    ``engine.locate_batch`` (a :class:`~repro.serving.engine.ServingEngine`
+    or a worker's :class:`~repro.serving.workers.WorkerState`), encode
+    ``(version, regions)`` in the request's codec.  Every transport front
+    calls this one function: the HTTP body in either codec, the wire's
+    binary frame and its ``json+b64`` JSON frame.  ``payload`` is the
+    request bytes, or for ``json+b64`` the JSON object a transport already
+    parsed to route on it.
+    """
+    request = codec.decode_request(payload)
+    require_finite_coords(request)
+    version, regions = engine.locate_batch(
+        request.deployment,
+        request.xs,
+        request.ys,
+        strict=request.strict,
+        version=request.version,
+    )
+    return codec.encode_response(request.deployment, version, regions)
 
 
 def encode_b64_array(values: np.ndarray, dtype: str) -> str:
@@ -158,6 +192,9 @@ class Codec:
     #: Whether request payloads are JSON (control-frame compatible).
     json_payload = False
 
+    #: The HTTP ``Content-Type`` of this codec's bodies.
+    content_type = "application/json"
+
     def encode_request(
         self,
         deployment: str,
@@ -221,17 +258,15 @@ class JsonB64Codec(Codec):
         )
         return body.encode("utf-8")
 
-    def decode_request(self, payload: bytes) -> DenseLocate:
-        data = self._parse_object(payload)
+    def decode_request(self, payload: Union[bytes, Mapping[str, Any]]) -> DenseLocate:
+        """Decode the request bytes, or the JSON object already parsed
+        from them (transports parse a JSON body once, to route on it)."""
+        data = payload if isinstance(payload, Mapping) else self._parse_object(payload)
         return self.decode_request_fields(data)
 
     @staticmethod
-    def decode_request_fields(data: Dict[str, Any]) -> DenseLocate:
-        """Decode an already-parsed dense locate JSON object.
-
-        Split out so the HTTP handler, which parses the body once for
-        routing, can hand the dict over without re-serialising it.
-        """
+    def decode_request_fields(data: Mapping[str, Any]) -> DenseLocate:
+        """Decode an already-parsed dense locate JSON object."""
         allowed = {"kind", "deployment", "xs_b64", "ys_b64", "strict", "version"}
         unknown = sorted(set(data) - allowed)
         if unknown:
@@ -309,7 +344,7 @@ _VERSION_LATEST = -1
     "binary",
     aliases=("bin", "raw"),
     summary="length-prefixed raw little-endian float64/int64 buffers "
-    "(no base64/JSON on the hot path; needs the wire transport)",
+    "(no base64/JSON on the hot path; wire frames and HTTP locate bodies)",
 )
 class BinaryCodec(Codec):
     """Raw-buffer framing: the request *is* the coordinate memory.
@@ -321,6 +356,7 @@ class BinaryCodec(Codec):
     """
 
     name = "binary"
+    content_type = BINARY_CONTENT_TYPE
 
     def encode_request(
         self,

@@ -704,8 +704,8 @@ class ServingEngine:
         """Answer a typed :class:`LocateRequest` with a :class:`QueryResult`."""
         version, assignment = self.locate_batch(
             request.deployment,
-            np.asarray(request.xs, dtype=float),
-            np.asarray(request.ys, dtype=float),
+            request.xs,
+            request.ys,
             strict=request.strict,
             version=request.version,
         )

@@ -15,10 +15,11 @@ Endpoints
 
 ==========================  =====================================================
 ``GET  /v1/healthz``        liveness: ``{"status": "ok", "deployments": N}``
-``GET  /v1/capabilities``   transport negotiation: protocol version, codecs, wire
+``GET  /v1/capabilities``   negotiation: protocol version, codecs, http_codecs, wire
 ``GET  /v1/deployments``    the engine's deployment table (one row per name)
 ``GET  /v1/stats``          engine + cache counters
-``POST /v1/locate``         a ``LocateRequest`` dict -> ``QueryResult`` dict
+``POST /v1/locate``         a ``LocateRequest`` dict -> ``QueryResult`` dict, or a
+                            dense body (``json+b64`` or binary) answered in kind
 ``POST /v1/range``          a ``RangeRequest`` dict -> ``QueryResult`` dict
 ``POST /v1/deploy``         admin: ``{"name", "artifact", "shards"?}`` hot-swap
 ``POST /v1/rollback``       admin: ``{"name", "version"?}``
@@ -55,17 +56,30 @@ combined with a non-loopback bind.  When the server was given a
 ``manifest_path``, a successful admin mutation re-saves the manifest, so
 a restart serves what was last deployed.
 
-Large locate batches may use the **dense encoding**: instead of ``xs`` /
-``ys`` JSON number lists, the body carries ``xs_b64`` / ``ys_b64`` —
-base64 of the raw little-endian float64 coordinate arrays — and the
-response answers with ``regions_b64`` (base64 little-endian int64) instead
-of a ``regions`` list.  The envelope stays JSON and the values are
-bit-exact (binary float64 round-trips where decimal repr must be
-re-parsed), but marshalling a 10^5-point batch drops from ~150 ms of
-number formatting to ~2 ms of base64.  :class:`ServingClient` sends it
-for every HTTP locate, typed :meth:`~ServingClient.locate` and
-:meth:`~ServingClient.locate_points` alike; the list form remains for
-humans and foreign clients.
+Large locate batches may use a **dense body**, in one of two codecs of
+:mod:`repro.serving.codecs` (listed as ``http_codecs`` by
+``GET /v1/capabilities``):
+
+* ``json+b64``: instead of ``xs`` / ``ys`` JSON number lists, the JSON
+  body carries ``xs_b64`` / ``ys_b64`` — base64 of the raw little-endian
+  float64 coordinate arrays — and the answer carries ``regions_b64``
+  (base64 little-endian int64) instead of a ``regions`` list.
+  Marshalling a 10^5-point batch drops from ~150 ms of number formatting
+  to ~2 ms of base64.
+* ``binary``: a body of ``Content-Type: application/x-repro-binary`` is
+  the :class:`~repro.serving.codecs.BinaryCodec` request payload, the
+  same bytes as a wire locate frame's, and the answer is that codec's
+  response payload under the same content type.  No JSON, no base64.
+
+Both are bit-exact (binary float64 round-trips where decimal repr must be
+re-parsed), and both are answered by
+:func:`~repro.serving.codecs.serve_locate`, the dense locate the wire
+plane runs too.  Errors answer a JSON error body in either case; a
+binary body on any other endpoint is refused with 400.
+:class:`ServingClient` sends a dense body for every HTTP locate, typed
+:meth:`~ServingClient.locate` and :meth:`~ServingClient.locate_points`
+alike: binary when the server lists it, ``json+b64`` otherwise.  The list
+form remains for humans and foreign clients.
 
 Errors cross the wire as ``{"error": {"type": <exception class>,
 "message": ...}}`` with a mapped status code;
@@ -109,9 +123,11 @@ from ..exceptions import (
     ServingError,
 )
 from .codecs import (
+    BINARY_CONTENT_TYPE,
+    BinaryCodec,
     JsonB64Codec,
     codec_names,
-    require_finite_coords,
+    serve_locate,
 )
 from .engine import ServingEngine
 from .protocol import (
@@ -143,6 +159,11 @@ logger = logging.getLogger(__name__)
 #: 1e6-point locate batch is ~40 MB of JSON; anything bigger should be
 #: chunked by the client's batcher).
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Codecs ``POST /v1/locate`` takes as a dense body, advertised as
+#: ``http_codecs`` by ``GET /v1/capabilities``.  A server without the
+#: field takes ``json+b64`` only (``codecs`` lists the wire plane's).
+HTTP_LOCATE_CODECS = ("json+b64", "binary")
 
 #: Longest request, status or header line either end reads, in bytes,
 #: and most header lines in one head: the stdlib's own limits.
@@ -223,9 +244,10 @@ _STATUS_BY_EXCEPTION = (
 )
 
 
-#: The codec behind the HTTP dense encoding — stateless, shared by every
-#: handler thread.  The same class serves ``json+b64`` on the wire plane.
+#: The codecs behind the two dense locate bodies — stateless, shared by
+#: every handler thread, and the same classes the wire plane negotiates.
 _DENSE_CODEC = JsonB64Codec()
+_BINARY_CODEC = BinaryCodec()
 
 
 def _http_version(word: str) -> Optional[Tuple[int, int]]:
@@ -250,6 +272,21 @@ def _status_for(exc: BaseException) -> int:
         if isinstance(exc, exc_type):
             return status
     return 500
+
+
+def _json_object(raw: bytes) -> Dict[str, Any]:
+    """A request body parsed as the JSON object every JSON route takes."""
+    if not raw:
+        raise ConfigurationError("request body must be a JSON object")
+    try:
+        data = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"request body is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"request body must be a JSON object, got {type(data).__name__}"
+        )
+    return data
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -351,14 +388,13 @@ class _Handler(BaseHTTPRequestHandler):
             logger.debug("%s %s", self.address_string(), format % args)
 
     def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        self._send_raw_json(status, json.dumps(payload))
+        self._send_body(status, json.dumps(payload).encode("utf-8"))
 
-    def _send_raw_json(self, status: int, text: str) -> None:
-        self._send_json_bytes(status, text.encode("utf-8"))
-
-    def _send_json_bytes(self, status: int, body: bytes) -> None:
+    def _send_body(
+        self, status: int, body: bytes, content_type: str = "application/json"
+    ) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if self.close_connection:
             # Set when the request body was refused unread (e.g. oversize):
@@ -385,10 +421,10 @@ class _Handler(BaseHTTPRequestHandler):
                 f"malformed Content-Length header: {exc}"
             ) from exc
 
-    def _read_json_body(self) -> Dict[str, Any]:
+    def _read_body(self) -> bytes:
         length = self._content_length()
         if length <= 0:
-            raise ConfigurationError("request body must be a JSON object")
+            return b""
         if length > MAX_BODY_BYTES:
             # Refusing means leaving the body unread, which would poison a
             # reused connection — close it after the error response.
@@ -410,15 +446,12 @@ class _Handler(BaseHTTPRequestHandler):
             raise ConfigurationError(
                 f"request body was truncated ({len(raw)} of {length} bytes)"
             )
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"request body is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"request body must be a JSON object, got {type(data).__name__}"
-            )
-        return data
+        return raw
+
+    def _body_is_binary(self) -> bool:
+        """Whether the request declares the binary codec's content type."""
+        media_type = self.headers.get("content-type", "").partition(";")[0]
+        return media_type.strip().lower() == BINARY_CONTENT_TYPE
 
     def _drain_body(self) -> None:
         """Consume an unroutable request's body so keep-alive stays usable."""
@@ -461,19 +494,26 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _dispatch(self, routes: Dict[str, Any], with_body: bool = False) -> None:
         handler = routes.get(self.path)
-        body: Optional[Dict[str, Any]] = None
+        body: Any = None
         try:
-            if with_body:
+            if with_body and handler is not None:
                 # Read the body before *any* routing or permission decision:
                 # an error response sent while the body sits unread would
                 # corrupt the next request on this keep-alive connection.
-                if handler is not None:
-                    body = self._read_json_body()
+                body = self._read_body()
+                if not self._body_is_binary():
+                    body = _json_object(body)
+                elif self.path == "/v1/locate":
+                    handler = self._post_locate_binary
                 else:
-                    self._drain_body()
+                    raise ConfigurationError(
+                        f"{self.path} takes a JSON body; only /v1/locate "
+                        f"accepts {BINARY_CONTENT_TYPE}"
+                    )
             else:
-                # A GET carrying a body (unusual but legal) must still be
-                # consumed, or its bytes would prefix the next request.
+                # An unroutable body, or a GET carrying one (unusual but
+                # legal), must still be consumed, or its bytes would
+                # prefix the next request.
                 self._drain_body()
             if handler is None:
                 raise ServingError(
@@ -509,33 +549,21 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_locate(self, data: Dict[str, Any]) -> None:
         if "xs_b64" in data or "ys_b64" in data:
-            self._post_locate_dense(data)
+            # The dense encoding: the same engine dispatch, version/strict
+            # semantics and error mapping as the list form, answered by
+            # the one dense locate every transport shares.
+            self._send_body(200, serve_locate(self.server.engine, _DENSE_CODEC, data))
             return
         request = LocateRequest.from_dict(data)
         self._send_json(200, self.server.engine.locate(request).to_dict())
 
-    def _post_locate_dense(self, data: Dict[str, Any]) -> None:
-        """The dense-encoding locate: b64 float64 in, b64 int64 out.
-
-        Functionally identical to the list form (same engine dispatch,
-        same version/strict semantics, same error mapping) — only the
-        coordinate marshalling differs.  Field validation and response
-        assembly live in :class:`~repro.serving.codecs.JsonB64Codec`, the
-        same codec the wire transport negotiates, so the two transports'
-        JSON dense formats are one implementation and cannot drift.
-        """
-        dense = JsonB64Codec.decode_request_fields(data)
-        require_finite_coords(dense)
-        version, assignment = self.server.engine.locate_batch(
-            dense.deployment,
-            dense.xs,
-            dense.ys,
-            strict=dense.strict,
-            version=dense.version,
-        )
-        self._send_json_bytes(
+    def _post_locate_binary(self, payload: bytes) -> None:
+        """A :class:`~repro.serving.codecs.BinaryCodec` body, answered in
+        kind: the wire plane's locate frame payload, over HTTP."""
+        self._send_body(
             200,
-            _DENSE_CODEC.encode_response(dense.deployment, version, assignment),
+            serve_locate(self.server.engine, _BINARY_CODEC, payload),
+            BINARY_CONTENT_TYPE,
         )
 
     def _post_range(self, data: Dict[str, Any]) -> None:
@@ -766,6 +794,7 @@ class ServingHTTPServer(ThreadingHTTPServer):
         return {
             "protocol_version": PROTOCOL_VERSION,
             "codecs": codec_names(),
+            "http_codecs": list(HTTP_LOCATE_CODECS),
             "wire": wire,
             "admin": self.admin,
         }

@@ -25,10 +25,11 @@ version) — which the HTTP transport accepts on its admin endpoints and
 forwards to :meth:`~repro.serving.engine.ServingEngine.swap_shard` /
 :meth:`~repro.serving.engine.ServingEngine.rollback_shard`.
 
-The protocol is for transports and provenance, not the hot loop: a
-million-point batch should use the engine's array-native
-:meth:`~repro.serving.engine.ServingEngine.locate_points` directly and
-skip the tuple conversion these value objects perform.
+A :class:`LocateRequest` holds its coordinates as read-only float64
+arrays, so a transport hands them to a codec or the engine as they are.
+A :class:`QueryResult` still converts its regions to a tuple of ints;
+the engine's array-native
+:meth:`~repro.serving.engine.ServingEngine.locate_points` skips that.
 """
 
 from __future__ import annotations
@@ -116,7 +117,11 @@ class _JsonValue:
 class LocateRequest(_JsonValue):
     """Batch point location against a named deployment.
 
-    ``xs``/``ys`` are paired coordinates (canonicalised to float tuples);
+    ``xs``/``ys`` are paired finite coordinates, stored as read-only
+    float64 arrays copied once from whatever sequence or array the caller
+    passed, so a later change to the caller's array cannot reach the
+    request.  Two requests are equal when every field is, coordinates
+    compared by value (``-0.0 == 0.0``), and equal requests hash alike.
     ``strict = None`` defers to the engine's
     :attr:`~repro.config.ServingConfig.strict` default; ``version = None``
     queries the deployment's *active* version, an integer pins one, and
@@ -124,8 +129,8 @@ class LocateRequest(_JsonValue):
     """
 
     deployment: str
-    xs: Tuple[float, ...]
-    ys: Tuple[float, ...]
+    xs: np.ndarray
+    ys: np.ndarray
     strict: Optional[bool] = None
     version: Optional[Union[int, str]] = None
 
@@ -136,12 +141,10 @@ class LocateRequest(_JsonValue):
             raise ConfigurationError(
                 "LocateRequest coordinates must be numeric sequences, not strings"
             )
-        # Vectorised canonicalisation: batches are the point of this
-        # request, and a 10^5-point batch through per-element float() used
-        # to dominate transport dispatch time.
+        # np.array copies even a float64 array: the request owns its data.
         try:
-            xs = np.asarray(self.xs, dtype=float)
-            ys = np.asarray(self.ys, dtype=float)
+            xs = np.array(self.xs, dtype=np.float64)
+            ys = np.array(self.ys, dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as exc:
             # OverflowError: JSON admits integer literals beyond float64
             # range, and numpy raises it where per-element float() raised
@@ -162,8 +165,10 @@ class LocateRequest(_JsonValue):
         if (xs.size and not np.isfinite(xs).all()) or \
                 (ys.size and not np.isfinite(ys).all()):
             raise ConfigurationError("LocateRequest coordinates must be finite")
-        object.__setattr__(self, "xs", tuple(xs.tolist()))
-        object.__setattr__(self, "ys", tuple(ys.tolist()))
+        xs.flags.writeable = False
+        ys.flags.writeable = False
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
         if self.strict is not None and not isinstance(self.strict, bool):
             raise ConfigurationError("LocateRequest.strict must be a bool or None")
         _check_version("LocateRequest", self.version)
@@ -171,13 +176,34 @@ class LocateRequest(_JsonValue):
     def __len__(self) -> int:
         return len(self.xs)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.deployment == other.deployment
+            and self.strict == other.strict
+            and self.version == other.version
+            and np.array_equal(self.xs, other.xs)
+            and np.array_equal(self.ys, other.ys)
+        )
+
+    def __hash__(self) -> int:
+        # Adding 0.0 turns -0.0 into 0.0, so equal coordinates hash equal.
+        return hash((
+            self.deployment,
+            (self.xs + 0.0).tobytes(),
+            (self.ys + 0.0).tobytes(),
+            self.strict,
+            self.version,
+        ))
+
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready dict; ``None`` fields are omitted for compactness."""
         data: Dict[str, Any] = {
             "kind": "locate",
             "deployment": self.deployment,
-            "xs": list(self.xs),
-            "ys": list(self.ys),
+            "xs": self.xs.tolist(),
+            "ys": self.ys.tolist(),
         }
         if self.strict is not None:
             data["strict"] = self.strict

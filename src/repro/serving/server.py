@@ -26,7 +26,7 @@ artifact bundle (:meth:`from_artifact`), which is how the
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from ..io.artifacts import load_partition_artifact
 from ..registry import BACKENDS
 from ..spatial.geometry import BoundingBox
 from ..spatial.partition import Partition, masked_cell_lookup
-from .backends import range_candidates
+from .backends import range_regions
 
 
 def region_counts_from_assignment(assignment: np.ndarray, n_regions: int) -> np.ndarray:
@@ -88,6 +88,8 @@ class PartitionServer:
         self._backend_entry = BACKENDS.resolve(self._config.backend)
         self._index: Any = None
         self._spec: Any = None
+        # Region extent boxes, built by the first range query.
+        self._extents: Optional[Tuple[BoundingBox, ...]] = None
 
     @property
     def _backend(self) -> Any:
@@ -222,20 +224,14 @@ class PartitionServer:
         """Indices of all regions whose extent intersects ``query``.
 
         Semantically identical to :func:`repro.spatial.queries.range_query`
-        (closed boxes: touching counts, region order preserved), but instead
-        of testing every region it reads the candidate region indices off
-        the label grid's cell window under the query box
-        (:func:`~repro.serving.backends.range_candidates`); candidates then
-        pass the exact ``bounds.intersects`` test, so no false positives
-        survive.  Cost is proportional to the window area plus the handful
-        of candidates, not to the total region count.
+        (closed boxes: touching counts, region order preserved), but
+        answered by :func:`~repro.serving.backends.range_regions`: the
+        candidates under the query's label window, tested against this
+        server's table of region extents, built once by the first query.
         """
-        regions = self._partition.regions
-        return [
-            int(index)
-            for index in range_candidates(self._grid, self._labels, query)
-            if regions[index].bounds.intersects(query)
-        ]
+        if self._extents is None:
+            self._extents = tuple(region.bounds for region in self._partition.regions)
+        return range_regions(self._grid, self._labels, self._extents, query)
 
     # -- aggregates --------------------------------------------------------------
 

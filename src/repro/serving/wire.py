@@ -65,9 +65,8 @@ from .codecs import (
     BinaryCodec,
     Codec,
     JsonB64Codec,
-    codec_names,
-    require_finite_coords,
     resolve_codec,
+    serve_locate,
 )
 from .locks import new_lock
 from .protocol import PROTOCOL_VERSION, Envelope
@@ -283,30 +282,6 @@ def _negotiate(
     )
 
 
-def _handle_locate(sock: socket.socket, engine: Any, codec: Codec, payload: bytes,
-                   binary: bool) -> None:
-    """Decode one dense locate, dispatch it, answer in the same codec."""
-    request = (_BINARY if binary else _JSON_CODEC).decode_request(payload)
-    require_finite_coords(request)
-    version, assignment = engine.locate_batch(
-        request.deployment,
-        request.xs,
-        request.ys,
-        strict=request.strict,
-        version=request.version,
-    )
-    if binary:
-        send_frame(
-            sock, FRAME_RESULT, _BINARY.encode_response(request.deployment, version, assignment)
-        )
-    else:
-        send_frame(
-            sock,
-            FRAME_JSON,
-            _JSON_CODEC.encode_response(request.deployment, version, assignment),
-        )
-
-
 _ADMIN_OPS = ("swap-shard", "rollback-shard", "deploy", "rollback")
 
 
@@ -336,20 +311,7 @@ def _handle_control(sock: socket.socket, engine: Any, codec: Codec,
         return
     if "xs_b64" in data or "ys_b64" in data:
         # The json+b64 codec's dense locate, arriving as a JSON frame.
-        request = JsonB64Codec.decode_request_fields(data)
-        require_finite_coords(request)
-        version, assignment = engine.locate_batch(
-            request.deployment,
-            request.xs,
-            request.ys,
-            strict=request.strict,
-            version=request.version,
-        )
-        send_frame(
-            sock,
-            FRAME_JSON,
-            _JSON_CODEC.encode_response(request.deployment, version, assignment),
-        )
+        send_frame(sock, FRAME_JSON, serve_locate(engine, _JSON_CODEC, data))
         return
     if data.get("kind") in _ADMIN_OPS:
         raise ServingError(
@@ -417,7 +379,7 @@ def serve_connection(
                         "binary locate frame on a connection that "
                         f"negotiated the {codec.name!r} codec"
                     )
-                _handle_locate(sock, engine, codec, payload, binary=True)
+                send_frame(sock, FRAME_RESULT, serve_locate(engine, _BINARY, payload))
             elif kind == FRAME_JSON:
                 _handle_control(
                     sock, engine, codec, _parse_json_frame(payload), info

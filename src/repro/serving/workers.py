@@ -29,8 +29,9 @@ discipline above is the whole synchronisation story.
 
 Crash containment: a worker that dies (segfault, OOM-kill, ``kill -9``)
 takes only its in-flight connections with it; the parent's monitor
-thread notices the dead child over its process sentinel and forks a
-replacement attached to the current segments.  Clients see a reset
+thread checks every worker at least every 0.2 s (a death wakes it at
+once, over the process sentinel) and forks a replacement attached to
+the current segments.  Clients see a reset
 connection, and :class:`~repro.serving.client.ServingClient` redials —
 the kernel hands the new connection to a live worker.
 
@@ -57,7 +58,7 @@ from ..exceptions import ConfigurationError, ReproError, ServingError
 from ..spatial.geometry import BoundingBox
 from ..spatial.grid import Grid
 from ..spatial.region import GridRegion
-from .backends import pad_labels, range_candidates
+from .backends import pad_labels, range_regions
 from .locks import new_lock
 from .protocol import LATEST, LocateRequest, QueryResult, RangeRequest
 from .wire import serve_connection
@@ -69,6 +70,10 @@ logger = logging.getLogger(__name__)
 #: How long :meth:`WorkerPool.publish` waits for each worker to
 #: acknowledge a swap before deferring the old segment's unlink.
 ACK_TIMEOUT = 5.0
+
+#: Shortest time between two respawn passes of the pool's monitor, in
+#: seconds.
+RESPAWN_PAUSE = 0.05
 
 #: Backend name workers report: the shared dense label grid.
 WORKER_BACKEND = "shared-dense"
@@ -119,12 +124,12 @@ class _WorkerDeployment:
         labels.flags.writeable = False  # readers, by contract
         self.labels = labels
         extents = np.asarray(export["extents"], dtype=np.int64)
-        self.region_bounds = [
+        self.region_bounds = tuple(
             GridRegion(
                 self.grid, int(r0), int(r1), int(c0), int(c1)
             ).bounds
             for r0, r1, c0, c1 in extents
-        ]
+        )
         self.n_regions = len(self.region_bounds)
         self.source = export.get("source")
 
@@ -251,8 +256,8 @@ class WorkerState:
         """Typed locate (the wire control plane's list form)."""
         version, assignment = self.locate_batch(
             request.deployment,
-            np.asarray(request.xs, dtype=float),
-            np.asarray(request.ys, dtype=float),
+            request.xs,
+            request.ys,
             strict=request.strict,
             version=request.version,
         )
@@ -266,18 +271,14 @@ class WorkerState:
     def range_query(self, request: RangeRequest) -> QueryResult:
         """Regions intersecting the request box, off the shared labels.
 
-        The same windowed algorithm as
-        :meth:`~repro.serving.server.PartitionServer.range_query`:
-        :func:`~repro.serving.backends.range_candidates`, then exact
-        ``intersects`` tests on the candidates.
+        The same :func:`~repro.serving.backends.range_regions` as
+        :meth:`~repro.serving.server.PartitionServer.range_query`, over
+        the snapshot's extent table.
         """
         entry = self._resolve(request.deployment, request.version)
-        query = request.bounds
-        regions = [
-            int(index)
-            for index in range_candidates(entry.grid, entry.labels, query)
-            if entry.region_bounds[index].intersects(query)
-        ]
+        regions = range_regions(
+            entry.grid, entry.labels, entry.region_bounds, request.bounds
+        )
         with self._counter_lock:
             self._queries += 1
         return QueryResult(
@@ -535,29 +536,24 @@ class WorkerPool:
         return process, parent_conn
 
     def _monitor_loop(self) -> None:
-        """Respawn workers that die until the pool is closing."""
-        while not self._closing.is_set():
+        """Respawn workers that die until the pool is closing.
+
+        Every pass checks *every* worker, then sleeps on their sentinels
+        until one dies or 0.2 s pass.  The sentinel wait only shortens
+        the sleep: a worker that died while the monitor was not waiting
+        on it (between two waits, or before the first) is found by the
+        next pass's check all the same.  A pass that respawned pauses
+        :data:`RESPAWN_PAUSE` first, so a worker that dies at once cannot
+        turn the loop into a fork loop.
+        """
+        while True:
+            respawned = False
             with self._lock:
-                sentinels = {
-                    process.sentinel: index
-                    for index, (process, _) in enumerate(self._children)
-                    if process.is_alive()
-                }
-            if not sentinels:
-                if self._closing.wait(timeout=0.2):
+                if self._closing.is_set():
                     return
-                continue
-            ready = multiprocessing.connection.wait(
-                list(sentinels), timeout=0.2
-            )
-            if self._closing.is_set():
-                return
-            for sentinel in ready:
-                index = sentinels[sentinel]
-                with self._lock:
-                    process, conn = self._children[index]
+                for index, (process, conn) in enumerate(self._children):
                     if process.is_alive():
-                        continue  # raced a respawn
+                        continue
                     logger.warning(
                         "wire worker %d (pid %s) died with exit code %s; "
                         "respawning",
@@ -568,6 +564,11 @@ class WorkerPool:
                     except OSError:  # pragma: no cover - close is best-effort
                         pass
                     self._children[index] = self._spawn_locked(index)
+                    respawned = True
+                sentinels = [process.sentinel for process, _ in self._children]
+            if respawned and self._closing.wait(RESPAWN_PAUSE):
+                return
+            multiprocessing.connection.wait(sentinels, timeout=0.2)
 
     def publish(self) -> None:
         """Push the engine's current deployments to every worker.

@@ -4,6 +4,7 @@ import contextlib
 import http.client
 import json
 import socket
+import struct
 import threading
 import time
 import urllib.request
@@ -29,7 +30,8 @@ from repro.serving import (
     WireServer,
     serve_engine,
 )
-from repro.serving.http import _Handler
+from repro.serving.codecs import BINARY_CONTENT_TYPE, BinaryCodec, JsonB64Codec
+from repro.serving.http import MAX_BODY_BYTES, _Handler
 from repro.spatial.grid import Grid
 from repro.spatial.partition import uniform_partition
 
@@ -322,24 +324,40 @@ class TestClient:
 
 
 def _spy_locate_bodies(client, after_first=None):
-    """Record every ``/v1/locate`` body ``client`` sends, decoded as JSON.
+    """Record every ``/v1/locate`` body ``client`` sends.
 
-    ``after_first`` runs once, right after the first locate answer — the
-    seam between the chunks of a split batch.
+    Each entry is ``(content type, body bytes)``; :func:`_decode_body`
+    reads one back.  ``after_first`` runs once, right after the first
+    locate answer — the seam between the chunks of a split batch.
     """
     bodies = []
-    send = client._request
+    send = client._exchange
 
-    def spy(method, path, payload=None, retry=True, raw_body=None):
-        answer = send(method, path, payload, retry=retry, raw_body=raw_body)
+    def spy(method, path, body, retry=True, content_type="application/json"):
+        answer = send(method, path, body, retry=retry, content_type=content_type)
         if path == "/v1/locate":
-            bodies.append(json.loads(raw_body) if raw_body is not None else payload)
+            bodies.append((content_type, body))
             if len(bodies) == 1 and after_first is not None:
                 after_first()
         return answer
 
-    client._request = spy
+    client._exchange = spy
     return bodies
+
+
+def _decode_body(sent):
+    """A spied locate body as the codec's decoded request."""
+    content_type, body = sent
+    if content_type == BINARY_CONTENT_TYPE:
+        return BinaryCodec().decode_request(body)
+    assert content_type == "application/json"
+    return JsonB64Codec().decode_request(body)
+
+
+#: ``transport=`` of a client sending each dense body to a server that
+#: lists both: ``auto`` picks binary, ``json+b64`` pins the JSON body.
+BODY_TRANSPORTS = {"binary": "auto", "json+b64": "json+b64"}
+BODY_CONTENT_TYPES = {"binary": BINARY_CONTENT_TYPE, "json+b64": "application/json"}
 
 
 def _edge_coordinates():
@@ -353,15 +371,25 @@ def _edge_coordinates():
 
 
 class TestTypedLocate:
-    def test_sends_the_dense_encoding(self, engine, server):
+    @pytest.mark.parametrize("codec", sorted(BODY_TRANSPORTS))
+    def test_sends_the_dense_encoding(self, engine, server, codec):
         request = LocateRequest(deployment="la", xs=(0.1, 0.9), ys=(0.1, 0.9))
-        with _client(server) as client:
+        with _client(server, transport=BODY_TRANSPORTS[codec]) as client:
             bodies = _spy_locate_bodies(client)
             result = client.locate(request)
         assert result == engine.locate(request)
         assert len(bodies) == 1
-        assert {"xs_b64", "ys_b64"} <= set(bodies[0])
-        assert not {"xs", "ys"} & set(bodies[0])
+        content_type, body = bodies[0]
+        assert content_type == BODY_CONTENT_TYPES[codec]
+        if codec == "json+b64":
+            data = json.loads(body)
+            assert {"xs_b64", "ys_b64"} <= set(data)
+            assert not {"xs", "ys"} & set(data)
+        else:
+            assert body == BinaryCodec().encode_request("la", request.xs, request.ys)
+        decoded = _decode_body(bodies[0])
+        assert decoded.xs.tobytes() == request.xs.tobytes()
+        assert decoded.ys.tobytes() == request.ys.tobytes()
 
     def test_edge_coordinates_bit_equal_to_in_process(self, engine, server):
         xs, ys = _edge_coordinates()
@@ -398,39 +426,54 @@ class TestTypedLocate:
                 assert result.version == answered
                 assert result == engine.locate(request)
 
+    @pytest.mark.parametrize("codec", sorted(BODY_TRANSPORTS))
     def test_split_request_pins_one_version_across_hot_swap(
-        self, engine, server, tmp_path
+        self, engine, server, tmp_path, codec
     ):
         request = LocateRequest(
-            deployment="la", xs=tuple(np.full(10, 0.9)), ys=tuple(np.full(10, 0.9))
+            deployment="la", xs=np.full(10, 0.9), ys=np.full(10, 0.9)
         )
         v1 = engine.locate(request)
-        with _client(server, batch_size=4) as client:
+        with _client(server, batch_size=4, transport=BODY_TRANSPORTS[codec]) as client:
             bodies = _spy_locate_bodies(
                 client,
                 after_first=lambda: engine.deploy("la", _bundle(tmp_path, "v2", 4)),
             )
             result = client.locate(request)
         # 10 points at batch_size 4 -> 3 requests, the last two pinned to v1.
-        assert [len(body["xs_b64"]) for body in bodies] == [44, 44, 24]
-        assert "version" not in bodies[0]
-        assert [body["version"] for body in bodies[1:]] == [1, 1]
+        assert {content_type for content_type, _ in bodies} == {
+            BODY_CONTENT_TYPES[codec]
+        }
+        decoded = [_decode_body(sent) for sent in bodies]
+        assert [len(body.xs) for body in decoded] == [4, 4, 2]
+        assert [body.version for body in decoded] == [None, 1, 1]
         assert result == v1
         assert engine.locate(request).version == 2
         assert engine.locate(request).regions != v1.regions
 
     @pytest.mark.parametrize(
-        "answer",
+        "codec, answer",
         [
-            {"version": 1, "regions_b64": "not base64!"},
-            {"regions_b64": ""},
-            {"version": "1", "regions_b64": ""},
+            pytest.param("json+b64", {"version": 1, "regions_b64": "not base64!"},
+                         id="answer0"),
+            pytest.param("json+b64", {"regions_b64": ""}, id="answer1"),
+            pytest.param("json+b64", {"version": "1", "regions_b64": ""}, id="answer2"),
+            pytest.param("json+b64", [1, 2], id="json-not-an-object"),
+            pytest.param("binary", b"\x01\x00\x00", id="binary-short-prefix"),
+            pytest.param("binary", struct.pack("<qI", 1, 2) + b"\x00" * 8,
+                         id="binary-missing-assignment"),
+            pytest.param("binary", struct.pack("<qI", 1, 0) + b"\x00" * 8,
+                         id="binary-extra-assignment"),
         ],
     )
-    def test_malformed_dense_answer_is_transport_error(self, server, answer):
+    def test_malformed_dense_answer_is_transport_error(self, server, codec, answer):
         request = LocateRequest(deployment="la", xs=(), ys=())
-        with _client(server, transport="json+b64") as client:
-            client._request = lambda *args, **kwargs: answer
+        if not isinstance(answer, bytes):
+            answer = json.dumps(answer).encode("utf-8")
+        with _client(server, transport=BODY_TRANSPORTS[codec]) as client:
+            client._ensure_negotiated()
+            assert client._http_codec.name == codec
+            client._exchange = lambda *args, **kwargs: (200, answer)
             with pytest.raises(TransportError, match="malformed dense locate"):
                 client.locate(request)
             with pytest.raises(TransportError, match="malformed dense locate"):
@@ -445,6 +488,236 @@ class TestTypedLocate:
         assert "regions_b64" not in listed
         assert listed["regions"] == list(dense.regions)
         assert QueryResult.from_dict(listed) == dense
+
+
+def _in_map_coordinates():
+    """Points strictly inside the unit map, for strict locates."""
+    rng = np.random.default_rng(11)
+    return tuple(rng.uniform(0.01, 0.99, 17)), tuple(rng.uniform(0.01, 0.99, 17))
+
+
+def _raw_exchange(server, head: bytes, body: bytes, shut_write: bool = False):
+    """Send ``head`` + ``body`` on a fresh socket; the reply up to EOF or the
+    first complete response, and whether the server closed the connection."""
+    host, port = server.server_address[:2]
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(head + body)
+        if shut_write:
+            sock.shutdown(socket.SHUT_WR)
+        reader = sock.makefile("rb")
+        status = reader.readline().decode("latin-1")
+        headers = {}
+        while True:
+            line = reader.readline().decode("latin-1").strip()
+            if not line:
+                break
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        payload = reader.read(int(headers["content-length"]))
+        closed = reader.read(1) == b""
+    return status, headers, payload, closed
+
+
+class TestBinaryBody:
+    """``POST /v1/locate`` with a :class:`BinaryCodec` body, answered in kind."""
+
+    def test_capabilities_list_both_http_codecs(self, server):
+        with _client(server) as client:
+            assert client.capabilities()["http_codecs"] == ["json+b64", "binary"]
+
+    @pytest.mark.parametrize("strict", [None, False, True])
+    @pytest.mark.parametrize("version", [None, 1, 2, "latest"])
+    def test_answers_bit_identical_to_every_other_form(
+        self, engine, tmp_path, strict, version
+    ):
+        # v2 deployed then rolled back: active (None) and "latest" differ.
+        engine.deploy("la", _bundle(tmp_path, "v2", 4))
+        engine.rollback("la")
+        xs, ys = _in_map_coordinates() if strict else _edge_coordinates()
+        request = LocateRequest("la", xs, ys, strict=strict, version=version)
+        expected = engine.locate(request)
+        points = engine.locate_points("la", xs, ys, strict=strict, version=version)
+        assert points.dtype == np.int64
+        assert expected.version == {None: 1, 1: 1, 2: 2, "latest": 2}[version]
+        with ServingHTTPServer(engine, port=0).serve_background() as server, \
+                WireServer(engine, port=0).serve_background() as wire, \
+                WireConnection(wire.host, wire.port, codecs=("binary",)) as connection:
+            results, arrays = {}, {}
+            for codec, transport in BODY_TRANSPORTS.items():
+                # batch_size 7 splits every batch into 3 chunks.
+                with _client(server, batch_size=7, transport=transport) as client:
+                    bodies = _spy_locate_bodies(client)
+                    results[codec] = client.locate(request)
+                    arrays[codec] = client.locate_points(
+                        "la", np.asarray(xs), np.asarray(ys), strict=strict,
+                        version=version,
+                    )
+                    assert len(bodies) == 6
+                    assert {content_type for content_type, _ in bodies} == {
+                        BODY_CONTENT_TYPES[codec]
+                    }
+                    if codec == "binary":
+                        results["lists"] = QueryResult.from_dict(
+                            client._request("POST", "/v1/locate", request.to_dict())
+                        )
+            wire_version, arrays["wire"] = connection.locate(
+                "la", np.asarray(xs), np.asarray(ys), strict=strict, version=version
+            )
+        assert wire_version == expected.version
+        for form, result in results.items():
+            assert result == expected, form
+            assert all(type(region) is int for region in result.regions), form
+        for form, answer in arrays.items():
+            assert answer.dtype == np.int64, form
+            assert answer.tobytes() == points.tobytes(), form
+        if not strict:
+            assert -1 in expected.regions and max(expected.regions) >= 0
+
+    @pytest.mark.parametrize("codec", sorted(BODY_TRANSPORTS))
+    def test_empty_batch(self, engine, server, codec):
+        request = LocateRequest(deployment="la", xs=(), ys=())
+        with _client(server, transport=BODY_TRANSPORTS[codec]) as client:
+            result = client.locate(request)
+            points = client.locate_points("la", [], [])
+        assert result == engine.locate(request)
+        assert result.regions == () and result.version == 1
+        assert points.dtype == np.int64 and points.size == 0
+
+    @pytest.mark.parametrize("codec", sorted(BODY_TRANSPORTS))
+    def test_errors_are_typed_as_on_the_json_path(self, server, codec):
+        transport = BODY_TRANSPORTS[codec]
+        with _client(server, transport=transport) as client:
+            with pytest.raises(ServingError, match="unknown deployment"):
+                client.locate(LocateRequest(deployment="sf", xs=(0.5,), ys=(0.5,)))
+            with pytest.raises(ServingError, match="unknown deployment"):
+                client.locate_points("sf", [0.5], [0.5])
+            with pytest.raises(GridError):
+                client.locate(
+                    LocateRequest(deployment="la", xs=(5.0,), ys=(5.0,), strict=True)
+                )
+            assert client.healthz()["status"] == "ok"
+
+    @pytest.mark.parametrize("codec", sorted(BODY_TRANSPORTS))
+    def test_non_finite_coordinates_rejected_typed(self, server, codec):
+        # LocateRequest refuses them client side; a foreign client may not.
+        body = (BinaryCodec() if codec == "binary" else JsonB64Codec()).encode_request(
+            "la", np.array([np.nan, 0.5]), np.array([0.5, np.inf])
+        )
+        with _client(server) as client:
+            status, answer = client._exchange(
+                "POST", "/v1/locate", body, content_type=BODY_CONTENT_TYPES[codec]
+            )
+            assert status == 400
+            with pytest.raises(ConfigurationError, match="finite"):
+                client._parse(status, answer, "/v1/locate")
+            assert client.healthz()["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            pytest.param(b"", id="empty"),
+            pytest.param(b"\x02\x00", id="short-prefix"),
+            pytest.param(struct.pack("<HBqI", 2, 0, 0, 1) + b"la", id="missing-pair"),
+            pytest.param(struct.pack("<HBqI", 2, 7, 0, 0) + b"la", id="bad-strict-code"),
+        ],
+    )
+    def test_malformed_payload_is_typed_and_keeps_the_connection(self, server, body):
+        with _client(server) as client:
+            status, answer = client._exchange(
+                "POST", "/v1/locate", body, content_type=BINARY_CONTENT_TYPE
+            )
+            assert status == 400
+            with pytest.raises(ConfigurationError, match="binary locate"):
+                client._parse(status, answer, "/v1/locate")
+            first = client._connection().sock
+            assert client.healthz()["status"] == "ok"
+            assert client._connection().sock is first
+
+    def test_binary_body_refused_on_other_endpoints(self, server):
+        body = BinaryCodec().encode_request("la", np.array([0.5]), np.array([0.5]))
+        with _client(server) as client:
+            status, answer = client._exchange(
+                "POST", "/v1/range", body, content_type=BINARY_CONTENT_TYPE
+            )
+            assert status == 400
+            with pytest.raises(ConfigurationError, match="takes a JSON body"):
+                client._parse(status, answer, "/v1/range")
+            assert client.healthz()["status"] == "ok"
+
+    def test_oversize_body_closes_the_connection(self, server):
+        head = (
+            "POST /v1/locate HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Type: {BINARY_CONTENT_TYPE}\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+        ).encode("latin-1")
+        status, headers, payload, closed = _raw_exchange(server, head, b"\x00" * 64)
+        assert " 400 " in status and headers["connection"] == "close"
+        assert json.loads(payload)["error"]["type"] == "ConfigurationError"
+        assert closed
+
+    def test_truncated_body_closes_the_connection(self, server):
+        body = BinaryCodec().encode_request("la", np.full(8, 0.5), np.full(8, 0.5))
+        head = (
+            "POST /v1/locate HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Type: {BINARY_CONTENT_TYPE}\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode("latin-1")
+        status, headers, payload, closed = _raw_exchange(
+            server, head, body[:-10], shut_write=True
+        )
+        assert " 400 " in status and headers["connection"] == "close"
+        error = json.loads(payload)["error"]
+        assert error["type"] == "ConfigurationError" and "truncated" in error["message"]
+        assert closed
+
+    def test_answer_carries_the_binary_content_type(self, engine, server):
+        body = BinaryCodec().encode_request("la", np.array([0.1, 7.0]), np.array([0.1, 0.5]))
+        head = (
+            "POST /v1/locate HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Type: {BINARY_CONTENT_TYPE}\r\n"
+            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
+        ).encode("latin-1")
+        status, headers, payload, _ = _raw_exchange(server, head, body)
+        assert " 200 " in status
+        assert headers["content-type"] == BINARY_CONTENT_TYPE
+        version, regions = BinaryCodec().decode_response(payload)
+        assert version == 1
+        assert regions.tobytes() == engine.locate_points(
+            "la", np.array([0.1, 7.0]), np.array([0.1, 0.5])
+        ).tobytes()
+
+    def test_server_without_the_capability_gets_json_bodies(
+        self, engine, server, monkeypatch
+    ):
+        original = ServingHTTPServer.capabilities
+
+        def older(self):
+            answer = original(self)
+            del answer["http_codecs"]
+            return answer
+
+        monkeypatch.setattr(ServingHTTPServer, "capabilities", older)
+        request = LocateRequest(deployment="la", xs=(0.1, 0.9), ys=(0.1, 0.9))
+        with _client(server) as client:
+            bodies = _spy_locate_bodies(client)
+            assert client.locate(request) == engine.locate(request)
+            client.locate_points("la", [0.5], [0.5])
+        assert [content_type for content_type, _ in bodies] == ["application/json"] * 2
+
+    def test_json_pinned_client_never_sends_binary_or_probes(self, engine, server):
+        request = LocateRequest(deployment="la", xs=(0.1, 0.9), ys=(0.1, 0.9))
+        with _client(server, transport="json+b64") as client:
+            paths = []
+            send = client._exchange
+
+            def spy(method, path, body, retry=True, content_type="application/json"):
+                paths.append((path, content_type))
+                return send(method, path, body, retry=retry, content_type=content_type)
+
+            client._exchange = spy
+            assert client.locate(request) == engine.locate(request)
+            client.locate_points("la", [0.5], [0.5])
+        assert paths == [("/v1/locate", "application/json")] * 2
 
 
 def _nodelay(sock: socket.socket) -> int:

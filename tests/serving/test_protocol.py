@@ -1,5 +1,6 @@
 """Tests for the typed serving protocol (requests/results + JSON round-trips)."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -8,11 +9,78 @@ from repro.spatial.geometry import BoundingBox
 
 
 class TestLocateRequest:
-    def test_coordinates_canonicalised_to_float_tuples(self):
-        request = LocateRequest(deployment="la", xs=[1, 2], ys=(3, 4.5))
-        assert request.xs == (1.0, 2.0)
-        assert request.ys == (3.0, 4.5)
+    def test_coordinates_stored_as_read_only_float64_copies(self):
+        caller_xs = np.array([1.0, 2.0])
+        request = LocateRequest(deployment="la", xs=caller_xs, ys=(3, 4.5))
+        for stored, values in ((request.xs, [1.0, 2.0]), (request.ys, [3.0, 4.5])):
+            assert isinstance(stored, np.ndarray)
+            assert stored.dtype == np.float64 and stored.ndim == 1
+            assert not stored.flags.writeable
+            assert stored.tolist() == values
+        with pytest.raises(ValueError):
+            request.xs[0] = 9.0
+        # Copied once on construction: the caller's array stays its own.
+        assert not np.shares_memory(request.xs, caller_xs)
+        caller_xs[0] = 9.0
+        assert request.xs.tolist() == [1.0, 2.0]
         assert len(request) == 2
+
+    def test_integer_and_big_endian_inputs_become_native_float64(self):
+        request = LocateRequest(
+            deployment="la", xs=np.array([1, 2], dtype=np.int32),
+            ys=np.array([0.5, 0.25], dtype=">f8"),
+        )
+        assert request.xs.dtype == np.float64 and request.xs.dtype.isnative
+        assert request.ys.dtype == np.float64 and request.ys.dtype.isnative
+        assert request.xs.tolist() == [1.0, 2.0]
+        assert request.ys.tolist() == [0.5, 0.25]
+
+    def test_equality_compares_every_field_by_value(self):
+        base = dict(deployment="la", xs=(0.25, 0.5), ys=(0.75, 1.0))
+        request = LocateRequest(**base)
+        assert request == LocateRequest(**{**base, "xs": np.array([0.25, 0.5])})
+        assert request == LocateRequest(**{**base, "xs": [0.25, 0.5]})
+        for change in (
+            {"deployment": "sf"},
+            {"xs": (0.25, 0.5000001)},
+            {"ys": (0.75,), "xs": (0.25,)},
+            {"strict": True},
+            {"version": 1},
+            {"version": LATEST},
+        ):
+            assert request != LocateRequest(**{**base, **change}), change
+        assert request != (("la",), (0.25, 0.5), (0.75, 1.0))
+
+    def test_hash_agrees_with_equality(self):
+        positive = LocateRequest(deployment="la", xs=(0.0, 1.0), ys=(0.0, 2.0))
+        negative = LocateRequest(deployment="la", xs=(-0.0, 1.0), ys=(-0.0, 2.0))
+        assert np.signbit(negative.xs[0]) and not np.signbit(positive.xs[0])
+        assert positive == negative
+        assert hash(positive) == hash(negative)
+        same = LocateRequest(deployment="la", xs=[0.0, 1.0], ys=np.array([0.0, 2.0]))
+        assert hash(same) == hash(positive)
+        assert len({positive, negative, same}) == 1
+        assert LocateRequest(deployment="la", xs=(), ys=()) in {
+            LocateRequest(deployment="la", xs=[], ys=[])
+        }
+        # The caller's -0.0 is kept: hashing does not rewrite the request.
+        assert np.signbit(negative.xs[0])
+
+    def test_json_round_trip_is_bit_exact(self):
+        xs = (0.1, -0.0, 5e-324, np.nextafter(1.0, 2.0), -1e300)
+        ys = (1.0 / 3.0, 2.0 ** -1074, 0.0, -2.5, 1e-300)
+        request = LocateRequest(deployment="la", xs=xs, ys=ys, strict=False, version=4)
+        assert request.to_json() == (
+            '{"deployment": "la", "kind": "locate", "strict": false, "version": 4, '
+            '"xs": [0.1, -0.0, 5e-324, 1.0000000000000002, -1e+300], '
+            '"ys": [0.3333333333333333, 5e-324, 0.0, -2.5, 1e-300]}'
+        )
+        restored = LocateRequest.from_json(request.to_json())
+        assert restored == request
+        assert restored.xs.tobytes() == request.xs.tobytes()
+        assert restored.ys.tobytes() == request.ys.tobytes()
+        data = request.to_dict()
+        assert all(type(value) is float for value in data["xs"] + data["ys"])
 
     def test_overlarge_integer_coordinates_rejected_typed(self):
         # A JSON int beyond float64 range must fail as ConfigurationError,

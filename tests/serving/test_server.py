@@ -1,12 +1,18 @@
 """Tests for the batched partition serving layer."""
 
+from multiprocessing import shared_memory
+
 import numpy as np
 import pytest
 
-from repro.config import ServingConfig
+from repro.config import DatasetConfig, GridConfig, ServingConfig
+from repro.core.fair_kdtree import FairKDTreePartitioner
+from repro.datasets.edgap import load_edgap_city
 from repro.exceptions import GridError
 from repro.io.artifacts import save_partition_artifact
-from repro.serving import PartitionServer
+from repro.serving import PartitionServer, RangeRequest, ShardedDeployment
+from repro.serving.backends import pad_labels
+from repro.serving.workers import WorkerState
 from repro.spatial.geometry import BoundingBox, Point
 from repro.spatial.grid import Grid
 from repro.spatial.partition import Partition, uniform_partition
@@ -125,6 +131,127 @@ class TestRangeQuery:
 
     def test_full_map_returns_all_regions(self, server, grid):
         assert server.range_query(grid.bounds) == list(range(server.n_regions))
+
+
+def _fair_kdtree_partition() -> Partition:
+    """A height-6 Fair KD-tree over a small seeded Los Angeles sample:
+    uneven region sizes, edges at non-uniform cell offsets."""
+    dataset = load_edgap_city(
+        DatasetConfig(city="los_angeles", n_records=1153, grid=GridConfig(32, 32), seed=7)
+    )
+    rng = np.random.default_rng(dataset.n_records)
+    residuals = rng.normal(scale=0.35, size=dataset.n_records)
+    partition = FairKDTreePartitioner(6).build_from_residuals(dataset, residuals)
+    shapes = {(r.row_stop - r.row_start, r.col_stop - r.col_start) for r in partition.regions}
+    assert len(shapes) > 1, "the fixture must not degenerate into a uniform grid"
+    return partition
+
+
+class _SharedWorker:
+    """A :class:`WorkerState` over a real shared-memory label segment."""
+
+    def __init__(self, partition: Partition) -> None:
+        grid = partition.grid
+        shape = (grid.rows + 1, grid.cols + 1)
+        self.segment = shared_memory.SharedMemory(create=True, size=shape[0] * shape[1] * 8)
+        view = np.ndarray(shape, dtype=np.int64, buffer=self.segment.buf)
+        pad_labels(partition.label_grid, out=view)
+        del view
+        bounds = grid.bounds
+        self.state = WorkerState()
+        self.state.apply_exports([{
+            "name": "k",
+            "version": 1,
+            "segment": self.segment.name,
+            "rows": grid.rows,
+            "cols": grid.cols,
+            "bounds": [bounds.min_x, bounds.min_y, bounds.max_x, bounds.max_y],
+            "extents": np.array(
+                [(r.row_start, r.row_stop, r.col_start, r.col_stop)
+                 for r in partition.regions],
+                dtype=np.int64,
+            ),
+        }])
+
+    def range_query(self, query: BoundingBox):
+        request = RangeRequest("k", query.min_x, query.min_y, query.max_x, query.max_y)
+        return list(self.state.range_query(request).regions)
+
+    def close(self) -> None:
+        self.state.apply_exports([], removed=["k"])
+        self.segment.close()
+        self.segment.unlink()
+
+
+def _edge_touching_boxes(partition: Partition):
+    """Boxes that meet region and map edges exactly: every region's own
+    extent, zero-width and zero-height lines on its four edges, a point
+    box on each corner, and boxes touching the map from outside."""
+    boxes = []
+    for region in partition.regions:
+        b = region.bounds
+        boxes += [
+            b,
+            BoundingBox(b.min_x, b.min_y, b.min_x, b.max_y),
+            BoundingBox(b.max_x, b.min_y, b.max_x, b.max_y),
+            BoundingBox(b.min_x, b.min_y, b.max_x, b.min_y),
+            BoundingBox(b.min_x, b.max_y, b.max_x, b.max_y),
+        ]
+        boxes += [BoundingBox(x, y, x, y) for x in (b.min_x, b.max_x) for y in (b.min_y, b.max_y)]
+    m = partition.grid.bounds
+    boxes += [
+        BoundingBox(m.min_x - 1.0, m.min_y, m.min_x, m.max_y),
+        BoundingBox(m.max_x, m.min_y, m.max_x + 1.0, m.max_y),
+        BoundingBox(m.min_x, m.min_y - 1.0, m.max_x, m.min_y),
+        BoundingBox(m.min_x, m.max_y, m.max_x, m.max_y + 1.0),
+        BoundingBox(m.max_x, m.max_y, m.max_x + 1.0, m.max_y + 1.0),
+        m,
+    ]
+    return boxes
+
+
+def _random_boxes(partition: Partition, count: int = 200):
+    rng = np.random.default_rng(4)
+    bounds = partition.grid.bounds
+    boxes = []
+    for _ in range(count):
+        x0, x1 = sorted(rng.uniform(bounds.min_x - 1.0, bounds.max_x + 1.0, 2))
+        y0, y1 = sorted(rng.uniform(bounds.min_y - 1.0, bounds.max_y + 1.0, 2))
+        boxes.append(BoundingBox(x0, y0, x1, y1))
+    return boxes
+
+
+@pytest.fixture(scope="module", params=["uniform", "fair_kdtree"])
+def range_readers(request):
+    """Every range reader over one partition: server, shards, worker."""
+    if request.param == "uniform":
+        partition = uniform_partition(Grid(16, 16, BoundingBox(-2.0, 1.0, 6.0, 5.0)), 4, 4)
+    else:
+        partition = _fair_kdtree_partition()
+    worker = _SharedWorker(partition)
+    yield partition, {
+        "server": PartitionServer(partition).range_query,
+        "sharded_2x2": ShardedDeployment(partition, 2, 2).range_query,
+        "worker": worker.range_query,
+    }
+    worker.close()
+
+
+class TestRangeParity:
+    """Every range reader answers as the region scan of ``range_query``."""
+
+    @pytest.mark.parametrize("boxes", [_random_boxes, _edge_touching_boxes])
+    def test_every_reader_matches_the_region_scan(self, range_readers, boxes):
+        partition, readers = range_readers
+        queries = boxes(partition)
+        for query in queries:
+            expected = range_query(partition, query)
+            for name, reader in readers.items():
+                assert reader(query) == expected, (name, query)
+        # The box sets reach the interesting cases: empty, partial and full.
+        sizes = {len(range_query(partition, query)) for query in queries}
+        assert 0 in sizes or boxes is _edge_touching_boxes
+        assert len(partition) in sizes and len(sizes) > 2
 
 
 class TestFromArtifact:

@@ -225,6 +225,42 @@ class TestCrashRecovery:
         with _connect(pool) as conn:
             assert conn.locate("la", np.array([0.1]), np.array([0.1]))[0] == 1
 
+    def test_worker_that_died_outside_the_monitors_wait_is_respawned(
+        self, engine, monkeypatch
+    ):
+        # The monitor sleeps in multiprocessing.connection.wait on its
+        # workers' sentinels.  A worker can also die while it is not
+        # waiting (between two waits, or before the first): here the first
+        # wait kills worker 0, reaps it and reports nothing ready.  The
+        # worker must still come back.
+        import multiprocessing.connection
+
+        real_wait = multiprocessing.connection.wait
+        victim = {}
+
+        def kill_outside_the_wait(objects, timeout=None):
+            if not victim:
+                process = pool._children[0][0]
+                victim["pid"] = process.pid
+                os.kill(process.pid, signal.SIGKILL)
+                process.join(5.0)
+                return []
+            return real_wait(objects, timeout)
+
+        monkeypatch.setattr(multiprocessing.connection, "wait", kill_outside_the_wait)
+        with WorkerPool(engine, port=0, workers=2) as pool:
+            pool.start()
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                process = pool._children[0][0]
+                if victim and process.is_alive() and process.pid != victim["pid"]:
+                    break
+                time.sleep(0.05)
+            else:
+                pytest.fail("monitor never respawned a worker that died outside its wait")
+            with _connect(pool) as conn:
+                assert conn.locate("la", np.array([0.1]), np.array([0.1]))[0] == 1
+
     def test_client_retries_transparently_across_a_worker_kill(self, engine):
         with ServingHTTPServer(engine, port=0, workers=2).serve_background() as server:
             host, port = server.server_address[:2]
