@@ -7,10 +7,12 @@ covers each of these points?*  Two implementations are registered in
 and the CLI ``--backend`` flag choose from):
 
 * :class:`DenseGridLocator` (``dense``, the default) — one flat ``take``
-  from the partition's sentinel-padded cell->region label grid
-  (:func:`pad_labels`), indexed by the padded-grid ids of
-  ``Grid.locate_padded``.  Fastest, but its index is O(rows x cols)
-  integers regardless of how few regions there are.
+  from the partition's padded cell->region label grid
+  (:func:`pad_labels`: a copy of the last row and column that absorbs the
+  maximal edges, then a ``-1`` row and column for off-map points),
+  indexed by the unclamped padded-grid ids of ``Grid.locate_padded``.
+  Fastest, but its index is O(rows x cols) integers regardless of how
+  few regions there are.
 * :class:`SparseBandLocator` (``sparse``) — walks the partition's
   structure instead of materialising it per cell: the grid's rows are cut
   into *bands* at every region boundary, each band keeps its regions'
@@ -24,12 +26,12 @@ Both backends return identical region assignments for every point —
 points of a non-strict locate — a guarantee enforced bit-exactly by
 ``tests/serving/test_backends.py``.
 
-The module also holds the two label-grid helpers every dense reader
-shares — the server, :class:`~repro.serving.sharding.ShardedDeployment`
-and the shared-memory workers: :func:`pad_labels` builds the padded grid
-their one ``take`` reads, and :func:`range_regions` answers every range
-query from the :func:`range_candidates` window and a table of region
-extents.
+The module also holds the label-grid helpers every dense reader shares
+— the server, :class:`~repro.serving.sharding.ShardedDeployment` and the
+shared-memory workers: :func:`pad_labels` builds the padded grid their
+one ``take`` reads, :func:`padded_shape` is its shape, and
+:func:`range_regions` answers every range query from the
+:func:`range_candidates` window and a table of region extents.
 """
 
 from __future__ import annotations
@@ -48,30 +50,67 @@ __all__ = [
     "DenseGridLocator",
     "SparseBandLocator",
     "pad_labels",
+    "padded_shape",
+    "read_padded",
     "range_candidates",
     "range_regions",
 ]
 
 
-def pad_labels(labels: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The ``(rows+1) x (cols+1)`` int64 copy of ``labels`` with a ``-1`` border.
+def padded_shape(rows: int, cols: int) -> Tuple[int, int]:
+    """Shape of the :func:`pad_labels` grid of a ``rows x cols`` label grid."""
+    return (rows + 2, cols + 2)
 
-    ``Grid.locate_padded`` returns flat ids into exactly this layout, with
-    ``-1`` for off-map points, which ``take`` reads as the last border
-    cell (itself ``-1``) — so ``padded.ravel().take(ids)`` answers a whole
-    batch, off-map points included: no result scaffold, no masked
-    scatter.  ``out`` (shape ``(rows+1, cols+1)``, int64, C-contiguous)
-    receives the padded grid in place; the worker pool passes a view over
-    its shared-memory segment.
+
+def pad_labels(labels: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The padded int64 copy of ``labels`` that every dense read takes from.
+
+    Its shape is :func:`padded_shape`.  For an ``R x C`` ``labels``:
+    ``[:R, :C]`` holds the labels, row ``R`` copies row ``R-1`` and
+    column ``C`` copies column ``C-1`` (corner included), and row ``R+1``
+    and column ``C+1`` are ``-1``.
+    ``Grid.locate_padded`` returns flat ids into exactly this layout: its
+    unclamped cell indices reach ``R`` and ``C`` only for points on (or
+    rounding up to) a maximal edge, which the copies answer as the clamp
+    would, and an off-map point's id ``-1`` reads the ``-1`` corner — so
+    ``padded.ravel().take(ids)`` answers a whole batch, off-map points
+    included: no clamp, no result scaffold, no masked scatter.  ``out``
+    (shape :func:`padded_shape`, int64, C-contiguous) receives the padded
+    grid in place; the worker pool passes a view over its shared-memory
+    segment.
     """
     # returns: int64[u, v] contiguous
     rows, cols = labels.shape
     if out is None:
-        out = np.empty((rows + 1, cols + 1), dtype=np.int64)
+        out = np.empty(padded_shape(rows, cols), dtype=np.int64)
     out[:rows, :cols] = labels
-    out[rows, :] = -1
-    out[:rows, cols] = -1
+    out[rows, :cols] = labels[rows - 1]
+    out[:rows + 1, cols] = out[:rows + 1, cols - 1]
+    out[rows + 1, :] = -1
+    out[:rows + 1, cols + 1] = -1
     return out
+
+
+def read_padded(
+    grid: Grid,
+    flat: np.ndarray,
+    covered: bool,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    strict: bool,
+) -> Tuple[np.ndarray, int]:
+    """``(regions, located)`` for one batch: the read of every dense reader.
+
+    ``flat`` is a raveled :func:`pad_labels` grid, and ``covered`` says
+    that every cell of it has a region (a complete partition): then only
+    off-map points answer ``-1``, and ``located`` is the batch size less
+    the kernel's off-map count.  Otherwise the answer is scanned for it.
+    """
+    ids, n_off_map = grid.locate_padded(xs, ys, strict)
+    regions = flat.take(ids)
+    if covered:
+        return regions, regions.size - n_off_map
+    return regions, int(np.count_nonzero(regions >= 0))
 
 
 def range_candidates(
@@ -133,6 +172,8 @@ class LocatorBackend:
     covering region index per cell, ``-1`` where no region covers the
     cell and for the off-map marker.  :meth:`locate_points` answers
     coordinates; its default goes through :meth:`locate_cells`.
+    :meth:`locate_counted` also returns how many points were located (the
+    engine's ``located`` counter); its default scans the answer.
     """
 
     #: Canonical registry name, set by each concrete class.
@@ -154,6 +195,13 @@ class LocatorBackend:
         """Region index per coordinate pair on ``grid``, ``-1`` off the map."""
         return self.locate_cells(*grid.locate_many(xs, ys, strict=strict))
 
+    def locate_counted(
+        self, grid: Grid, xs: np.ndarray, ys: np.ndarray, strict: bool
+    ) -> Tuple[np.ndarray, int]:
+        """:meth:`locate_points` and how many of the points a region covers."""
+        regions = self.locate_points(grid, xs, ys, strict)
+        return regions, int(np.count_nonzero(regions >= 0))
+
     def memory_bytes(self) -> int:
         """Size of the backend's own index structure (not the partition)."""
         raise NotImplementedError
@@ -171,7 +219,7 @@ class DenseGridLocator(LocatorBackend):
     """Lookups off the partition's sentinel-padded dense label grid.
 
     The index is :func:`pad_labels` of ``partition.label_grid``: the
-    grid's O(rows x cols) footprint plus one border row and column.
+    grid's O(rows x cols) footprint plus two border rows and columns.
     """
 
     name = "dense"
@@ -180,19 +228,26 @@ class DenseGridLocator(LocatorBackend):
         super().__init__(partition)
         self._labels = pad_labels(partition.label_grid)
         self._flat = self._labels.ravel()
+        self._covered = partition.is_complete
 
     def locate_cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         # array: rows int64
         # array: cols int64
         # returns: int64
-        # A -1 row or column lands on a -1 border cell of the flat grid.
+        # A -1 row or column lands on the -1 row or column of the flat
+        # grid: the (-1, -1) off-map marker is id -(cols+3), the -1 column.
         return self._flat.take(np.multiply(rows, self._labels.shape[1]) + cols)
 
     def locate_points(
         self, grid: Grid, xs: np.ndarray, ys: np.ndarray, strict: bool
     ) -> np.ndarray:
         # returns: int64
-        return self._flat.take(grid.locate_padded(xs, ys, strict))
+        return self._flat.take(grid.locate_padded(xs, ys, strict)[0])
+
+    def locate_counted(
+        self, grid: Grid, xs: np.ndarray, ys: np.ndarray, strict: bool
+    ) -> Tuple[np.ndarray, int]:
+        return read_padded(grid, self._flat, self._covered, xs, ys, strict)
 
     def memory_bytes(self) -> int:
         return int(self._labels.nbytes)

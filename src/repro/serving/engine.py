@@ -669,9 +669,10 @@ class ServingEngine:
 
         This is the hot path the routing benchmark holds to <= 10%
         overhead over a direct :meth:`PartitionServer.locate_points` call:
-        one dict lookup, the server call, and the stats bookkeeping —
-        whose ``located`` counter costs one vectorised scan of the
-        assignment, the dominant share of the measured ~3% overhead.
+        one dict lookup, the server's ``locate_counted`` and the stats
+        bookkeeping.  On a complete partition the ``located`` counter
+        comes from the kernel's off-map count; only an incomplete one
+        scans the assignment for it.
         """
         # returns: int64
         return self.locate_batch(name, xs, ys, strict=strict, version=version)[1]
@@ -693,11 +694,11 @@ class ServingEngine:
         """
         deployment = self._resolve_deployment(name)
         resolved, server = self._snapshot(deployment, version)
-        assignment = server.locate_points(xs, ys, strict=strict)
+        assignment, located = server.locate_counted(xs, ys, strict=strict)
         with deployment.counters:
             deployment.queries += 1
             deployment.points += int(assignment.size)
-            deployment.located += int(np.count_nonzero(assignment >= 0))
+            deployment.located += located
         return resolved.version, assignment
 
     def locate(self, request: LocateRequest) -> QueryResult:

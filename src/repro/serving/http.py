@@ -411,15 +411,22 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _content_length(self) -> int:
-        try:
-            return int(self.headers.get("content-length") or 0)
-        except ValueError as exc:
+        """The body length: ``0`` without the header, else ASCII digits only.
+
+        ``int()`` would also take ``-1``, ``+5`` or ``1_0``; like the
+        client's response reader, anything but plain digits is refused.
+        """
+        length = self.headers.get("content-length")
+        if length is None:
+            return 0
+        if not (length.isascii() and length.isdigit()):
             # The body length is unknowable, so the stream cannot be
             # resynchronised — refuse and close.
             self.close_connection = True
             raise ConfigurationError(
-                f"malformed Content-Length header: {exc}"
-            ) from exc
+                f"malformed Content-Length header {length[:40]!r}"
+            )
+        return int(length)
 
     def _read_body(self) -> bytes:
         length = self._content_length()

@@ -188,13 +188,26 @@ class PartitionServer:
         inside an uncovered cell of an incomplete partition — come back as
         ``-1``.  The backend answers the whole batch: the dense one with one
         flat ``take`` at the padded-grid ids of ``Grid.locate_padded``
-        (off-map id ``-1`` reads the ``-1`` border), the sparse one from the
+        (off-map id ``-1`` reads the ``-1`` corner), the sparse one from the
         cells of ``Grid.locate_many``.  In strict mode, off-map coordinates
         raise :class:`~repro.exceptions.GridError`, matching
         ``Grid.locate_many``.
         """
         # returns: int64
         return self._backend.locate_points(
+            self._grid, xs, ys, self._resolve_strict(strict)
+        )
+
+    def locate_counted(
+        self, xs: np.ndarray, ys: np.ndarray, strict: bool | None = None
+    ) -> Tuple[np.ndarray, int]:
+        """:meth:`locate_points` and how many of the points a region covers.
+
+        The engine's dispatch, which keeps a ``located`` counter: the dense
+        backend takes the count from the kernel's off-map count when the
+        partition is complete, instead of a second pass over the answer.
+        """
+        return self._backend.locate_counted(
             self._grid, xs, ys, self._resolve_strict(strict)
         )
 

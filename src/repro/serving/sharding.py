@@ -10,15 +10,16 @@ Reads
 -----
 
 The tiles of one in-process deployment are co-resident, so every publish
-composes them into one sentinel-padded label grid
-(:func:`~repro.serving.backends.pad_labels`: one extra ``-1`` row and
-column) and ``locate_points`` answers a batch the way every dense reader
-does — ``Grid.locate_padded``'s flat ids, then one ``take`` from the
-raveled padded grid.  Off-map points get id ``-1``, which reads the last
-``-1`` border cell, so there is no sort, no scatter and no per-tile
-dispatch.  Region indices are global, so the answers are bit-identical
-to a monolithic :class:`~repro.serving.server.PartitionServer` over the
-same partition (``tests/serving/test_sharding.py`` enforces this;
+composes them into one padded label grid
+(:func:`~repro.serving.backends.pad_labels`: a copy of the last row and
+column, then a ``-1`` row and column) and ``locate_points`` answers a
+batch the way every dense reader does — ``Grid.locate_padded``'s flat
+ids, then one ``take`` from the raveled padded grid.  Off-map points get
+id ``-1``, which reads the ``-1`` corner, so there is no sort, no
+scatter and no per-tile dispatch.  Region indices are global, so the
+answers are bit-identical to a monolithic
+:class:`~repro.serving.server.PartitionServer` over the same partition
+(``tests/serving/test_sharding.py`` enforces this;
 ``benchmarks/test_bench_routing.py`` tracks the dispatch cost).
 
 Per-tile hot-swap
@@ -55,7 +56,7 @@ from ..config import ServingConfig
 from ..exceptions import ServingError
 from ..spatial.geometry import BoundingBox
 from ..spatial.partition import Partition
-from .backends import pad_labels
+from .backends import pad_labels, read_padded
 from .locks import new_lock, new_rwlock
 from .server import PartitionServer, region_counts_from_assignment
 
@@ -200,6 +201,7 @@ class ShardedDeployment:
         self._admin_lock = new_lock("sharded.admin_lock")
         self._counter_lock = new_lock("sharded.counter_lock")
         self._points_served = 0  # guarded-by: self._counter_lock
+        # (padded grid, every cell covered), republished as one reference.
         self._padded = self._compose_padded()  # guarded-by(writes): self._admin_lock
 
     # -- introspection -------------------------------------------------------
@@ -273,7 +275,8 @@ class ShardedDeployment:
         snapshot.
         """
         # returns: int64[r, c]
-        return self._padded[:-1, :-1]
+        rows, cols = self._grid.shape
+        return self._padded[0][:rows, :cols]
 
     def __repr__(self) -> str:
         return (
@@ -287,16 +290,19 @@ class ShardedDeployment:
     def _resolve_strict(self, strict: Optional[bool]) -> bool:
         return self._config.strict if strict is None else strict
 
-    def _compose_padded(self) -> np.ndarray:
-        """The padded label grid of the tiles' active versions, freshly built."""
-        # returns: int64[u, v] contiguous
+    def _compose_padded(self) -> Tuple[np.ndarray, bool]:
+        """The padded label grid of the tiles' active versions, freshly built.
+
+        Published with whether every cell has a region (a swapped tile may
+        leave cells uncovered) as one pair, so a read sees one snapshot.
+        """
         labels = np.empty((self._grid.rows, self._grid.cols), dtype=np.int64)
         for index, shard in enumerate(self._shards):
             r0, r1, c0, c1 = self._geometry.tile_window(index)
             labels[r0:r1, c0:c1] = shard.labels
         padded = pad_labels(labels)
         padded.flags.writeable = False  # published snapshots are immutable
-        return padded
+        return padded, bool((labels >= 0).all())
 
     def locate_points(
         self, xs: np.ndarray, ys: np.ndarray, strict: Optional[bool] = None
@@ -309,11 +315,23 @@ class ShardedDeployment:
         one flat ``take`` from the published padded grid.
         """
         # returns: int64
-        ids = self._grid.locate_padded(xs, ys, self._resolve_strict(strict))
-        located = self._padded.ravel().take(ids)
+        return self.locate_counted(xs, ys, strict)[0]
+
+    def locate_counted(
+        self, xs: np.ndarray, ys: np.ndarray, strict: Optional[bool] = None
+    ) -> Tuple[np.ndarray, int]:
+        """:meth:`locate_points` and how many of the points a region covers.
+
+        Same as :meth:`PartitionServer.locate_counted`: the count comes from
+        the kernel's off-map count while every tile cell has a region.
+        """
+        padded, covered = self._padded
+        regions, located = read_padded(
+            self._grid, padded.ravel(), covered, xs, ys, self._resolve_strict(strict)
+        )
         with self._counter_lock:
-            self._points_served += int(located.size)
-        return located
+            self._points_served += int(regions.size)
+        return regions, located
 
     def region_counts(
         self, xs: np.ndarray, ys: np.ndarray, strict: Optional[bool] = None

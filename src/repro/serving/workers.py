@@ -8,9 +8,10 @@ acceptors — the classic pre-fork design) and answer the wire protocol of
 :mod:`repro.serving.wire` from **shared memory**:
 
 * the parent copies each deployment's dense label grid *once* into a
-  ``multiprocessing.shared_memory`` segment at publish time, sentinel-padded
-  (:func:`~repro.serving.backends.pad_labels`) so a worker answers a
-  batch with the same single flat ``take`` as the in-process dense server;
+  ``multiprocessing.shared_memory`` segment at publish time, padded by
+  :func:`~repro.serving.backends.pad_labels` (a copy of the last row and
+  column, then a ``-1`` row and column) so a worker answers a batch with
+  the same single flat ``take`` as the in-process dense server;
 * workers attach read-only views — the fork after export means the
   mapping is inherited, and a respawned worker re-attaches by name;
 * a hot-swap publishes a **new** segment and a version bump over each
@@ -58,7 +59,7 @@ from ..exceptions import ConfigurationError, ReproError, ServingError
 from ..spatial.geometry import BoundingBox
 from ..spatial.grid import Grid
 from ..spatial.region import GridRegion
-from .backends import pad_labels, range_regions
+from .backends import pad_labels, padded_shape, range_regions, read_padded
 from .locks import new_lock
 from .protocol import LATEST, LocateRequest, QueryResult, RangeRequest
 from .wire import serve_connection
@@ -92,16 +93,16 @@ class _WorkerDeployment:
 
     Everything a worker needs to answer the read path bit-exactly
     against the in-process engine: the :class:`Grid` (reconstructed from
-    geometry — pure arithmetic, no arrays), the shared sentinel-padded
-    label grid (a read-only ``(rows+1) x (cols+1)`` view over the
-    segment), and the region extent boxes for
-    range queries.  The ``shm`` handle is kept referenced so the mapping
-    outlives every in-flight request that reads through it.
+    geometry — pure arithmetic, no arrays), the shared padded label grid
+    (a read-only :func:`~repro.serving.backends.padded_shape` view over
+    the segment), and the region extent boxes for range queries.  The
+    ``shm`` handle is kept referenced so the mapping outlives every
+    in-flight request that reads through it.
     """
 
     __slots__ = (
-        "name", "version", "grid", "labels", "region_bounds", "n_regions",
-        "shm", "source",
+        "name", "version", "grid", "labels", "covered", "region_bounds",
+        "n_regions", "shm", "source",
     )
 
     def __init__(self, export: Dict[str, Any]) -> None:
@@ -118,11 +119,12 @@ class _WorkerDeployment:
         )
         self.shm = shared_memory.SharedMemory(name=export["segment"])
         labels = np.ndarray(
-            (self.grid.rows + 1, self.grid.cols + 1), dtype=np.int64,
+            padded_shape(self.grid.rows, self.grid.cols), dtype=np.int64,
             buffer=self.shm.buf,
         )
         labels.flags.writeable = False  # readers, by contract
         self.labels = labels
+        self.covered = bool((labels[:self.grid.rows, :self.grid.cols] >= 0).all())
         extents = np.asarray(export["extents"], dtype=np.int64)
         self.region_bounds = tuple(
             GridRegion(
@@ -237,19 +239,22 @@ class WorkerState:
 
         The in-process dense read path over shared memory —
         ``Grid.locate_padded``'s flat ids, then one ``take`` from the
-        raveled padded grid (off-map id ``-1`` reads the ``-1`` border)
-        — so it is bit-identical to
+        raveled padded grid (off-map id ``-1`` reads the ``-1`` corner),
+        by :func:`~repro.serving.backends.read_padded` — so it is
+        bit-identical to
         :meth:`~repro.serving.server.PartitionServer.locate_points` with
         the dense backend (the oracle the worker tests pin against).
         """
         # returns: int64[n]
         entry = self._resolve(name, version)
         strict = self._strict_default if strict is None else strict
-        assignment = entry.labels.ravel().take(entry.grid.locate_padded(xs, ys, strict))
+        assignment, located = read_padded(
+            entry.grid, entry.labels.ravel(), entry.covered, xs, ys, strict
+        )
         with self._counter_lock:
             self._queries += 1
             self._points += int(assignment.size)
-            self._located += int(np.count_nonzero(assignment >= 0))
+            self._located += located
         return entry.version, assignment
 
     def locate(self, request: LocateRequest) -> QueryResult:
@@ -651,7 +656,7 @@ class WorkerPool:
                 continue
             partition = server.partition
             grid = partition.grid
-            shape = (grid.rows + 1, grid.cols + 1)
+            shape = padded_shape(grid.rows, grid.cols)
             segment = shared_memory.SharedMemory(
                 create=True, size=shape[0] * shape[1] * 8
             )

@@ -7,6 +7,8 @@ finest spatial granularity available to any partitioning algorithm.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
@@ -46,6 +48,16 @@ class Grid:
         self._bounds = bounds or BoundingBox.unit()
         if self._bounds.width <= 0 or self._bounds.height <= 0:
             raise GridError("grid bounds must have positive width and height")
+        # The locate kernels rely on (high - low) / cell_size rounding to at
+        # most the cell count, which a subnormal or infinite size breaks.
+        if not all(
+            sys.float_info.min <= size < math.inf
+            for size in (self.cell_width, self.cell_height)
+        ):
+            raise GridError(
+                f"grid cells of {self.cell_width!r} x {self.cell_height!r} are "
+                "not normal finite floats"
+            )
 
     # -- basic properties ----------------------------------------------------
 
@@ -134,7 +146,13 @@ class Grid:
         (default); with ``strict=False`` they yield ``-1`` in both output
         arrays instead, so batch callers can treat "not on this map" as data.
         """
-        shape, rows, cols, off_map = self._locate_cells(xs, ys, strict)
+        shape, xs, ys, off_map = self._checked_coords(xs, ys, strict)
+        bounds = self._bounds
+        with np.errstate(invalid="ignore", over="ignore"):
+            cols = _axis_cells(xs, bounds.min_x, self.cell_width)
+            rows = _axis_cells(ys, bounds.min_y, self.cell_height)
+        np.minimum(cols, self._cols - 1, out=cols)
+        np.minimum(rows, self._rows - 1, out=rows)
         if off_map is not None:
             np.copyto(rows, -1, where=off_map)
             np.copyto(cols, -1, where=off_map)
@@ -142,32 +160,46 @@ class Grid:
 
     def locate_padded(
         self, xs: np.ndarray, ys: np.ndarray, strict: bool = True
-    ) -> np.ndarray:
-        """Flat ids into the ``(rows+1) x (cols+1)`` padded grid, in one pass.
+    ) -> Tuple[np.ndarray, int]:
+        """``(ids, n_off_map)``: flat ids into the padded label grid, in one pass.
 
-        The id of an on-map point is ``row * (cols+1) + col`` — its cell in
-        a grid with one extra column and row, the layout of
-        :func:`repro.serving.backends.pad_labels` — so a dense reader
-        answers a batch with one ``padded.ravel().take(ids)``.  Off-map
-        points (NaN included) get ``-1``, which ``take`` reads as the last
-        border cell.  ``strict`` raises :class:`GridError` for off-map
-        points exactly as :meth:`locate_many` does.
+        The id of an on-map point is ``row * (cols+2) + col`` with the
+        *unclamped* cell indices, each in ``[0, rows]`` and ``[0, cols]``:
+        a point on (or rounding up to) a maximal edge gets index ``rows``
+        or ``cols``, which :func:`repro.serving.backends.pad_labels` fills
+        with a copy of the last row or column (its shape is
+        :func:`repro.serving.backends.padded_shape`) — so a dense reader
+        answers a batch with one ``padded.ravel().take(ids)``, no clamp.
+        Off-map points (NaN and +/-inf included) get ``-1``, which ``take``
+        reads as the ``-1`` corner; ``n_off_map`` counts them off the
+        inside mask, so a reader whose labels have no ``-1`` knows how many
+        points it located without scanning its answer.  ``strict`` raises
+        :class:`GridError` for off-map points exactly as
+        :meth:`locate_many` does.
         """
         # returns: int64
-        shape, ids, cols, off_map = self._locate_cells(xs, ys, strict)
-        ids *= self._cols + 1
-        ids += cols
-        if off_map is not None:
-            np.copyto(ids, -1, where=off_map)
-        return ids.reshape(shape)
+        shape, xs, ys, off_map = self._checked_coords(xs, ys, strict)
+        bounds = self._bounds
+        # Off-map offsets may be NaN, inf or beyond int64: their divide and
+        # cast are silenced here and their garbage ids overwritten below.
+        with np.errstate(invalid="ignore", over="ignore"):
+            ids = _axis_cells(ys, bounds.min_y, self.cell_height)
+            ids *= self._cols + 2
+            ids += _axis_cells(xs, bounds.min_x, self.cell_width)
+        if off_map is None:
+            return ids.reshape(shape), 0
+        np.copyto(ids, -1, where=off_map)
+        return ids.reshape(shape), int(np.count_nonzero(off_map))
 
-    def _locate_cells(
+    def _checked_coords(
         self, xs: np.ndarray, ys: np.ndarray, strict: bool
     ) -> Tuple[Tuple[int, ...], np.ndarray, np.ndarray, np.ndarray | None]:
-        """``(shape, rows, cols, off_map)``; off-map cells are still unmarked.
+        """``(shape, xs, ys, off_map)``: float arrays and the off-map mask.
 
-        The shared body of :meth:`locate_many` and :meth:`locate_padded`.
-        ``off_map`` is ``None`` when every point is on the map.  0-d inputs
+        The shared front of :meth:`locate_many` and :meth:`locate_padded`:
+        one inside mask from the four bound compares (NaN compares false,
+        so it is off the map).  ``off_map`` is ``None`` when every point is
+        on the map; ``strict`` raises instead of returning one.  0-d inputs
         come back as 1-element arrays (ufuncs would hand back scalars);
         callers reshape to ``shape``.
         """
@@ -179,15 +211,16 @@ class Grid:
         if not shape:
             xs, ys = xs.reshape(1), ys.reshape(1)
         bounds = self._bounds
-        cols, off_x = _axis_cells(xs, bounds.min_x, bounds.max_x, self.cell_width, self._cols)
-        rows, off_y = _axis_cells(ys, bounds.min_y, bounds.max_y, self.cell_height, self._rows)
-        if off_x is None or off_y is None:
-            off_map = off_y if off_x is None else off_x
-        else:
-            off_map = np.logical_or(off_x, off_y, out=off_x)
-        if strict and off_map is not None:
+        inside = np.greater_equal(xs, bounds.min_x)
+        compare = np.less_equal(xs, bounds.max_x)
+        inside &= compare
+        inside &= np.greater_equal(ys, bounds.min_y, out=compare)
+        inside &= np.less_equal(ys, bounds.max_y, out=compare)
+        if inside.all():
+            return shape, xs, ys, None
+        if strict:
             raise GridError("some coordinates fall outside the grid bounds")
-        return shape, rows, cols, off_map
+        return shape, xs, ys, np.logical_not(inside, out=inside)
 
     def cell_bounds(self, row: int, col: int) -> BoundingBox:
         """Geographic extent of cell ``(row, col)``."""
@@ -220,30 +253,28 @@ class Grid:
         return lower.union(upper)
 
 
-def _axis_cells(
-    values: np.ndarray, low: float, high: float, cell_size: float, n_cells: int
-) -> Tuple[np.ndarray, np.ndarray | None]:
-    """Cell index of every coordinate along one axis, plus the off-map mask.
+def _axis_cells(values: np.ndarray, low: float, cell_size: float) -> np.ndarray:
+    """Unclamped cell index ``trunc((values - low) / cell_size)`` per coordinate.
 
     The one copy of the coordinate arithmetic: subtract, divide by the cell
     size (a reciprocal multiply can round differently at exact cell edges),
-    cast, clamp the maximal edge into the last cell.  Off-map coordinates
-    (NaN and +/-inf included) are zeroed before the divide, so the cast
-    never sees a value it cannot represent; their cell is a valid ``0``
-    that the caller masks.  The mask is ``None`` when every coordinate is
-    on the map.  Its float temporary dies on return, so a caller that
-    locates one axis at a time holds at most one.
+    cast.  For a coordinate in ``[low, high]`` the index is in ``[0, n]``
+    (``n`` on, or rounding up to, the maximal edge); :meth:`Grid.locate_many`
+    clamps it to ``n - 1``, :meth:`Grid.locate_padded` reads the padded
+    grid's copy of the last row or column instead.  Off-map coordinates
+    give garbage that the caller masks; it calls this under
+    ``np.errstate`` so their overflowing divide and cast stay silent.
+
+    The cast writes over the float offsets it reads (same item size,
+    element for element), so an axis holds one batch-sized buffer, not
+    two; ``benchmarks/test_bench_routing.py``'s allocation budget counts
+    the buffers a dispatch holds live.
     """
-    inside = values >= low
-    inside &= values <= high
-    off_map = None if inside.all() else np.logical_not(inside, out=inside)
     offsets = values - low
-    if off_map is not None:
-        np.copyto(offsets, 0.0, where=off_map)
     offsets /= cell_size
-    cells = offsets.astype(np.intp, copy=False)
-    np.minimum(cells, n_cells - 1, out=cells)
-    return cells, off_map
+    cells = offsets.view(np.intp)
+    np.copyto(cells, offsets, casting="unsafe")
+    return cells
 
 
 def _validated_cell_coords(

@@ -249,6 +249,36 @@ class TestAdmin:
         assert "ConfigurationError" in response
         assert "Connection: close" in response
 
+    @pytest.mark.parametrize("length", ["-1", "1_0", "+5", " 5 0", "٥", ""])
+    @pytest.mark.parametrize(
+        "request_line",
+        ["POST /v1/locate", "GET /v1/stats", "POST /v1/nowhere"],
+        ids=["read-body", "drain-get", "drain-unknown"],
+    )
+    def test_non_digit_content_length_answers_once_then_closes(
+        self, server, request_line, length
+    ):
+        # A pipelined GET follows: a server that took "-1" as an empty body
+        # or "1_0" as 10 bytes would answer it too (or swallow part of it).
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(
+                f"{request_line} HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {length}\r\n\r\n"
+                "GET /v1/stats HTTP/1.1\r\nHost: x\r\n\r\n".encode("utf-8")
+            )
+            chunks = []
+            while True:  # the server must close after its one answer
+                data = sock.recv(65536)
+                if not data:
+                    break
+                chunks.append(data)
+        lines = b"".join(chunks).decode("latin-1").splitlines()
+        assert [line for line in lines if line.startswith("HTTP/")] == [lines[0]]
+        assert " 400 " in lines[0]
+        assert "Connection: close" in lines
+        assert "malformed Content-Length" in lines[-1]
+
     def test_deploy_payload_validation(self, admin_server):
         with _client(admin_server) as client:
             with pytest.raises(ConfigurationError, match="artifact"):

@@ -11,7 +11,7 @@ from repro.datasets.edgap import load_edgap_city
 from repro.exceptions import GridError
 from repro.io.artifacts import save_partition_artifact
 from repro.serving import PartitionServer, RangeRequest, ShardedDeployment
-from repro.serving.backends import pad_labels
+from repro.serving.backends import pad_labels, padded_shape
 from repro.serving.workers import WorkerState
 from repro.spatial.geometry import BoundingBox, Point
 from repro.spatial.grid import Grid
@@ -152,7 +152,7 @@ class _SharedWorker:
 
     def __init__(self, partition: Partition) -> None:
         grid = partition.grid
-        shape = (grid.rows + 1, grid.cols + 1)
+        shape = padded_shape(grid.rows, grid.cols)
         self.segment = shared_memory.SharedMemory(create=True, size=shape[0] * shape[1] * 8)
         view = np.ndarray(shape, dtype=np.int64, buffer=self.segment.buf)
         pad_labels(partition.label_grid, out=view)

@@ -24,6 +24,19 @@ class TestGridConstruction:
         with pytest.raises(GridError):
             Grid(2, 2, BoundingBox(0, 0, 0, 1))
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            BoundingBox(0.0, 0.0, 5e-324, 1.0),  # cell width underflows to 0
+            BoundingBox(0.0, 0.0, 3e-321, 1.0),  # subnormal cell width
+            BoundingBox(0.0, -1e308, 1.0, 1e308),  # height overflows to inf
+        ],
+    )
+    def test_cell_sizes_that_are_not_normal_finite_floats_raise(self, bounds):
+        # Such a grid located on-map points to negative or out-of-grid cells.
+        with pytest.raises(GridError, match="not normal finite floats"):
+            Grid(3, 300, bounds)
+
     def test_cell_sizes(self):
         grid = Grid(4, 5, BoundingBox(0, 0, 10, 8))
         assert grid.cell_width == pytest.approx(2.0)

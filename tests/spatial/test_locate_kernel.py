@@ -2,18 +2,22 @@
 
 Every dense reader -- the monolithic dense server, ``ShardedDeployment``
 and the shared-memory workers -- answers a batch with the flat padded-grid
-ids of ``Grid.locate_padded`` and one ``take``.  The form it replaced --
-``Grid.locate_many`` with its inside-mask, compress and scatter into
-``np.full(-1)``, then the 2-D gather ``pad_labels(labels)[rows, cols]`` --
-lives on here only, as the reference.  Every comparison is on raw int64
-bytes, so one point landing in a neighbouring cell fails.
+ids of ``Grid.locate_padded`` and one ``take``.  The ids are unclamped: a
+point on a maximal edge addresses the padded grid's copy of the last row
+or column.  The form it replaced -- ``Grid.locate_many`` with its
+inside-mask, compress, clamp and scatter into ``np.full(-1)``, then the
+2-D gather ``pad_labels(labels)[rows, cols]`` -- lives on here only, as
+the reference.  Every comparison is on raw int64 bytes, so one point
+landing in a neighbouring cell fails.
 """
 
+import math
+import warnings
 from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.config import ServingConfig
@@ -21,7 +25,7 @@ from repro.exceptions import GridError
 from repro.io.artifacts import save_partition_artifact
 from repro.serving import PartitionServer, ServingEngine, ShardedDeployment
 from repro.serving import WireConnection, WorkerPool
-from repro.serving.backends import pad_labels
+from repro.serving.backends import pad_labels, padded_shape
 from repro.serving.workers import WorkerState, fork_available
 from repro.spatial.geometry import BoundingBox
 from repro.spatial.grid import Grid
@@ -90,6 +94,27 @@ def assert_bit_equal(answer, expected):
     assert answer.dtype == np.int64
     assert answer.shape == expected.shape
     assert answer.tobytes() == expected.tobytes()
+
+
+def assert_ids_address_reference_cells(grid, padded, ref_rows, ref_cols):
+    """``Grid.locate_padded``'s answer against the reference cells of the same points.
+
+    An off-map id is ``-1``, and the off-map count is theirs.  An on-map id
+    addresses row ``<= rows`` and column ``<= cols`` of the padded grid --
+    the invariant that lets the kernel skip the clamp -- and clamping that
+    padded cell back into the grid gives exactly the reference cell.
+    """
+    ids, n_off_map = padded
+    assert ids.dtype == np.int64
+    assert ids.shape == np.shape(ref_rows)
+    off_map = np.asarray(ref_rows) < 0
+    assert n_off_map == np.count_nonzero(off_map)
+    assert (ids[off_map] == -1).all()
+    rows, cols = np.divmod(ids[~off_map], grid.cols + 2)
+    assert ((rows >= 0) & (rows <= grid.rows)).all()
+    assert ((cols >= 0) & (cols <= grid.cols)).all()
+    assert_bit_equal(np.minimum(rows, grid.rows - 1), np.asarray(ref_rows)[~off_map])
+    assert_bit_equal(np.minimum(cols, grid.cols - 1), np.asarray(ref_cols)[~off_map])
 
 
 # -- point sets ---------------------------------------------------------------------
@@ -220,11 +245,12 @@ class ShmWorkerReader:
 
     def __init__(self, partition):
         grid = partition.grid
-        shape = (grid.rows + 1, grid.cols + 1)
+        shape = padded_shape(grid.rows, grid.cols)
         self.segment = shared_memory.SharedMemory(create=True, size=shape[0] * shape[1] * 8)
         view = np.ndarray(shape, dtype=np.int64, buffer=self.segment.buf)
         pad_labels(partition.label_grid, out=view)
         del view
+        bounds = grid.bounds
         self.state = WorkerState()
         self.state.apply_exports([{
             "name": "k",
@@ -232,15 +258,21 @@ class ShmWorkerReader:
             "segment": self.segment.name,
             "rows": grid.rows,
             "cols": grid.cols,
-            "bounds": [BOUNDS.min_x, BOUNDS.min_y, BOUNDS.max_x, BOUNDS.max_y],
+            "bounds": [bounds.min_x, bounds.min_y, bounds.max_x, bounds.max_y],
             "extents": np.array(
                 [(r.row_start, r.row_stop, r.col_start, r.col_stop) for r in partition.regions],
                 dtype=np.int64,
             ),
         }])
 
-    def __call__(self, xs, ys, strict=False):
+    def locate_points(self, xs, ys, strict=False):
         return self.state.locate_batch("k", xs, ys, strict=strict)[1]
+
+    def locate_counted(self, xs, ys):
+        """``(regions, located)``, the count read off the worker's counter."""
+        before = self.state.stats["located"]
+        regions = self.locate_points(xs, ys)
+        return regions, self.state.stats["located"] - before
 
     def close(self):
         self.state.apply_exports([], removed=["k"])
@@ -250,18 +282,25 @@ class ShmWorkerReader:
 
 
 @pytest.fixture(scope="module", params=["complete", "incomplete"])
-def readers(request, partition, incomplete):
-    """Every reader's ``locate(xs, ys, strict=False)``, by name."""
+def reader_objects(request, partition, incomplete):
+    """Every reader, by name, over a complete or an incomplete partition."""
     source = partition if request.param == "complete" else incomplete
     worker = ShmWorkerReader(source)
     yield source, {
-        "dense": PartitionServer(source).locate_points,
-        "sparse": PartitionServer(source, config=ServingConfig(backend="sparse")).locate_points,
-        "sharded_2x2": ShardedDeployment(source, 2, 2).locate_points,
-        "sharded_4x4": ShardedDeployment(source, 4, 4).locate_points,
+        "dense": PartitionServer(source),
+        "sparse": PartitionServer(source, config=ServingConfig(backend="sparse")),
+        "sharded_2x2": ShardedDeployment(source, 2, 2),
+        "sharded_4x4": ShardedDeployment(source, 4, 4),
         "shm_worker": worker,
     }
     worker.close()
+
+
+@pytest.fixture
+def readers(reader_objects):
+    """Every reader's ``locate(xs, ys, strict=False)``, by name."""
+    source, objects = reader_objects
+    return source, {name: reader.locate_points for name, reader in objects.items()}
 
 
 READER_NAMES = ("dense", "sparse", "sharded_2x2", "sharded_4x4", "shm_worker")
@@ -282,16 +321,27 @@ class TestGridKernel:
     @pytest.mark.parametrize("case", sorted(POINT_CASES))
     def test_padded_ids_address_the_reference_cells(self, case):
         xs, ys = POINT_CASES[case]()
-        ids = GRID.locate_padded(xs, ys, strict=False)
+        padded = GRID.locate_padded(xs, ys, strict=False)
         rows, cols = reference_locate_many(GRID, xs, ys, strict=False)
-        expected = np.where(rows >= 0, rows * (GRID.cols + 1) + cols, -1)
-        assert_bit_equal(ids, expected)
+        assert_ids_address_reference_cells(GRID, padded, rows, cols)
 
     def test_off_map_id_reads_the_last_border_cell(self, partition):
-        padded = pad_labels(partition.label_grid)
+        labels = partition.label_grid
+        rows, cols = labels.shape
+        padded = pad_labels(labels)
+        assert padded.shape == padded_shape(rows, cols) == (rows + 2, cols + 2)
+        assert_bit_equal(padded[:rows, :cols], labels)
+        assert_bit_equal(padded[rows, :cols], labels[-1])
+        assert_bit_equal(padded[:rows, cols], labels[:, -1])
+        assert padded[rows, cols] == labels[-1, -1]
+        assert (padded[rows + 1] == -1).all() and (padded[:, cols + 1] == -1).all()
         assert padded.ravel()[-1] == -1
-        ids = GRID.locate_padded(*corners(), strict=False)
+        # The maximal corner addresses the copies; id -1 reads the -1 corner.
+        ids, n_off_map = GRID.locate_padded(*corners(), strict=False)
+        assert n_off_map == 0
         assert (ids >= 0).all() and (ids < padded.size - 1).all()
+        assert ids[-1] == rows * (cols + 2) + cols
+        assert_bit_equal(padded.ravel().take(ids), labels[[0, 0, -1, -1], [0, -1, 0, -1]])
 
     @pytest.mark.parametrize("case", sorted(shaped_cases()))
     def test_shapes_match_reference(self, case):
@@ -300,7 +350,7 @@ class TestGridKernel:
         ref_rows, ref_cols = reference_locate_many(GRID, xs, ys, strict=False)
         assert_bit_equal(rows, ref_rows)
         assert_bit_equal(cols, ref_cols)
-        assert GRID.locate_padded(xs, ys, strict=False).shape == np.shape(ref_rows)
+        assert GRID.locate_padded(xs, ys, strict=False)[0].shape == np.shape(ref_rows)
 
     def test_inputs_are_not_written(self):
         xs, ys = off_map_each_side(seed=5)
@@ -359,8 +409,118 @@ class TestGridKernel:
         ref_rows, ref_cols = reference_locate_many(GRID, xs, ys, strict=False)
         assert_bit_equal(rows, ref_rows)
         assert_bit_equal(cols, ref_cols)
-        ids = GRID.locate_padded(xs, ys, strict=False)
-        assert_bit_equal(ids, np.where(ref_rows >= 0, ref_rows * (GRID.cols + 1) + ref_cols, -1))
+        padded = GRID.locate_padded(xs, ys, strict=False)
+        assert_ids_address_reference_cells(GRID, padded, ref_rows, ref_cols)
+
+
+# -- random grids -----------------------------------------------------------------------
+
+
+def _magnitude():
+    """A float of magnitude 1e-8 to 1e8, either sign."""
+    return st.builds(
+        lambda magnitude, negative: -magnitude if negative else magnitude,
+        st.floats(1e-8, 1e8),
+        st.booleans(),
+    )
+
+
+def _rounding_cell_size(size):
+    """True when ``size`` is no short binary fraction, so its edges round."""
+    mantissa, _ = math.frexp(size)
+    return (mantissa * 2.0**20) % 1.0 != 0.0
+
+
+@st.composite
+def random_grids(draw):
+    """A grid of 1-300 rows and columns over bounds of magnitude 1e-8 to 1e8."""
+    rows = draw(st.integers(1, 300))
+    cols = draw(st.integers(1, 300))
+    x0, x1, y0, y1 = (draw(_magnitude()) for _ in range(4))
+    bounds = BoundingBox(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1))
+    assume(bounds.width > 0 and bounds.height > 0)
+    grid = Grid(rows, cols, bounds)
+    assume(_rounding_cell_size(grid.cell_width) and _rounding_cell_size(grid.cell_height))
+    return grid
+
+
+def _axis_edges(low, high, cell_size, n):
+    """Every cell edge of one axis and both bounds, exactly and one ulp either side."""
+    edges = np.concatenate([low + np.arange(n + 1) * cell_size, [low, high]])
+    return np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+
+
+def random_grid_points(grid):
+    """Each axis's edges paired with the other's, then the non-finite and huge values."""
+    bounds = grid.bounds
+    x_edges = _axis_edges(bounds.min_x, bounds.max_x, grid.cell_width, grid.cols)
+    y_edges = _axis_edges(bounds.min_y, bounds.max_y, grid.cell_height, grid.rows)
+    specials = np.array([np.nan, np.inf, -np.inf, 1e300, -1e300])
+    mid_x = np.full(specials.size, bounds.center.x)
+    mid_y = np.full(specials.size, bounds.center.y)
+    xs = np.concatenate([x_edges, np.resize(x_edges, y_edges.size), specials, mid_x, specials])
+    ys = np.concatenate([np.resize(y_edges, x_edges.size), y_edges, mid_y, specials, specials[::-1]])
+    return xs, ys
+
+
+def block_partition(grid, row_cuts, col_cuts, complete):
+    """Regions cut at the given rows and columns, the last row and column their own.
+
+    The last row and column are cut off as regions of their own, so an id
+    that reads a max-edge copy instead of the cell the clamp picked shows.
+    Incomplete partitions drop every third region.
+    """
+    row_edges = sorted({0, grid.rows - 1, grid.rows, *(c % grid.rows for c in row_cuts)})
+    col_edges = sorted({0, grid.cols - 1, grid.cols, *(c % grid.cols for c in col_cuts)})
+    regions = [
+        GridRegion(grid, r0, r1, c0, c1)
+        for r0, r1 in zip(row_edges, row_edges[1:])
+        for c0, c1 in zip(col_edges, col_edges[1:])
+    ]
+    if not complete and len(regions) > 1:
+        regions = [region for index, region in enumerate(regions) if index % 3 != 1]
+    return Partition(grid, regions, require_complete=complete)
+
+
+class TestRandomGrids:
+    """The kernel and every dense reader on random grids, at every cell edge."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        random_grids(),
+        st.lists(st.integers(0, 299), max_size=6),
+        st.lists(st.integers(0, 299), max_size=6),
+        st.booleans(),
+    )
+    def test_every_dense_reader_matches_reference(self, grid, row_cuts, col_cuts, complete):
+        partition = block_partition(grid, row_cuts, col_cuts, complete)
+        xs, ys = random_grid_points(grid)
+        ref_rows, ref_cols = reference_locate_many(grid, xs, ys, strict=False)
+        expected = reference_regions(partition, xs, ys)
+        worker = ShmWorkerReader(partition)
+        try:
+            readers = [
+                PartitionServer(partition),
+                ShardedDeployment(partition, min(2, grid.rows), min(2, grid.cols)),
+                ShardedDeployment(partition, min(4, grid.rows), min(4, grid.cols)),
+                worker,
+            ]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                padded = grid.locate_padded(xs, ys, strict=False)
+                rows, cols = grid.locate_many(xs, ys, strict=False)
+                counted = [reader.locate_counted(xs, ys) for reader in readers]
+                answers = [reader.locate_points(xs, ys) for reader in readers]
+        finally:
+            worker.close()
+        assert_ids_address_reference_cells(grid, padded, ref_rows, ref_cols)
+        assert_bit_equal(rows, ref_rows)
+        assert_bit_equal(cols, ref_cols)
+        for answer in answers:
+            assert_bit_equal(answer, expected)
+        for regions, located in counted:
+            assert_bit_equal(regions, expected)
+            assert located == np.count_nonzero(expected >= 0)
 
 
 # -- every dense reader -----------------------------------------------------------------
@@ -380,6 +540,17 @@ class TestReaders:
         source, by_name = readers
         xs, ys = shaped_cases()[case]
         assert_bit_equal(by_name[reader](xs, ys), reference_regions(source, xs, ys))
+
+    @pytest.mark.parametrize("reader", READER_NAMES)
+    @pytest.mark.parametrize("case", sorted(POINT_CASES))
+    def test_located_count_matches_reference(self, reader_objects, reader, case):
+        # The count the engine's and the workers' `located` counters add.
+        source, objects = reader_objects
+        xs, ys = POINT_CASES[case]()
+        regions, located = objects[reader].locate_counted(xs, ys)
+        expected = reference_regions(source, xs, ys)
+        assert_bit_equal(regions, expected)
+        assert located == np.count_nonzero(expected >= 0)
 
     @pytest.mark.parametrize("reader", READER_NAMES)
     def test_strict_raises_the_same_grid_error(self, readers, reader):
