@@ -40,7 +40,6 @@ from .core import (
     DEFAULT_SPLIT_ENGINE,
     SPLIT_ENGINES,
     FairKDTreePartitioner,
-    FairQuadTreePartitioner,
     GridReweightingPartitioner,
     IterativeFairKDTreePartitioner,
     MedianKDTreePartitioner,
@@ -100,7 +99,6 @@ __all__ = [
     "PAPER_ACT_THRESHOLD",
     "PAPER_EMPLOYMENT_THRESHOLD",
     "FairKDTreePartitioner",
-    "FairQuadTreePartitioner",
     "IterativeFairKDTreePartitioner",
     "MultiObjectiveFairKDTreePartitioner",
     "MedianKDTreePartitioner",

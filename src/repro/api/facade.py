@@ -17,9 +17,9 @@ figure sweeps — now builds a spec and calls one of:
 
 Construction is metadata-driven: each registry entry declares which spec
 fields its constructor understands (``accepts_split_engine``,
-``accepts_objective``, ``accepts_alphas``, ``height_param``), so a new
-partitioner registered with the right flags is immediately buildable,
-benchmarkable, servable and persistable with zero facade edits.
+``accepts_objective``, ``accepts_alphas``), so a new partitioner
+registered with the right flags is immediately buildable, benchmarkable,
+servable and persistable with zero facade edits.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ def make_partitioner(spec: PartitionSpecLike) -> SpatialPartitioner:
 
     The registry entry's capability flags decide which spec fields are
     forwarded to the constructor; entries registered without a class
-    (``zipcode``) raise :class:`~repro.exceptions.ExperimentError`.
+    (``zipcode``, removed methods) raise
+    :class:`~repro.exceptions.ExperimentError`.
     """
     spec = as_partition_spec(spec)
     entry = PARTITIONERS.resolve(spec.method)
@@ -95,10 +96,6 @@ def make_partitioner(spec: PartitionSpecLike) -> SpatialPartitioner:
         kwargs["split_engine"] = spec.split_engine
     if entry.flag("accepts_alphas") and spec.alphas is not None:
         kwargs["alphas"] = spec.alphas
-    if entry.flag("height_param", "height") == "depth":
-        # A quadtree of depth d is granularity-comparable to a KD-tree of
-        # height 2d, so the requested height is halved (rounded up).
-        return entry.obj(depth=(spec.height + 1) // 2, **kwargs)
     return entry.obj(spec.height, **kwargs)
 
 

@@ -17,12 +17,14 @@ partitioner interface:
 * :mod:`~repro.core.split_engine` — pluggable split-statistics engines; the
   default prefix-sum engine turns every candidate-split evaluation into
   constant-time cumulative-table reads.
+
+Removed methods stay registered by name only (no class), so artifact
+bundles whose embedded spec names one still deploy.
 """
 
 from ..registry import PARTITIONERS
 from .base import PartitionerOutput, SpatialPartitioner
 from .fair_kdtree import FairKDTreePartitioner
-from .fair_quadtree import FairQuadTreePartitioner
 from .grid_reweighting import GridReweightingPartitioner
 from .iterative import IterativeFairKDTreePartitioner
 from .median_kdtree import MedianKDTreePartitioner
@@ -44,7 +46,6 @@ __all__ = [
     "SpatialPartitioner",
     "PartitionerOutput",
     "FairKDTreePartitioner",
-    "FairQuadTreePartitioner",
     "IterativeFairKDTreePartitioner",
     "MultiObjectiveFairKDTreePartitioner",
     "MedianKDTreePartitioner",
@@ -77,4 +78,17 @@ PARTITIONERS.register(
     None,
     summary="real zipcode tessellation (built by repro.datasets.zipcodes)",
     paper_ref="Section 5.1 (real-world baseline regions)",
+)
+
+# The fair quadtree was removed: it cut each half on its own, which is the
+# Fair KD-tree's alternating row/column split under another name.  Its
+# name-only entry keeps the spec fields it accepted, so stored specs naming
+# it still re-validate.
+PARTITIONERS.register(
+    "fair_quadtree",
+    None,
+    summary="removed; replaced by a Fair KD-tree of height 2*depth",
+    paper_ref="future-work extension (removed)",
+    accepts_objective=True,
+    accepts_split_engine=True,
 )

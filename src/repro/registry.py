@@ -333,9 +333,6 @@ def register_partitioner(
 
     ``accepts_split_engine`` / ``accepts_objective`` / ``accepts_alphas``
         Which spec fields the constructor understands.
-    ``height_param``
-        ``"depth"`` when the constructor takes a quadtree depth instead of a
-        KD-height; the facade converts ``height`` to ``(height + 1) // 2``.
     ``paper_order``
         Position in the Figures 7/8 roster (``None`` = not in that roster).
     ``servable``

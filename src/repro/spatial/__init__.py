@@ -14,8 +14,6 @@ on the map.  This package provides:
   by regions, i.e. a set of neighborhoods.
 * :class:`~repro.spatial.kdtree.MedianKDTree` — the standard median-split
   KD-tree used as the paper's main baseline.
-* :class:`~repro.spatial.quadtree.QuadTree` — an additional space-covering
-  index used for comparison and property tests.
 * :mod:`~repro.spatial.queries` — point-location and range queries over
   partitions.
 """
@@ -25,7 +23,6 @@ from .grid import Grid, GridCell, counts_per_cell, sums_per_cell
 from .region import CumulativeGrid, GridRegion
 from .partition import Partition, single_region_partition, uniform_partition
 from .kdtree import KDNode, MedianKDTree, RegionKDTree
-from .quadtree import QuadNode, QuadTree
 from .queries import PartitionLocator, neighbors_of, range_query, region_containing_cell
 
 __all__ = [
@@ -43,8 +40,6 @@ __all__ = [
     "KDNode",
     "MedianKDTree",
     "RegionKDTree",
-    "QuadNode",
-    "QuadTree",
     "PartitionLocator",
     "neighbors_of",
     "range_query",

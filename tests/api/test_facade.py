@@ -19,7 +19,6 @@ from repro.api import (
     task_for,
 )
 from repro.core.fair_kdtree import FairKDTreePartitioner
-from repro.core.fair_quadtree import FairQuadTreePartitioner
 from repro.core.grid_reweighting import GridReweightingPartitioner
 from repro.core.iterative import IterativeFairKDTreePartitioner
 from repro.core.median_kdtree import MedianKDTreePartitioner
@@ -49,7 +48,6 @@ class TestMakePartitioner:
             "iterative_fair_kdtree": IterativeFairKDTreePartitioner,
             "grid_reweighting": GridReweightingPartitioner,
             "multi_objective_fair_kdtree": MultiObjectiveFairKDTreePartitioner,
-            "fair_quadtree": FairQuadTreePartitioner,
         }
         for method, cls in expected.items():
             assert isinstance(make_partitioner(PartitionSpec(method=method, height=4)), cls)
@@ -75,10 +73,6 @@ class TestMakePartitioner:
         assert partitioner.split_engine == "record_scan"
         assert partitioner._scorer.name == "total"
 
-    def test_quadtree_height_halved_to_depth(self):
-        assert make_partitioner(PartitionSpec(method="fair_quadtree", height=6)).depth == 3
-        assert make_partitioner(PartitionSpec(method="fair_quadtree", height=7)).depth == 4
-
     def test_alphas_forwarded_to_multi_objective(self):
         spec = PartitionSpec(method="multi_objective", alphas=(0.3, 0.7))
         assert make_partitioner(spec).alphas == (0.3, 0.7)
@@ -99,6 +93,10 @@ class TestMakePartitioner:
     def test_zipcode_has_no_class(self):
         with pytest.raises(ExperimentError, match="no partitioner class"):
             make_partitioner("zipcode")
+
+    def test_removed_fair_quadtree_has_no_class(self):
+        with pytest.raises(ExperimentError, match="no partitioner class.*removed"):
+            make_partitioner("fair_quadtree")
 
     def test_unknown_method_lists_names_and_suggests(self):
         with pytest.raises(ExperimentError, match="available:.*did you mean"):
@@ -189,6 +187,27 @@ class TestBuildAndServe:
         with pytest.raises(ReproError):
             engine.deploy("bad", bad)
         assert "bad" not in engine
+
+    def test_fair_quadtree_bundle_still_deploys(self, tmp_path):
+        """A bundle whose embedded spec names the removed fair quadtree
+        re-validates on deploy and serves the partition it holds."""
+        built = build_partition(small_run(partition=PartitionSpec(height=6)))
+        spec = small_run(
+            partition=PartitionSpec(method="fair_quadtree", height=6, objective="total")
+        )
+        path = BuildResult(spec, built.dataset, built.output).save(tmp_path / "bundle")
+
+        engine = open_engine()
+        engine.deploy("la", path)
+        assert engine.server_for("la").spec == spec
+        grid = built.partition.grid
+        rng = np.random.default_rng(5)
+        xs = rng.uniform(grid.bounds.min_x - 1.0, grid.bounds.max_x + 1.0, 500)
+        ys = rng.uniform(grid.bounds.min_y - 1.0, grid.bounds.max_y + 1.0, 500)
+        rows, cols = grid.locate_many(xs, ys, strict=False)
+        expected = built.partition.assign(rows, cols, strict=False)
+        assert (expected == -1).any() and (expected >= 0).any()
+        np.testing.assert_array_equal(engine.locate_points("la", xs, ys), expected)
 
     def test_run_pipeline_end_to_end(self):
         result = run_pipeline(small_run())

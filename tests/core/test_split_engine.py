@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fair_kdtree import FairKDTreePartitioner
-from repro.core.fair_quadtree import FairQuadTreePartitioner
 from repro.core.objective import available_objectives, make_scorer
 from repro.core.split import best_axis_split, split_neighborhood
 from repro.core.split_engine import (
@@ -136,17 +135,6 @@ class TestEngineEquivalence:
             partitioner = FairKDTreePartitioner(
                 height, objective=objective, split_engine=engine
             )
-            partitions.append(partitioner.build_from_residuals(dataset, residuals))
-        assert list(partitions[0].regions) == list(partitions[1].regions)
-
-    @settings(max_examples=20, deadline=None)
-    @given(grid_with_records(), st.integers(min_value=0, max_value=3))
-    def test_fair_quadtree_partitions_identical(self, records, depth):
-        grid, cell_rows, cell_cols, residuals = records
-        dataset = _dataset_from_cells(grid, cell_rows, cell_cols)
-        partitions = []
-        for engine in SPLIT_ENGINES:
-            partitioner = FairQuadTreePartitioner(depth, split_engine=engine)
             partitions.append(partitioner.build_from_residuals(dataset, residuals))
         assert list(partitions[0].regions) == list(partitions[1].regions)
 
@@ -291,8 +279,6 @@ class TestEngineValidation:
     def test_partitioners_reject_unknown_engine(self):
         with pytest.raises(ConfigurationError):
             FairKDTreePartitioner(3, split_engine="bogus")
-        with pytest.raises(ConfigurationError):
-            FairQuadTreePartitioner(2, split_engine="bogus")
 
     def test_default_engine_is_prefix_sum(self):
         assert DEFAULT_SPLIT_ENGINE == "prefix_sum"

@@ -54,6 +54,10 @@ class TestBuilders:
         with pytest.raises(ExperimentError):
             default_context().partitioner("zipcode", 4)
 
+    def test_context_partitioner_rejects_removed_fair_quadtree(self):
+        with pytest.raises(ExperimentError):
+            default_context().partitioner("fair_quadtree", 6)
+
 
 class TestContext:
     def test_paper_constants(self):

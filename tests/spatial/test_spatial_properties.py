@@ -13,7 +13,6 @@ from repro.spatial.geometry import BoundingBox, Point
 from repro.spatial.grid import Grid
 from repro.spatial.kdtree import MedianKDTree
 from repro.spatial.partition import Partition
-from repro.spatial.quadtree import QuadTree
 from repro.spatial.region import GridRegion
 
 coordinates = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
@@ -118,14 +117,6 @@ class TestTreePartitionProperties:
         # Every record is assigned to exactly one leaf.
         assignment = partition.assign(rows, cols)
         assert np.all(assignment >= 0)
-
-    @settings(max_examples=30, deadline=None)
-    @given(grids_with_points(), st.integers(min_value=0, max_value=4))
-    def test_quadtree_leaves_tile_grid(self, grid_points, depth):
-        grid, rows, cols = grid_points
-        tree = QuadTree(grid, rows, cols, max_depth=depth, max_points=16)
-        partition = tree.leaf_partition()
-        assert partition.is_complete
 
     @settings(max_examples=30, deadline=None)
     @given(grids_with_points())
