@@ -65,6 +65,15 @@ class TestPartitionerRegistry:
     def test_zipcode_registered_without_class(self):
         assert PARTITIONERS.resolve("zipcode").obj is None
 
+    def test_removed_fair_quadtree_registered_without_class(self):
+        entry = PARTITIONERS.resolve("fair_quadtree")
+        assert entry.obj is None
+        assert "removed" in entry.summary and "Fair KD-tree" in entry.summary
+        assert entry.flag("accepts_objective")
+        assert entry.flag("accepts_split_engine")
+        assert not entry.flag("servable")
+        assert "fair_quadtree" not in PARTITIONERS.paper_methods()
+
 
 class TestModelRegistry:
     def test_paper_models_in_figure_order(self):

@@ -58,6 +58,18 @@ class TestPartitionSpec:
         with pytest.raises(ConfigurationError, match="unknown PartitionSpec field"):
             PartitionSpec.from_dict({"method": "fair_kdtree", "depth": 3})
 
+    def test_removed_fair_quadtree_spec_round_trips(self):
+        """A stored spec naming the removed fair quadtree, with the objective
+        and split engine it accepted, still validates and round-trips."""
+        spec = PartitionSpec(
+            method="fair_quadtree", height=6, objective="total", split_engine="record_scan"
+        )
+        assert PartitionSpec.from_dict(json.loads(spec.to_json())) == spec
+
+    def test_removed_fair_quadtree_spec_rejects_alphas(self):
+        with pytest.raises(ConfigurationError, match="task weights"):
+            PartitionSpec(method="fair_quadtree", alphas=(0.5, 0.5))
+
 
 class TestRunSpec:
     def test_defaults_are_valid(self):

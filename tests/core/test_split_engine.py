@@ -300,3 +300,22 @@ class TestEngineValidation:
             engine.line_sums(other, axis=0)
         with pytest.raises(SplitError):
             engine.region_count(other)
+
+
+@pytest.mark.parametrize("engine_kind", SPLIT_ENGINES)
+@pytest.mark.parametrize("shape", [(1, 16), (16, 1)], ids=["one_row", "one_column"])
+def test_fair_kdtree_falls_back_to_the_cuttable_axis(engine_kind, shape):
+    """On a grid one line thick, every level whose preferred axis cannot be
+    cut splits on the other axis instead, so the tree stops only at its
+    height or at a single cell, never at an uncuttable axis."""
+    grid = Grid(*shape)
+    cell_rows, cell_cols = np.divmod(np.repeat(np.arange(16), 3), grid.cols)
+    residuals = np.random.default_rng(9).integers(-32, 33, cell_rows.size) / 16.0
+    dataset = _dataset_from_cells(grid, cell_rows, cell_cols)
+    partitioner = FairKDTreePartitioner(4, split_engine=engine_kind)
+    partition = partitioner.build_from_residuals(dataset, residuals)
+
+    assert partition.is_complete
+    assert len(partition) > 4
+    for leaf in partitioner.root.leaves():
+        assert leaf.depth == 4 or leaf.region.n_cells == 1, leaf.region
