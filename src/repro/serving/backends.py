@@ -129,10 +129,11 @@ def range_candidates(
     bounds = grid.bounds
     if not bounds.intersects(query):
         return np.empty(0, dtype=np.int64)
-    row_lo = int(np.floor((query.min_y - bounds.min_y) / grid.cell_height)) - 1
-    row_hi = int(np.floor((query.max_y - bounds.min_y) / grid.cell_height)) + 2
-    col_lo = int(np.floor((query.min_x - bounds.min_x) / grid.cell_width)) - 1
-    col_hi = int(np.floor((query.max_x - bounds.min_x) / grid.cell_width)) + 2
+    cell_width, cell_height = grid.cell_width, grid.cell_height
+    row_lo = int(np.floor((query.min_y - bounds.min_y) / cell_height)) - 1
+    row_hi = int(np.floor((query.max_y - bounds.min_y) / cell_height)) + 2
+    col_lo = int(np.floor((query.min_x - bounds.min_x) / cell_width)) - 1
+    col_hi = int(np.floor((query.max_x - bounds.min_x) / cell_width)) + 2
     row_lo, col_lo = max(row_lo, 0), max(col_lo, 0)
     row_hi, col_hi = min(row_hi, grid.rows), min(col_hi, grid.cols)
     if row_lo >= row_hi or col_lo >= col_hi:

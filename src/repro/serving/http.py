@@ -102,17 +102,30 @@ Framing: both ends read an HTTP/1.1 head with :func:`read_headers`, one
 bounded line loop (the stdlib's 64 KiB line and 100-header limits) into
 a dict keyed by lower-cased field name.  The stdlib's parser builds an
 ``email.message.Message`` per head, which cost more than the engine work
-of a small typed read.
+of a small typed read.  The server frames a successful answer's head
+itself too, as one string: the status line (its phrase from a table of
+:class:`http.HTTPStatus`), the ``Server`` field built once, a ``Date``
+field formatted once per whole second, then ``Content-Type``,
+``Content-Length`` and, when the connection is closing, ``Connection:
+close``.  Those are the bytes the stdlib's
+``send_response``/``send_header``/``end_headers`` write, in the same
+order, without a date formatted and a list of lines encoded per request.
+An HTTP/0.9 request still gets the body alone, and refusals still go
+through the stdlib's ``send_error``.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import logging
 import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from email.utils import formatdate
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, BinaryIO, Dict, List, Optional, Tuple, Union
 
@@ -250,6 +263,27 @@ _DENSE_CODEC = JsonB64Codec()
 _BINARY_CODEC = BinaryCodec()
 
 
+#: ``(major, minor)`` of the request-line versions clients send, looked up
+#: before :func:`_http_version` parses anything else.
+_KNOWN_VERSIONS = {"HTTP/1.1": (1, 1), "HTTP/1.0": (1, 0)}
+
+#: Reason phrase per status code, as the stdlib's status line has it.
+_PHRASES = {status.value: status.phrase for status in HTTPStatus}
+
+#: The stdlib handler's ``Server`` field (``version_string()``), built once.
+_SERVER_FIELD = (
+    f"Server: {BaseHTTPRequestHandler.server_version} "
+    f"{BaseHTTPRequestHandler.sys_version}\r\n"
+)
+
+
+@functools.lru_cache(maxsize=1)
+def _date_field(second: int) -> str:
+    """The ``Date`` field of a response head framed in ``second``: formatted
+    once per whole second, however many handler threads ask."""
+    return f"Date: {formatdate(second, usegmt=True)}\r\n"
+
+
 def _http_version(word: str) -> Optional[Tuple[int, int]]:
     """``(major, minor)`` of a request line's ``HTTP/x.y``, or ``None``
     where the stdlib answers 400 (not ``HTTP/``, not two short digit
@@ -339,7 +373,7 @@ class _Handler(BaseHTTPRequestHandler):
             return False
         if len(words) >= 3:
             version = words[-1]
-            number = _http_version(version)
+            number = _KNOWN_VERSIONS.get(version) or _http_version(version)
             # Set before refusing: the stdlib refuses a bad or too-new
             # version as if it were HTTP/0.9, a body with no status line.
             self.request_version = version
@@ -382,8 +416,8 @@ class _Handler(BaseHTTPRequestHandler):
         return True
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        # send_response logs every request: keep the formatting (and the
-        # address lookup) off the hot path unless DEBUG is on.
+        # Every answer is logged (log_request): keep the formatting (and
+        # the address lookup) off the hot path unless DEBUG is on.
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("%s %s", self.address_string(), format % args)
 
@@ -393,15 +427,20 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_body(
         self, status: int, body: bytes, content_type: str = "application/json"
     ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
+        """Answer ``body`` under one pre-framed head (the module docstring's
+        "Framing" paragraph); an HTTP/0.9 request gets the body alone."""
+        self.log_request(status)
+        if self.request_version != "HTTP/0.9":
             # Set when the request body was refused unread (e.g. oversize):
             # the unconsumed bytes would corrupt the keep-alive stream, so
             # the connection must not be reused.
-            self.send_header("Connection", "close")
-        self.end_headers()
+            close = "Connection: close\r\n" if self.close_connection else ""
+            date = _date_field(int(time.time()))
+            self.wfile.write(
+                f"{self.protocol_version} {status} {_PHRASES.get(status, '')}\r\n"
+                f"{_SERVER_FIELD}{date}Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(body)}\r\n{close}\r\n".encode("latin-1")
+            )
         self.wfile.write(body)
 
     def _send_error_json(self, status: int, exc: BaseException) -> None:
@@ -477,27 +516,10 @@ class _Handler(BaseHTTPRequestHandler):
     # -- routes ---------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch(
-            {
-                "/v1/healthz": self._get_healthz,
-                "/v1/capabilities": self._get_capabilities,
-                "/v1/deployments": self._get_deployments,
-                "/v1/stats": self._get_stats,
-            }
-        )
+        self._dispatch(self._get_routes)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch(
-            {
-                "/v1/locate": self._post_locate,
-                "/v1/range": self._post_range,
-                "/v1/deploy": self._post_deploy,
-                "/v1/rollback": self._post_rollback,
-                "/v1/swap-shard": self._post_swap_shard,
-                "/v1/rollback-shard": self._post_rollback_shard,
-            },
-            with_body=True,
-        )
+        self._dispatch(self._post_routes, with_body=True)
 
     def _dispatch(self, routes: Dict[str, Any], with_body: bool = False) -> None:
         handler = routes.get(self.path)
@@ -511,7 +533,7 @@ class _Handler(BaseHTTPRequestHandler):
                 if not self._body_is_binary():
                     body = _json_object(body)
                 elif self.path == "/v1/locate":
-                    handler = self._post_locate_binary
+                    handler = type(self)._post_locate_binary
                 else:
                     raise ConfigurationError(
                         f"{self.path} takes a JSON body; only /v1/locate "
@@ -527,7 +549,7 @@ class _Handler(BaseHTTPRequestHandler):
                     f"unknown endpoint {self.path!r}; "
                     f"known: {', '.join(sorted(routes))}"
                 )
-            handler(body) if with_body else handler()
+            handler(self, body) if with_body else handler(self)
         except Exception as exc:  # repro: ignore[exception-discipline] -- dispatch boundary: every failure, expected or not, must become a JSON error response instead of a dropped connection
             status = _status_for(exc)
             if status == 500:
@@ -667,6 +689,22 @@ class _Handler(BaseHTTPRequestHandler):
             logger.warning("manifest save failed after admin mutation: %s", exc)
             return {**info, "manifest_warning": str(exc)}
         return info
+
+    # Built once per class: path -> the unbound method that answers it.
+    _get_routes = {
+        "/v1/healthz": _get_healthz,
+        "/v1/capabilities": _get_capabilities,
+        "/v1/deployments": _get_deployments,
+        "/v1/stats": _get_stats,
+    }
+    _post_routes = {
+        "/v1/locate": _post_locate,
+        "/v1/range": _post_range,
+        "/v1/deploy": _post_deploy,
+        "/v1/rollback": _post_rollback,
+        "/v1/swap-shard": _post_swap_shard,
+        "/v1/rollback-shard": _post_rollback_shard,
+    }
 
 
 class ServingHTTPServer(ThreadingHTTPServer):

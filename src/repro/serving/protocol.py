@@ -27,8 +27,9 @@ forwards to :meth:`~repro.serving.engine.ServingEngine.swap_shard` /
 
 A :class:`LocateRequest` holds its coordinates as read-only float64
 arrays, so a transport hands them to a codec or the engine as they are.
-A :class:`QueryResult` still converts its regions to a tuple of ints;
-the engine's array-native
+A :class:`QueryResult` still converts its regions to a tuple of ints
+(a 1-D int64 array, as the codecs decode it, in one ``tolist``; anything
+else is checked first); the engine's array-native
 :meth:`~repro.serving.engine.ServingEngine.locate_points` skips that.
 """
 
@@ -62,6 +63,10 @@ LATEST = "latest"
 
 #: The request/result kinds the protocol knows.
 QUERY_KINDS: Tuple[str, ...] = ("locate", "range")
+
+#: The dtype of the region ids every reader answers, compared by
+#: identity on :class:`QueryResult`'s fast path.
+_INT64 = np.dtype(np.int64)
 
 #: The protocol (envelope) version this build speaks.  Version 1 is the
 #: PR 5/6 wire format exactly: an :class:`Envelope` at version 1
@@ -381,8 +386,15 @@ class QueryResult(_JsonValue):
             raise ConfigurationError(
                 f"QueryResult.kind must be one of {QUERY_KINDS}, got {self.kind!r}"
             )
+        regions = self.regions
+        if isinstance(regions, np.ndarray) and regions.dtype is _INT64 \
+                and regions.ndim == 1:
+            # What a codec decodes for a client's typed locate: int64 ids
+            # already, so nothing to check before the one conversion.
+            object.__setattr__(self, "regions", tuple(regions.tolist()))
+            return
         try:
-            regions = np.asarray(self.regions)
+            regions = np.asarray(regions)
             if regions.ndim != 1:
                 raise ValueError(f"regions must be flat, got shape {regions.shape}")
             # Guard the cast to int64: astype would fold NaN/Inf to

@@ -45,17 +45,23 @@ class Grid:
             raise GridError(f"grid dimensions must be positive, got {rows}x{cols}")
         self._rows = int(rows)
         self._cols = int(cols)
-        self._bounds = bounds or BoundingBox.unit()
-        if self._bounds.width <= 0 or self._bounds.height <= 0:
+        self._bounds = bounds = bounds or BoundingBox.unit()
+        if bounds.width <= 0 or bounds.height <= 0:
             raise GridError("grid bounds must have positive width and height")
+        # What every locate call reads, stored once: the bounds and the
+        # cell sizes, not a chain of properties per call.
+        self._min_x, self._min_y = bounds.min_x, bounds.min_y
+        self._max_x, self._max_y = bounds.max_x, bounds.max_y
+        self._cell_width = bounds.width / self._cols
+        self._cell_height = bounds.height / self._rows
         # The locate kernels rely on (high - low) / cell_size rounding to at
         # most the cell count, which a subnormal or infinite size breaks.
         if not all(
             sys.float_info.min <= size < math.inf
-            for size in (self.cell_width, self.cell_height)
+            for size in (self._cell_width, self._cell_height)
         ):
             raise GridError(
-                f"grid cells of {self.cell_width!r} x {self.cell_height!r} are "
+                f"grid cells of {self._cell_width!r} x {self._cell_height!r} are "
                 "not normal finite floats"
             )
 
@@ -83,11 +89,11 @@ class Grid:
 
     @property
     def cell_width(self) -> float:
-        return self._bounds.width / self._cols
+        return self._cell_width
 
     @property
     def cell_height(self) -> float:
-        return self._bounds.height / self._rows
+        return self._cell_height
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grid):
@@ -147,10 +153,9 @@ class Grid:
         arrays instead, so batch callers can treat "not on this map" as data.
         """
         shape, xs, ys, off_map = self._checked_coords(xs, ys, strict)
-        bounds = self._bounds
         with np.errstate(invalid="ignore", over="ignore"):
-            cols = _axis_cells(xs, bounds.min_x, self.cell_width)
-            rows = _axis_cells(ys, bounds.min_y, self.cell_height)
+            cols = _axis_cells(xs, self._min_x, self._cell_width)
+            rows = _axis_cells(ys, self._min_y, self._cell_height)
         np.minimum(cols, self._cols - 1, out=cols)
         np.minimum(rows, self._rows - 1, out=rows)
         if off_map is not None:
@@ -176,20 +181,32 @@ class Grid:
         points it located without scanning its answer.  ``strict`` raises
         :class:`GridError` for off-map points exactly as
         :meth:`locate_many` does.
+
+        ``np.errstate`` is entered only for a batch with off-map points,
+        whose offsets may be NaN, inf or beyond int64: their divide and
+        cast are silenced there and their garbage ids overwritten.  An
+        all-on-map batch skips it.  Its offsets are finite and in
+        ``[0, width]``, and the cell sizes are normal floats (the
+        constructor refuses others), so no divide overflows and no cast
+        is invalid.  The one signal such a batch can raise is underflow:
+        a subnormal quotient, from a point within about 1e-308 of a zero
+        low bound, which numpy ignores unless the caller asks otherwise.
         """
         # returns: int64
         shape, xs, ys, off_map = self._checked_coords(xs, ys, strict)
-        bounds = self._bounds
-        # Off-map offsets may be NaN, inf or beyond int64: their divide and
-        # cast are silenced here and their garbage ids overwritten below.
-        with np.errstate(invalid="ignore", over="ignore"):
-            ids = _axis_cells(ys, bounds.min_y, self.cell_height)
-            ids *= self._cols + 2
-            ids += _axis_cells(xs, bounds.min_x, self.cell_width)
         if off_map is None:
-            return ids.reshape(shape), 0
+            return self._padded_ids(xs, ys).reshape(shape), 0
+        with np.errstate(invalid="ignore", over="ignore"):
+            ids = self._padded_ids(xs, ys)
         np.copyto(ids, -1, where=off_map)
         return ids.reshape(shape), int(np.count_nonzero(off_map))
+
+    def _padded_ids(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """``row * (cols+2) + col`` per point, unclamped and unmasked."""
+        ids = _axis_cells(ys, self._min_y, self._cell_height)
+        ids *= self._cols + 2
+        ids += _axis_cells(xs, self._min_x, self._cell_width)
+        return ids
 
     def _checked_coords(
         self, xs: np.ndarray, ys: np.ndarray, strict: bool
@@ -210,12 +227,11 @@ class Grid:
             raise GridError("xs and ys must have the same shape")
         if not shape:
             xs, ys = xs.reshape(1), ys.reshape(1)
-        bounds = self._bounds
-        inside = np.greater_equal(xs, bounds.min_x)
-        compare = np.less_equal(xs, bounds.max_x)
+        inside = np.greater_equal(xs, self._min_x)
+        compare = np.less_equal(xs, self._max_x)
         inside &= compare
-        inside &= np.greater_equal(ys, bounds.min_y, out=compare)
-        inside &= np.less_equal(ys, bounds.max_y, out=compare)
+        inside &= np.greater_equal(ys, self._min_y, out=compare)
+        inside &= np.less_equal(ys, self._max_y, out=compare)
         if inside.all():
             return shape, xs, ys, None
         if strict:
@@ -262,8 +278,8 @@ def _axis_cells(values: np.ndarray, low: float, cell_size: float) -> np.ndarray:
     (``n`` on, or rounding up to, the maximal edge); :meth:`Grid.locate_many`
     clamps it to ``n - 1``, :meth:`Grid.locate_padded` reads the padded
     grid's copy of the last row or column instead.  Off-map coordinates
-    give garbage that the caller masks; it calls this under
-    ``np.errstate`` so their overflowing divide and cast stay silent.
+    give garbage that the caller masks; a caller that has any calls this
+    under ``np.errstate`` so their overflowing divide and cast stay silent.
 
     The cast writes over the float offsets it reads (same item size,
     element for element), so an axis holds one batch-sized buffer, not

@@ -1,8 +1,11 @@
 """Tests for the HTTP transport: server endpoints, client semantics, errors."""
 
 import contextlib
+import email.utils
 import http.client
+import io
 import json
+import re
 import socket
 import struct
 import threading
@@ -15,6 +18,7 @@ import pytest
 from repro.exceptions import (
     ConfigurationError,
     GridError,
+    ReproError,
     ServingError,
     TransportError,
 )
@@ -945,6 +949,165 @@ class TestRequestHead:
             status, headers, answer = _read_response(rfile)
         assert status == 400 and headers["Connection"] == "close"
         assert json.loads(answer)["error"]["type"] == "ConfigurationError"
+
+
+def _stdlib_head(status, content_type, length, close):
+    """The head ``BaseHTTPRequestHandler``'s own ``send_response``,
+    ``send_header`` and ``end_headers`` write for an answer: the reference
+    the server's pre-framed head must equal byte for byte."""
+    handler = _Handler.__new__(_Handler)
+    handler.request_version = "HTTP/1.1"
+    handler.requestline = "GET / HTTP/1.1"
+    handler.wfile = io.BytesIO()
+    handler.send_response(status)
+    handler.send_header("Content-Type", content_type)
+    handler.send_header("Content-Length", str(length))
+    if close:
+        handler.send_header("Connection", "close")
+    handler.end_headers()
+    return handler.wfile.getvalue()
+
+
+def _raw_answer(server, request: bytes):
+    """``(head, body, closed)``: the raw head bytes up to the blank line,
+    the body, and whether the server then closed the connection.
+
+    ``closed`` is probed with a second request that asks to close: a
+    kept-alive connection answers it, a closed one reads EOF.
+    """
+    with _raw_connection(server) as (sock, rfile):
+        sock.sendall(request)
+        lines = []
+        while not lines or lines[-1] != b"\r\n":
+            lines.append(rfile.readline())
+        head = b"".join(lines)
+        length = int(re.search(rb"\r\nContent-Length: (\d+)\r\n", head).group(1))
+        body = rfile.read(length)
+        try:
+            sock.sendall(b"GET /v1/healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+            rest = rfile.read()
+        except ConnectionError:
+            rest = b""
+    return head, body, not rest.startswith(b"HTTP/1.1 200 ")
+
+
+#: A fixed clock for the head tests, in the middle of a second.
+_FIXED_TIME = 1_700_000_000.25
+
+#: RFC 9110's IMF-fixdate, the only form a server may generate.
+_IMF_FIXDATE = re.compile(
+    r"(Mon|Tue|Wed|Thu|Fri|Sat|Sun), \d{2} "
+    r"(Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) \d{4} "
+    r"\d{2}:\d{2}:\d{2} GMT"
+)
+
+
+def _get(path, *headers):
+    return "\r\n".join([f"GET {path} HTTP/1.1", "Host: x", *headers, "", ""]).encode()
+
+
+def _post(path, body: bytes, *headers, content_type="application/json"):
+    lines = [
+        f"POST {path} HTTP/1.1", "Host: x", f"Content-Type: {content_type}",
+        f"Content-Length: {len(body)}", *headers, "", "",
+    ]
+    return "\r\n".join(lines).encode() + body
+
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+
+    return raiser
+
+
+class TestResponseHead:
+    """The server frames a successful answer's head itself; these pin it
+    to the stdlib's bytes, status by status, over raw sockets."""
+
+    #: Every status the handler answers with a body of its own, the
+    #: request that draws it, and the content type it carries.
+    CASES = {
+        200: (_get("/v1/healthz"), "application/json"),
+        400: (_post("/v1/locate", b"not json"), "application/json"),
+        403: (_post("/v1/deploy", b"{}"), "application/json"),
+        404: (_get("/v1/nope"), "application/json"),
+        409: (_get("/v1/deployments"), "application/json"),
+        422: (
+            _post(
+                "/v1/locate",
+                json.dumps(
+                    {"deployment": "la", "xs": [5.0], "ys": [5.0], "strict": True}
+                ).encode(),
+            ),
+            "application/json",
+        ),
+        500: (_get("/v1/deployments"), "application/json"),
+    }
+
+    @pytest.fixture()
+    def fixed_clock(self, monkeypatch):
+        monkeypatch.setattr(time, "time", lambda: _FIXED_TIME)
+
+    @pytest.mark.parametrize("close", [False, True], ids=["keep-alive", "close"])
+    @pytest.mark.parametrize("status", sorted(CASES))
+    def test_head_is_the_stdlib_head(
+        self, engine, server, fixed_clock, monkeypatch, status, close
+    ):
+        if status in (409, 500):
+            failure = ReproError("broken bundle") if status == 409 else RuntimeError("bug")
+            monkeypatch.setattr(engine, "deployments", _raise(failure))
+        request, content_type = self.CASES[status]
+        if close:
+            head_end = request.index(b"\r\n\r\n")
+            request = request[:head_end] + b"\r\nConnection: close" + request[head_end:]
+        head, body, closed = _raw_answer(server, request)
+        assert head.split(b" ")[1] == str(status).encode()
+        assert head == _stdlib_head(status, content_type, len(body), close)
+        assert closed == close
+        if status != 200:
+            assert "error" in json.loads(body)
+
+    @pytest.mark.parametrize("close", [False, True], ids=["keep-alive", "close"])
+    def test_binary_locate_head_is_the_stdlib_head(self, engine, server, fixed_clock, close):
+        xs, ys = np.array([0.1, 0.9, 2.0]), np.array([0.1, 0.9, 0.5])
+        payload = BinaryCodec().encode_request("la", xs, ys)
+        extra = ("Connection: close",) if close else ()
+        head, body, closed = _raw_answer(
+            server, _post("/v1/locate", payload, *extra, content_type=BINARY_CONTENT_TYPE)
+        )
+        assert head == _stdlib_head(200, BINARY_CONTENT_TYPE, len(body), close)
+        assert closed == close
+        version, regions = BinaryCodec().decode_response(body)
+        assert version == 1
+        assert regions.tolist() == engine.locate_points("la", xs, ys).tolist()
+
+    def test_http10_head_is_the_stdlib_head_with_close(self, server, fixed_clock):
+        head, body, closed = _raw_answer(server, b"GET /v1/healthz HTTP/1.0\r\n\r\n")
+        assert head == _stdlib_head(200, "application/json", len(body), True)
+        assert closed
+
+    def test_http09_request_gets_the_body_only(self, server):
+        with _raw_connection(server) as (sock, rfile):
+            sock.sendall(b"GET /v1/healthz\r\n\r\n")
+            answer = rfile.read()  # the server closes: read to EOF
+        assert json.loads(answer) == {"status": "ok", "deployments": 1}
+
+    def test_date_is_an_imf_fixdate_that_moves_each_second(self, server, monkeypatch):
+        second = 1_700_000_000
+        dates = []
+        for now in (second + 0.0, second + 0.999, second + 1.0):
+            monkeypatch.setattr(time, "time", lambda now=now: now)
+            head, _, _ = _raw_answer(server, _get("/v1/healthz"))
+            fields = dict(
+                line.split(": ", 1) for line in head.decode("latin-1").split("\r\n")[1:-2]
+            )
+            assert _IMF_FIXDATE.fullmatch(fields["Date"]), fields["Date"]
+            dates.append(fields["Date"])
+        assert dates[0] == dates[1] == email.utils.formatdate(second, usegmt=True)
+        parsed = [email.utils.parsedate_to_datetime(date) for date in dates]
+        assert (parsed[2] - parsed[1]).total_seconds() == 1.0
+        assert parsed[2].timestamp() == second + 1
 
 
 @contextlib.contextmanager

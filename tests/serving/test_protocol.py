@@ -184,6 +184,23 @@ class TestRangeRequest:
             RangeRequest.from_dict({"deployment": "la", "box": [0, 0, 1, 1]})
 
 
+def int64_forms():
+    """``{name: (array, list)}``: 1-D int64 arrays the way readers and
+    codecs hand them over, each with its values as a list."""
+    ids = np.array([7, -1, 0, 2**62, -(2**63), 3, 3, -1], dtype=np.int64)
+    read_only = ids.copy()
+    read_only.flags.writeable = False
+    wire = np.frombuffer(ids.tobytes(), dtype="<i8")  # a codec's view
+    return {
+        "contiguous": (ids, ids.tolist()),
+        "strided": (ids[::3], ids[::3].tolist()),
+        "reversed": (ids[::-1], ids[::-1].tolist()),
+        "read_only": (read_only, ids.tolist()),
+        "frombuffer": (wire, ids.tolist()),
+        "empty": (np.empty(0, dtype=np.int64), []),
+    }
+
+
 class TestQueryResult:
     def test_json_round_trip(self):
         result = QueryResult(deployment="la", version=2, kind="locate", regions=(3, -1, 0))
@@ -218,6 +235,48 @@ class TestQueryResult:
                 QueryResult(
                     deployment="la", version=1, kind="locate", regions=(1, bad)
                 )
+
+    @pytest.mark.parametrize("form", sorted(int64_forms()))
+    def test_int64_array_equals_its_list_form(self, form):
+        array, listed = int64_forms()[form]
+        from_array = QueryResult(deployment="la", version=3, kind="locate", regions=array)
+        from_list = QueryResult(deployment="la", version=3, kind="locate", regions=listed)
+        assert type(from_array.regions) is tuple
+        assert all(type(region) is int for region in from_array.regions)
+        assert from_array.regions == tuple(listed)
+        assert from_array == from_list
+        assert hash(from_array) == hash(from_list)
+        assert from_array.to_dict() == from_list.to_dict()
+        assert from_array.to_json() == from_list.to_json()
+
+    @pytest.mark.parametrize(
+        "regions",
+        [
+            np.arange(6, dtype=np.int64).reshape(2, 3),
+            np.array([1, 2**63], dtype=np.uint64),
+            np.array([1.0, np.nan]),
+            np.array([1.0, np.inf]),
+        ],
+        ids=["two_d_int64", "uint64_above_int64", "nan", "inf"],
+    )
+    def test_arrays_off_the_fast_path_are_still_checked(self, regions):
+        with pytest.raises(ConfigurationError, match="regions"):
+            QueryResult(deployment="la", version=1, kind="locate", regions=regions)
+
+    @pytest.mark.parametrize(
+        "regions",
+        [
+            np.array([4, -1], dtype=np.int32),
+            np.array([4, 0], dtype=np.uint64),
+            np.array([4.0, -1.0]),
+            np.array([4, -1], dtype=">i8"),
+        ],
+        ids=["int32", "uint64", "float", "big_endian_int64"],
+    )
+    def test_other_integral_arrays_keep_their_values(self, regions):
+        result = QueryResult(deployment="la", version=1, kind="locate", regions=regions)
+        assert result.regions == tuple(int(region) for region in regions)
+        assert all(type(region) is int for region in result.regions)
 
     def test_n_located_counts_real_regions(self):
         result = QueryResult(deployment="la", version=1, kind="locate", regions=(3, -1, 0))

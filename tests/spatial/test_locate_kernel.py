@@ -523,6 +523,101 @@ class TestRandomGrids:
             assert located == np.count_nonzero(expected >= 0)
 
 
+def on_map_points(grid):
+    """Every cell edge and both bounds of each axis, exactly and one ulp
+    either side, paired with the other axis's, kept where on the map."""
+    bounds = grid.bounds
+    x_edges = _axis_edges(bounds.min_x, bounds.max_x, grid.cell_width, grid.cols)
+    y_edges = _axis_edges(bounds.min_y, bounds.max_y, grid.cell_height, grid.rows)
+    xs, ys = (axis.ravel() for axis in np.meshgrid(x_edges, y_edges))
+    on_map = (
+        (xs >= bounds.min_x) & (xs <= bounds.max_x)
+        & (ys >= bounds.min_y) & (ys <= bounds.max_y)
+    )
+    return xs[on_map], ys[on_map]
+
+
+class TestOnMapBatches:
+    """An all-on-map batch runs outside ``np.errstate``; nothing in it may
+    overflow or turn invalid, whatever the caller's error settings."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_grids(), st.booleans())
+    def test_no_floating_point_signal_under_errstate_raise(self, grid, complete):
+        partition = block_partition(grid, [grid.rows // 3], [grid.cols // 2], complete)
+        xs, ys = on_map_points(grid)
+        assert xs.size > 0
+        ref_rows, ref_cols = reference_locate_many(grid, xs, ys)
+        expected = reference_regions(partition, xs, ys)
+        worker = ShmWorkerReader(partition)
+        try:
+            readers = [
+                PartitionServer(partition),
+                ShardedDeployment(partition, min(2, grid.rows), min(2, grid.cols)),
+                ShardedDeployment(partition, min(4, grid.rows), min(4, grid.cols)),
+                worker,
+            ]
+            with np.errstate(all="raise"):
+                padded = grid.locate_padded(xs, ys)
+                rows, cols = grid.locate_many(xs, ys)
+                counted = [reader.locate_counted(xs, ys) for reader in readers]
+                answers = [reader.locate_points(xs, ys, strict=True) for reader in readers]
+        finally:
+            worker.close()
+        assert padded[1] == 0
+        assert_ids_address_reference_cells(grid, padded, ref_rows, ref_cols)
+        assert_bit_equal(rows, ref_rows)
+        assert_bit_equal(cols, ref_cols)
+        for answer in answers:
+            assert_bit_equal(answer, expected)
+        for regions, located in counted:
+            assert_bit_equal(regions, expected)
+            assert located == np.count_nonzero(expected >= 0)
+
+    def test_fixed_grid_edges_under_errstate_raise(self):
+        xs, ys = on_map_points(GRID)
+        with np.errstate(all="raise"):
+            padded = GRID.locate_padded(xs, ys)
+        assert_ids_address_reference_cells(GRID, padded, *reference_locate_many(GRID, xs, ys))
+
+    def test_subnormal_offset_at_a_zero_bound_only_underflows(self):
+        # One ulp above a zero low bound is a subnormal offset; dividing
+        # it by a cell size that is no power of two (1/5, 1/3) underflows,
+        # which numpy ignores by default.  It neither overflows nor turns
+        # invalid, and lands in cell 0.
+        grid = Grid(3, 5)
+        tiny = np.nextafter(0.0, 1.0)
+        xs, ys = np.array([tiny, 0.5, tiny]), np.array([0.5, tiny, tiny])
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            padded = grid.locate_padded(xs, ys)
+        assert_ids_address_reference_cells(grid, padded, *reference_locate_many(grid, xs, ys))
+
+
+class TestStoredConstants:
+    """``Grid`` keeps its bounds and cell sizes as plain attributes; they
+    must be exactly what the public properties describe."""
+
+    @staticmethod
+    def assert_constants(grid):
+        bounds = grid.bounds
+        assert (grid._min_x, grid._min_y, grid._max_x, grid._max_y) == (
+            bounds.min_x, bounds.min_y, bounds.max_x, bounds.max_y,
+        )
+        assert grid._cell_width == grid.cell_width == bounds.width / grid.cols
+        assert grid._cell_height == grid.cell_height == bounds.height / grid.rows
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_grids())
+    def test_random_grids(self, grid):
+        self.assert_constants(grid)
+
+    @pytest.mark.parametrize(
+        "grid", [GRID, Grid(1, 1), Grid(3, 7, BoundingBox(0, 0, 10, 1))], ids=repr
+    )
+    def test_fixed_grids(self, grid):
+        self.assert_constants(grid)
+
+
 # -- every dense reader -----------------------------------------------------------------
 
 
