@@ -401,8 +401,8 @@ def register_codec(
     (see :class:`repro.serving.codecs.Codec`): ``json+b64`` is the JSON
     envelope with dense base64 arrays every server since PR 5 speaks;
     ``binary`` is the length-prefixed raw-buffer framing.  Registered
-    names (and aliases) are what ``ServingClient(transport=...)`` and the
-    wire handshake's capability negotiation accept.
+    names (and aliases) are what ``ServingClient(transport=...)`` accepts
+    and what a wire client names in its hello.
     """
     return CODECS.decorator(name, aliases=aliases, summary=summary, **metadata)
 

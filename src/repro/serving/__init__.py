@@ -18,12 +18,12 @@ Its unit of work is "answer queries against stored partitions", not
   via ``GET /v1/capabilities``).
 * :mod:`~repro.serving.codecs` — the pluggable dense-payload codec layer
   (``json+b64`` and ``binary``, registered in
-  :data:`repro.registry.CODECS`), shared verbatim by the HTTP dense
-  encoding and the wire protocol so the two cannot drift.
+  :data:`repro.registry.CODECS`): HTTP takes either as a dense body, and
+  the wire protocol's locate frames are the ``binary`` codec's bytes.
 * :mod:`~repro.serving.wire` — the length-prefixed binary framing over
   persistent sockets (:class:`WireServer` / :class:`WireConnection`),
   raw little-endian float64/int64 on the hot path, JSON frames for the
-  control plane, capability negotiation on connect.
+  control plane, a hello on connect that must name ``binary``.
 * :mod:`~repro.serving.workers` — ``serve --workers N``:
   :class:`WorkerPool` forks wire workers off one shared listening
   socket, all answering from read-only shared-memory label grids;

@@ -14,15 +14,15 @@ partitioner/backend registries).  Two codecs ship:
 * ``binary`` — raw little-endian buffers with a fixed-layout prefix, no
   base64 and no JSON on the hot path.  A 10^5-point batch costs a
   struct pack plus two buffer writes instead of ~2 ms of base64 and a
-  JSON scan; it is what the persistent-socket wire transport
-  (:mod:`repro.serving.wire`) negotiates by default, and the same bytes
-  are an HTTP ``/v1/locate`` body under :data:`BINARY_CONTENT_TYPE`.
+  JSON scan; it is the one codec the persistent-socket wire transport
+  (:mod:`repro.serving.wire`) serves, and the same bytes are an HTTP
+  ``/v1/locate`` body under :data:`BINARY_CONTENT_TYPE`.
 
 Both codecs canonicalise to the same :class:`DenseLocate` value and are
 property-tested bit-exact against each other — NaN payloads, signed
 infinities and off-map ``-1`` sentinels survive either encoding
 unchanged, because both move the raw IEEE-754/int64 bytes.  Every
-server-side dense locate, on either transport and in either codec, is
+server-side dense locate, on HTTP in either codec and on the wire, is
 :func:`serve_locate`.
 """
 
@@ -82,10 +82,9 @@ def serve_locate(
     ``engine.locate_batch`` (a :class:`~repro.serving.engine.ServingEngine`
     or a worker's :class:`~repro.serving.workers.WorkerState`), encode
     ``(version, regions)`` in the request's codec.  Every transport front
-    calls this one function: the HTTP body in either codec, the wire's
-    binary frame and its ``json+b64`` JSON frame.  ``payload`` is the
-    request bytes, or for ``json+b64`` the JSON object a transport already
-    parsed to route on it.
+    calls this one function: the HTTP body in either codec and the wire's
+    binary frame.  ``payload`` is the request bytes, or for ``json+b64``
+    the JSON object HTTP already parsed to route on it.
     """
     request = codec.decode_request(payload)
     require_finite_coords(request)
@@ -182,15 +181,12 @@ class Codec:
     assignments as int64, both little-endian, in every codec — what
     differs is only the envelope around those bytes.  Subclasses register
     themselves with :func:`repro.registry.register_codec`; the registered
-    name is what ``ServingClient(transport=...)`` and the wire
-    handshake's capability negotiation accept.
+    name is what ``ServingClient(transport=...)`` accepts and what a wire
+    client names in its hello.
     """
 
     #: Canonical registry name (set by subclasses).
     name = "abstract"
-
-    #: Whether request payloads are JSON (control-frame compatible).
-    json_payload = False
 
     #: The HTTP ``Content-Type`` of this codec's bodies.
     content_type = "application/json"
@@ -235,7 +231,6 @@ class JsonB64Codec(Codec):
     """
 
     name = "json+b64"
-    json_payload = True
 
     def encode_request(
         self,

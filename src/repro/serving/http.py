@@ -135,13 +135,7 @@ from ..exceptions import (
     ReproError,
     ServingError,
 )
-from .codecs import (
-    BINARY_CONTENT_TYPE,
-    BinaryCodec,
-    JsonB64Codec,
-    codec_names,
-    serve_locate,
-)
+from .codecs import BINARY_CONTENT_TYPE, BinaryCodec, JsonB64Codec, serve_locate
 from .engine import ServingEngine
 from .protocol import (
     PROTOCOL_VERSION,
@@ -838,7 +832,7 @@ class ServingHTTPServer(ThreadingHTTPServer):
             }
         return {
             "protocol_version": PROTOCOL_VERSION,
-            "codecs": codec_names(),
+            "codecs": ["binary"],  # the wire plane's one codec
             "http_codecs": list(HTTP_LOCATE_CODECS),
             "wire": wire,
             "admin": self.admin,

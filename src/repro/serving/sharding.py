@@ -199,8 +199,6 @@ class ShardedDeployment:
         # Orders tile mutation + republish against each other; never held
         # by the query path.
         self._admin_lock = new_lock("sharded.admin_lock")
-        self._counter_lock = new_lock("sharded.counter_lock")
-        self._points_served = 0  # guarded-by: self._counter_lock
         # (padded grid, every cell covered), republished as one reference.
         self._padded = self._compose_padded()  # guarded-by(writes): self._admin_lock
 
@@ -225,12 +223,6 @@ class ShardedDeployment:
     @property
     def backend(self) -> str:
         return "sharded"
-
-    @property
-    def points_served(self) -> int:
-        """Total points answered by :meth:`locate_points`."""
-        with self._counter_lock:
-            return self._points_served
 
     def describe(self) -> Dict[str, Any]:
         grid = self._grid
@@ -326,12 +318,9 @@ class ShardedDeployment:
         the kernel's off-map count while every tile cell has a region.
         """
         padded, covered = self._padded
-        regions, located = read_padded(
+        return read_padded(
             self._grid, padded.ravel(), covered, xs, ys, self._resolve_strict(strict)
         )
-        with self._counter_lock:
-            self._points_served += int(regions.size)
-        return regions, located
 
     def region_counts(
         self, xs: np.ndarray, ys: np.ndarray, strict: Optional[bool] = None

@@ -1,10 +1,11 @@
 """The wire transport: length-prefixed frames over persistent sockets.
 
-HTTP pays per-request header parsing and (for the dense encoding) a
-base64 round-trip on every megabyte of coordinates.  This module is the
-transport that does neither: a client dials once, the two sides negotiate
-a codec (:mod:`repro.serving.codecs`), and every subsequent exchange is
-one **frame** — an 8-byte little-endian header followed by the payload::
+HTTP pays per-request header parsing on every exchange.  This module is
+the transport that does not: a client dials once, says ``hello`` naming
+the codecs it speaks (:mod:`repro.serving.codecs`), the server answers
+``binary`` — the one codec the wire serves — and every subsequent
+exchange is one **frame**: an 8-byte little-endian header followed by
+the payload::
 
     offset  size  field
     0       4     payload length (u32; 0 .. MAX_FRAME_BYTES)
@@ -14,14 +15,16 @@ one **frame** — an 8-byte little-endian header followed by the payload::
     6       2     reserved (must be 0)
 
 ``FRAME_LOCATE``/``FRAME_RESULT`` carry the binary codec's raw-buffer
-payloads — the hot path, no JSON and no base64.  ``FRAME_JSON`` carries
-UTF-8 JSON for everything cold: the ``hello`` handshake,
-``healthz``/``stats``/``deployments`` introspection, typed protocol
-requests (an :class:`~repro.serving.protocol.Envelope` dict — ``range``
-queries and list-form ``locate``), and the ``json+b64`` codec's dense
-payloads when that codec was negotiated.  ``FRAME_ERROR`` carries the
-same ``{"error": {"type", "message"}}`` body the HTTP transport sends,
-so both transports map failures to the same typed exceptions.
+payloads: the only way the wire takes a locate, with no JSON and no
+base64.  ``FRAME_JSON`` carries UTF-8 JSON for everything cold: the
+``hello`` handshake, ``healthz``/``stats``/``deployments``
+introspection, and ``range`` queries (an
+:class:`~repro.serving.protocol.Envelope` dict).  A locate in JSON — the
+list form or the ``json+b64`` dense object — is not a wire request: it
+answers a typed error naming ``FRAME_LOCATE`` and HTTP ``POST
+/v1/locate``, which takes both.  ``FRAME_ERROR`` carries the same
+``{"error": {"type", "message"}}`` body the HTTP transport sends, so
+both transports map failures to the same typed exceptions.
 
 Admin operations (deploy/rollback/shard swaps) are **refused** on the
 wire: the multiprocess workers serve read-only snapshots, so mutations
@@ -35,12 +38,14 @@ like the HTTP layer's oversized-body handling.  A connection that ends
 mid-frame raises :class:`~repro.exceptions.TransportError` ("truncated
 frame"); a connection that ends cleanly between frames is just EOF.
 
-:class:`WireServer` is the in-process front (accept thread + one handler
-thread per connection, sharing the caller's engine); ``serve_connection``
-is the per-connection loop it shares with the forked workers of
-:mod:`repro.serving.workers`.  :class:`WireConnection` is the client
-side :class:`~repro.serving.client.ServingClient` builds its binary
-transport on.
+:func:`accept_loop` is the one server loop: it accepts on a listening
+socket and serves each connection on its own thread through
+``serve_connection``.  :class:`WireServer` (the in-process front,
+sharing the caller's engine) runs it on a background thread, and each
+forked worker of :mod:`repro.serving.workers` on its main thread.
+:class:`WireConnection` is the client side
+:class:`~repro.serving.client.ServingClient` builds its binary transport
+on.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ import logging
 import socket
 import struct
 import threading
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -61,13 +66,7 @@ from ..exceptions import (
     ServingError,
     TransportError,
 )
-from .codecs import (
-    BinaryCodec,
-    Codec,
-    JsonB64Codec,
-    resolve_codec,
-    serve_locate,
-)
+from .codecs import BinaryCodec, Codec, resolve_codec, serve_locate
 from .locks import new_lock
 from .protocol import PROTOCOL_VERSION, Envelope
 
@@ -75,6 +74,7 @@ __all__ = [
     "WireServer",
     "WireConnection",
     "serve_connection",
+    "accept_loop",
     "send_frame",
     "recv_frame",
     "error_to_exception",
@@ -98,7 +98,7 @@ DEFAULT_WIRE_PORT = 8351
 WIRE_VERSION = 1
 
 #: Frame kinds.
-FRAME_JSON = 1    #: UTF-8 JSON payload (control plane, json+b64 codec)
+FRAME_JSON = 1    #: UTF-8 JSON payload (control plane)
 FRAME_LOCATE = 2  #: binary codec locate request
 FRAME_RESULT = 3  #: binary codec locate response
 FRAME_ERROR = 4   #: UTF-8 JSON ``{"error": ...}`` payload
@@ -111,7 +111,6 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 _HEADER = struct.Struct("<IBBH")
 
 _BINARY = BinaryCodec()
-_JSON_CODEC = JsonB64Codec()
 
 
 def error_to_exception(error: Dict[str, Any]) -> ReproError:
@@ -220,19 +219,17 @@ def _parse_json_frame(payload: bytes) -> Dict[str, Any]:
 # -- server side --------------------------------------------------------------
 
 
-def _negotiate(
-    sock: socket.socket, offered: Sequence[str], info: Dict[str, Any]
-) -> Optional[Codec]:
-    """Answer the client's ``hello``; the codec both sides speak, or None.
+def _negotiate(sock: socket.socket, info: Dict[str, Any]) -> bool:
+    """Answer the client's ``hello``; False on EOF before one arrived.
 
-    The client leads with its codec preference list; the server picks
-    the first entry it also serves.  No mutual codec (or a malformed
-    hello) is answered with an error frame and ``None`` — the caller
-    closes the connection.
+    The client leads with the codecs it speaks; the server answers
+    ``binary`` when that is among them (under any alias; names this
+    build does not know are skipped) and raises the typed "no mutual
+    codec" error otherwise, which the caller answers before closing.
     """
     frame = recv_frame(sock)
     if frame is None:
-        return None
+        return False
     kind, payload = frame
     if kind != FRAME_JSON:
         raise ConfigurationError(
@@ -256,13 +253,12 @@ def _negotiate(
         isinstance(name, str) for name in wanted
     ):
         raise ConfigurationError("hello 'codecs' must be a list of codec names")
-    served = {resolve_codec(name).name for name in offered}
     for name in wanted:
         try:
             codec = resolve_codec(name)
         except ReproError:
             continue  # a codec this build does not know; try the next
-        if codec.name in served:
+        if codec.name == _BINARY.name:
             send_frame(
                 sock,
                 FRAME_JSON,
@@ -270,24 +266,23 @@ def _negotiate(
                     {
                         "op": "hello",
                         "v": PROTOCOL_VERSION,
-                        "codec": codec.name,
+                        "codec": _BINARY.name,
                         "server": info,
                     }
                 ),
             )
-            return codec
+            return True
     raise ServingError(
         f"no mutual codec: client offered {wanted}, server serves "
-        f"{sorted(served)}"
+        f"{[_BINARY.name]}"
     )
 
 
 _ADMIN_OPS = ("swap-shard", "rollback-shard", "deploy", "rollback")
 
 
-def _handle_control(sock: socket.socket, engine: Any, codec: Codec,
-                    data: Dict[str, Any], info: Dict[str, Any]) -> None:
-    """One JSON control exchange (everything that is not a dense locate)."""
+def _handle_control(sock: socket.socket, engine: Any, data: Dict[str, Any]) -> None:
+    """One JSON control exchange: introspection or a range query."""
     op = data.get("op")
     if op is not None:
         if op == "healthz":
@@ -309,58 +304,52 @@ def _handle_control(sock: socket.socket, engine: Any, codec: Codec,
                 f"unknown wire op {op!r}; known: healthz, stats, deployments"
             )
         return
-    if "xs_b64" in data or "ys_b64" in data:
-        # The json+b64 codec's dense locate, arriving as a JSON frame.
-        send_frame(sock, FRAME_JSON, serve_locate(engine, _JSON_CODEC, data))
-        return
-    if data.get("kind") in _ADMIN_OPS:
+    kind = data.get("kind")
+    if kind == "locate" or "xs_b64" in data or "ys_b64" in data:
+        raise ConfigurationError(
+            "a JSON locate (list form or json+b64) is not served on the "
+            "wire transport; send the binary codec's payload as a "
+            "FRAME_LOCATE frame, or POST the JSON to HTTP POST /v1/locate"
+        )
+    if kind in _ADMIN_OPS:
         raise ServingError(
-            f"admin operation {data.get('kind')!r} is not served on the "
+            f"admin operation {kind!r} is not served on the "
             "wire transport (workers hold read-only snapshots); use the "
             "HTTP admin plane, which republishes to workers"
         )
-    envelope = Envelope.parse(data)
-    if envelope.op == "locate":
-        result = engine.locate(envelope.payload)
-    elif envelope.op == "range":
-        result = engine.range_query(envelope.payload)
-    else:  # pragma: no cover - _ADMIN_OPS filtered every other kind above
-        raise ServingError(f"unknown wire request kind {envelope.op!r}")
+    # Every kind but range is refused above, so the envelope holds one.
+    result = engine.range_query(Envelope.parse(data).payload)
     send_frame(sock, FRAME_JSON, result.to_json().encode("utf-8"))
 
 
 def serve_connection(
-    sock: socket.socket,
-    engine: Any,
-    codecs: Sequence[str] = ("binary", "json+b64"),
-    info: Optional[Dict[str, Any]] = None,
+    sock: socket.socket, engine: Any, info: Optional[Dict[str, Any]] = None
 ) -> None:
     """The per-connection loop: handshake, then frames until EOF.
 
     ``engine`` is anything with the read-side engine surface
-    (``locate_batch``, ``locate``, ``range_query``, ``stats``,
-    ``deployments``, ``__len__``) — the in-process
+    (``locate_batch``, ``range_query``, ``stats``, ``deployments``,
+    ``__len__``) — the in-process
     :class:`~repro.serving.engine.ServingEngine` under
     :class:`WireServer`, or a forked worker's shared-memory snapshot
     (:class:`~repro.serving.workers.WorkerState`).
 
     Engine-level failures (unknown deployment, off-map strict batch, a
-    malformed-but-fully-read payload) answer an error frame and keep the
-    connection alive — they are deterministic, like HTTP error bodies.
-    Framing-level failures (oversized/truncated/incoherent frames) answer
-    an error frame when possible and close, because the stream position
-    is no longer trustworthy.  The caller owns closing ``sock``.
+    malformed-but-fully-read payload, a JSON locate) answer an error
+    frame and keep the connection alive — they are deterministic, like
+    HTTP error bodies.  Framing-level failures (oversized/truncated/
+    incoherent frames) answer an error frame when possible and close,
+    because the stream position is no longer trustworthy.  The caller
+    owns closing ``sock``.
     """
     info = dict(info or {})
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     try:
-        codec = _negotiate(sock, codecs, info)
+        if not _negotiate(sock, info):
+            return
     except (ReproError, OSError) as exc:
         _try_send_error(sock, exc)
         return
-    if codec is None:
-        return
-    binary = codec.name == "binary"
     while True:
         try:
             frame = recv_frame(sock)
@@ -374,22 +363,13 @@ def serve_connection(
         kind, payload = frame
         try:
             if kind == FRAME_LOCATE:
-                if not binary:
-                    raise ConfigurationError(
-                        "binary locate frame on a connection that "
-                        f"negotiated the {codec.name!r} codec"
-                    )
                 send_frame(sock, FRAME_RESULT, serve_locate(engine, _BINARY, payload))
             elif kind == FRAME_JSON:
-                _handle_control(
-                    sock, engine, codec, _parse_json_frame(payload), info
-                )
+                _handle_control(sock, engine, _parse_json_frame(payload))
             else:
                 raise ConfigurationError(
                     f"unexpected frame kind {kind} from a client"
                 )
-        except (BrokenPipeError, ConnectionResetError):
-            return
         except OSError:
             return
         except ReproError as exc:
@@ -412,14 +392,65 @@ def _try_send_error(sock: socket.socket, exc: BaseException) -> bool:
     return True
 
 
+def accept_loop(
+    listener: socket.socket,
+    engine: Any,
+    info: Dict[str, Any],
+    live: Set[socket.socket],
+    live_lock: Any,
+) -> None:
+    """Accept on ``listener`` until it closes; a thread per connection.
+
+    The wire plane's one accept loop: :class:`WireServer` runs it on a
+    background thread over the caller's engine, and each forked worker
+    of :mod:`repro.serving.workers` on its main thread over its
+    shared-memory snapshot.  Each connection is :func:`serve_connection`
+    on a daemon thread, and sits in ``live`` (guarded by ``live_lock``)
+    from its accept until its socket is closed, so an owner that has
+    shut the listener and then waited for this loop to return finds
+    every connection it still has to drop there.  Returns when
+    ``accept`` fails, i.e. once the listener is shut down or closed.
+    """
+    while True:
+        try:
+            conn, _ = listener.accept()
+        except OSError:
+            return
+        with live_lock:
+            live.add(conn)
+        threading.Thread(
+            target=_serve_one, args=(conn, engine, info, live, live_lock),
+            name="repro-wire-conn", daemon=True,
+        ).start()
+
+
+def _serve_one(
+    conn: socket.socket,
+    engine: Any,
+    info: Dict[str, Any],
+    live: Set[socket.socket],
+    live_lock: Any,
+) -> None:
+    try:
+        serve_connection(conn, engine, info)
+    finally:
+        with live_lock:
+            live.discard(conn)
+        try:
+            conn.close()
+        except OSError:  # pragma: no cover - close is best-effort
+            pass
+
+
 class WireServer:
-    """The in-process wire front: accept loop + a thread per connection.
+    """The in-process wire front: :func:`accept_loop` on a background thread.
 
     The zero-worker sibling of the multiprocess pool in
-    :mod:`repro.serving.workers`: same framing, same handshake, same
-    engine surface — but connections are served by threads inside the
-    caller's process, sharing its live :class:`ServingEngine` (so
-    hot-swaps are visible immediately, with no publication step).
+    :mod:`repro.serving.workers`: same loop, same framing, same
+    handshake, same engine surface — but connections are served by
+    threads inside the caller's process, sharing its live
+    :class:`ServingEngine` (so hot-swaps are visible immediately, with no
+    publication step).
 
     ``port=0`` picks an ephemeral port; read :attr:`port` after
     construction.  Use :meth:`serve_background` + :meth:`close` (or the
@@ -431,11 +462,9 @@ class WireServer:
         engine: Any,
         host: str = "127.0.0.1",
         port: int = 0,
-        codecs: Sequence[str] = ("binary", "json+b64"),
         info: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.engine = engine
-        self.codecs = tuple(resolve_codec(name).name for name in codecs)
         self._info = dict(info or {})
         self._info.setdefault("mode", "in-process")
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -443,9 +472,8 @@ class WireServer:
         self._listener.bind((host, port))
         self._listener.listen(128)
         self._accept_thread: Optional[threading.Thread] = None
-        self._closing = threading.Event()
         self._conn_lock = new_lock("wire.server.connections")
-        self._connections: set = set()  # guarded-by(writes): self._conn_lock
+        self._connections: Set[socket.socket] = set()  # guarded-by(writes): self._conn_lock
 
     @property
     def host(self) -> str:
@@ -460,39 +488,18 @@ class WireServer:
         if self._accept_thread is not None:
             raise ServingError("wire server is already running")
         self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-wire-accept", daemon=True
+            target=accept_loop,
+            args=(
+                self._listener, self.engine, self._info,
+                self._connections, self._conn_lock,
+            ),
+            name="repro-wire-accept", daemon=True,
         )
         self._accept_thread.start()
         return self
 
-    def _accept_loop(self) -> None:
-        while not self._closing.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            thread = threading.Thread(
-                target=self._serve_one, args=(conn,),
-                name="repro-wire-conn", daemon=True,
-            )
-            thread.start()
-
-    def _serve_one(self, conn: socket.socket) -> None:
-        with self._conn_lock:
-            self._connections.add(conn)
-        try:
-            serve_connection(conn, self.engine, self.codecs, self._info)
-        finally:
-            with self._conn_lock:
-                self._connections.discard(conn)
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
-
     def close(self) -> None:
         """Stop accepting, drop live connections, release the socket."""
-        self._closing.set()
         try:
             # shutdown() wakes an accept() blocked in another thread;
             # close() alone leaves it blocked until the join timeout.
@@ -503,17 +510,20 @@ class WireServer:
             self._listener.close()
         except OSError:  # pragma: no cover - close is best-effort
             pass
-        with self._conn_lock:
-            connections = list(self._connections)
-            self._connections.clear()
-        for conn in connections:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - close is best-effort
-                pass
         if self._accept_thread is not None:
+            # Once the loop has returned, every connection it accepted is
+            # in the live set or already closed by its own thread.
             self._accept_thread.join(timeout=5.0)
             self._accept_thread = None
+        with self._conn_lock:
+            connections = list(self._connections)
+        for conn in connections:
+            try:
+                # Wakes the connection's thread out of its blocked recv;
+                # that thread then closes the socket.
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
     def __enter__(self) -> "WireServer":
         return self
@@ -522,7 +532,7 @@ class WireServer:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WireServer({self.host}:{self.port}, codecs={self.codecs})"
+        return f"WireServer({self.host}:{self.port})"
 
 
 # -- client side --------------------------------------------------------------
@@ -532,9 +542,10 @@ class WireConnection:
     """One persistent client connection: dial, handshake, exchange frames.
 
     Not thread-safe by design — the client keeps one per thread, exactly
-    as it does with HTTP connections.  ``codecs`` is the preference list
-    sent in the hello; the server's pick is :attr:`codec` after
-    :meth:`connect`.
+    as it does with HTTP connections.  ``codecs`` is the list sent in the
+    hello; a server answers ``binary`` (:attr:`codec` after
+    :meth:`connect`) or refuses the connection typed when the list lacks
+    it.
     """
 
     def __init__(
@@ -623,7 +634,7 @@ class WireConnection:
         strict: Optional[bool] = None,
         version: Optional[Union[int, str]] = None,
     ) -> Tuple[int, np.ndarray]:
-        """One dense locate exchange in the negotiated codec.
+        """One dense locate exchange: a binary ``FRAME_LOCATE`` frame.
 
         Returns ``(answering version, assignments)`` — the assignments a
         zero-copy read-only view over the received frame, matching the
@@ -631,11 +642,8 @@ class WireConnection:
         """
         # returns: int64[n]
         sock = self._require_sock()
-        codec = self.codec
-        assert codec is not None  # connect() set it
-        payload = codec.encode_request(deployment, xs, ys, strict, version)
-        request_kind = FRAME_LOCATE if codec.name == "binary" else FRAME_JSON
-        send_frame(sock, request_kind, payload)
+        payload = _BINARY.encode_request(deployment, xs, ys, strict, version)
+        send_frame(sock, FRAME_LOCATE, payload)
         frame = recv_frame(sock)
         if frame is None:
             raise TransportError(
@@ -644,9 +652,9 @@ class WireConnection:
         kind, answer = frame
         if kind == FRAME_ERROR:
             raise error_to_exception(_parse_json_frame(answer).get("error", {}))
-        if kind not in (FRAME_RESULT, FRAME_JSON):
+        if kind != FRAME_RESULT:
             raise TransportError(f"unexpected answer frame kind {kind}")
-        return codec.decode_response(answer)
+        return _BINARY.decode_response(answer)
 
     def control(self, data: Dict[str, Any]) -> Dict[str, Any]:
         """One JSON control exchange (healthz/stats/deployments/range...)."""

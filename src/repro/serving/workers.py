@@ -61,8 +61,8 @@ from ..spatial.grid import Grid
 from ..spatial.region import GridRegion
 from .backends import pad_labels, padded_shape, range_regions, read_padded
 from .locks import new_lock
-from .protocol import LATEST, LocateRequest, QueryResult, RangeRequest
-from .wire import serve_connection
+from .protocol import LATEST, QueryResult, RangeRequest
+from .wire import accept_loop
 
 __all__ = ["WorkerPool", "WorkerState", "fork_available"]
 
@@ -140,9 +140,12 @@ class WorkerState:
     """A worker process's read-only engine: shared snapshots, no writers.
 
     Implements the engine surface :func:`~repro.serving.wire.serve_connection`
-    dispatches to (``locate_batch`` / ``locate`` / ``range_query`` /
-    ``stats`` / ``deployments`` / ``__len__``) over
-    :class:`_WorkerDeployment` snapshots.  Swaps replace a snapshot by
+    dispatches to over :class:`_WorkerDeployment` snapshots: the binary
+    locate (``locate_batch``, which every wire ``FRAME_LOCATE`` reaches
+    through :func:`~repro.serving.codecs.serve_locate`), ``range_query``
+    for JSON range requests, and the ``stats`` / ``deployments`` /
+    ``__len__`` introspection.  The wire takes no typed locate, so there
+    is no ``locate``.  Swaps replace a snapshot by
     single reference assignment — in-flight requests keep the object they
     already read, so they finish on a whole version, never a mix.  The
     replaced snapshot is retired to ``previous`` (so a client that pinned
@@ -257,22 +260,6 @@ class WorkerState:
             self._located += located
         return entry.version, assignment
 
-    def locate(self, request: LocateRequest) -> QueryResult:
-        """Typed locate (the wire control plane's list form)."""
-        version, assignment = self.locate_batch(
-            request.deployment,
-            request.xs,
-            request.ys,
-            strict=request.strict,
-            version=request.version,
-        )
-        return QueryResult(
-            deployment=request.deployment,
-            version=version,
-            kind="locate",
-            regions=tuple(assignment.tolist()),  # repro: ignore[hot-path-copy] -- QueryResult is the typed protocol boundary; regions leave numpy here by design
-        )
-
     def range_query(self, request: RangeRequest) -> QueryResult:
         """Regions intersecting the request box, off the shared labels.
 
@@ -364,10 +351,9 @@ def _worker_main(
     parent_end: "multiprocessing.connection.Connection",
     exports: List[Dict[str, Any]],
     strict_default: bool,
-    codecs: Tuple[str, ...],
     worker_index: int,
 ) -> None:
-    """A forked worker: attach shared state, then accept-and-serve forever."""
+    """A forked worker: attach shared state, then the wire's accept loop."""
     try:
         parent_end.close()  # our inherited copy of the parent's pipe end
     except OSError:  # pragma: no cover - close is best-effort
@@ -379,30 +365,10 @@ def _worker_main(
         name="repro-worker-control", daemon=True,
     ).start()
     info = {"mode": "worker", "worker": worker_index, "pid": os.getpid()}
-    while True:
-        try:
-            conn, _ = listener.accept()
-        except OSError:
-            os._exit(0)  # listener closed under us: the pool is shutting down
-        threading.Thread(
-            target=_serve_one, args=(conn, state, codecs, info),
-            name="repro-worker-conn", daemon=True,
-        ).start()
-
-
-def _serve_one(
-    conn: socket.socket,
-    state: WorkerState,
-    codecs: Tuple[str, ...],
-    info: Dict[str, Any],
-) -> None:
-    try:
-        serve_connection(conn, state, codecs, info)
-    finally:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
+    accept_loop(
+        listener, state, info, set(), new_lock("workers.worker.connections")
+    )
+    os._exit(0)  # listener closed under us: the pool is shutting down
 
 
 # -- parent side --------------------------------------------------------------
@@ -467,7 +433,6 @@ class WorkerPool:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 2,
-        codecs: Sequence[str] = ("binary", "json+b64"),
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -479,7 +444,6 @@ class WorkerPool:
             )
         self.engine = engine
         self.workers = int(workers)
-        self.codecs = tuple(codecs)
         self._ctx = multiprocessing.get_context("fork")
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -530,7 +494,6 @@ class WorkerPool:
                 parent_conn,
                 exports,
                 bool(self.engine.config.strict),
-                self.codecs,
                 index,
             ),
             name=f"repro-wire-worker-{index}",

@@ -559,6 +559,10 @@ class TestBinaryBody:
         with _client(server) as client:
             assert client.capabilities()["http_codecs"] == ["json+b64", "binary"]
 
+    def test_capabilities_list_the_wire_planes_one_codec(self, server):
+        with _client(server) as client:
+            assert client.capabilities()["codecs"] == ["binary"]
+
     @pytest.mark.parametrize("strict", [None, False, True])
     @pytest.mark.parametrize("version", [None, 1, 2, "latest"])
     def test_answers_bit_identical_to_every_other_form(

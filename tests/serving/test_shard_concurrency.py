@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import sanitized
-from repro.serving import ShardedDeployment
+from repro.serving import ServingEngine, ShardedDeployment
 from repro.spatial.grid import Grid
 from repro.spatial.partition import uniform_partition
 
@@ -156,22 +156,24 @@ def _run_swap_race(n_readers, n_ops, shard_rows=2, shard_cols=2, pause=0.004):
 
 
 def _run_counter_hammer(n_threads, batches_per_thread, n_points):
-    """Hammer the served-points counter from a thread pool; the total must
-    be exact (a lost read-modify-write update would undercount)."""
-    partition = uniform_partition(Grid(16, 16), 4, 4)
-    sharded = ShardedDeployment(partition, 2, 2)
+    """Hammer a sharded deployment's served-points counter (the engine's)
+    from a thread pool; the total must be exact (a lost read-modify-write
+    update would undercount)."""
+    engine = ServingEngine()
+    engine.deploy("s", uniform_partition(Grid(16, 16), 4, 4), shards=(2, 2))
     rng = np.random.default_rng(7)
     xs = rng.uniform(-0.05, 1.05, n_points)
     ys = rng.uniform(-0.05, 1.05, n_points)
 
     def worker(_):
         for _ in range(batches_per_thread):
-            sharded.locate_points(xs, ys)
+            engine.locate_points("s", xs, ys)
 
     with ThreadPoolExecutor(n_threads) as pool:
         list(pool.map(worker, range(n_threads)))
 
-    assert sharded.points_served == n_threads * batches_per_thread * n_points
+    points = engine.stats["deployments"]["s"]["points"]
+    assert points == n_threads * batches_per_thread * n_points
 
 
 def _run_concurrent_determinism(n_threads, calls_per_thread, shards, n_points, seed):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.config import ServingConfig
 from repro.exceptions import GridError, ServingError
-from repro.serving import PartitionServer, ShardedDeployment
+from repro.serving import PartitionServer, ServingEngine, ShardedDeployment
 from repro.spatial.geometry import BoundingBox
 from repro.spatial.grid import Grid
 from repro.spatial.partition import uniform_partition
@@ -109,15 +109,16 @@ class TestShardedLocate:
         query = BoundingBox(-1.0, 1.5, 0.0, 3.0)
         assert sharded.range_query(query) == server.range_query(query)
 
-    def test_points_served_accumulate(self, partition):
-        sharded = ShardedDeployment(partition, 2, 2)
+    def test_engine_counts_every_sharded_point(self, partition):
+        engine = ServingEngine()
+        engine.deploy("s", partition, shards=(2, 2))
         rng = np.random.default_rng(3)
         bounds = partition.grid.bounds
         xs = rng.uniform(bounds.min_x - 1.0, bounds.max_x + 1.0, 100)
         ys = rng.uniform(bounds.min_y - 1.0, bounds.max_y + 1.0, 100)
-        sharded.locate_points(xs, ys)
-        sharded.locate_points(xs[:10], ys[:10])
-        assert sharded.points_served == 110  # off-map points count too
+        engine.locate_points("s", xs, ys)
+        engine.locate_points("s", xs[:10], ys[:10])
+        assert engine.stats["deployments"]["s"]["points"] == 110  # off-map points count too
 
     def test_describe_reports_tiling(self, partition):
         info = ShardedDeployment(partition, 2, 3, provenance={"city": "la"}).describe()
@@ -206,7 +207,6 @@ class TestDispatchPlans:
         sharded = ShardedDeployment(partition, 2, 2)
         result = sharded.locate_points(np.empty(0), np.empty(0))
         assert result.shape == (0,)
-        assert sharded.points_served == 0
 
     def test_empty_buckets_single_tile_batch(self, partition):
         """A batch landing entirely in one tile of 16 answers bit-exact."""

@@ -1,13 +1,20 @@
 """Tests for the binary wire transport: framing, handshake, in-process server.
 
-The multiprocess worker pool reuses ``serve_connection`` verbatim, so
-everything proven here about framing and dispatch carries over to
-``tests/serving/test_workers.py``, which focuses on the shared-memory
-and process-lifecycle parts.
+The multiprocess worker pool runs the same ``accept_loop`` and
+``serve_connection``, so everything proven here about framing and
+dispatch carries over to ``tests/serving/test_workers.py``, which
+focuses on the shared-memory and process-lifecycle parts.  The codec
+negotiation, the refusal of JSON locates and the close of live
+connections are checked against both fronts here.
 """
 
 import socket
 import struct
+import threading
+import time
+from multiprocessing import shared_memory
+
+import json
 
 import numpy as np
 import pytest
@@ -19,7 +26,9 @@ from repro.exceptions import (
     TransportError,
 )
 from repro.io.artifacts import save_partition_artifact
-from repro.serving import ServingEngine, WireConnection, WireServer
+from repro.serving import ServingEngine, WireConnection, WireServer, WorkerPool
+from repro.serving.codecs import JsonB64Codec
+from repro.serving.protocol import LocateRequest
 from repro.serving.wire import (
     FRAME_ERROR,
     FRAME_JSON,
@@ -31,6 +40,7 @@ from repro.serving.wire import (
     recv_frame,
     send_frame,
 )
+from repro.serving.workers import fork_available
 from repro.spatial.grid import Grid
 from repro.spatial.partition import uniform_partition
 
@@ -55,6 +65,30 @@ def server(engine):
 
 def _connect(server, **kwargs) -> WireConnection:
     return WireConnection(server.host, server.port, **kwargs).connect()
+
+
+def _start_front(kind, engine):
+    """A started wire front over ``engine``: in-process or 2 forked workers."""
+    if kind == "in-process":
+        return WireServer(engine, port=0).serve_background()
+    if not fork_available():
+        pytest.skip("worker pool needs the fork start method")
+    return WorkerPool(engine, port=0, workers=2).start()
+
+
+@pytest.fixture(params=["in-process", "workers"])
+def front(request, engine):
+    """Each wire front: :class:`WireServer` and a 2-worker :class:`WorkerPool`."""
+    with _start_front(request.param, engine) as front:
+        yield front
+
+
+def _raw_hello(front, codecs) -> socket.socket:
+    """A raw socket that has sent a hello naming ``codecs``."""
+    raw = socket.create_connection((front.host, front.port), timeout=5.0)
+    hello = {"op": "hello", "v": 1, "codecs": codecs}
+    send_frame(raw, FRAME_JSON, json.dumps(hello).encode())
+    return raw
 
 
 class TestFraming:
@@ -159,17 +193,13 @@ class TestHandshake:
         with _connect(server) as conn:
             assert conn.codec.name == "binary"
             assert conn.server_info.get("mode") == "in-process"
-        with _connect(server, codecs=("json+b64",)) as conn:
-            assert conn.codec.name == "json+b64"
 
-    def test_client_preference_order_wins(self, server):
-        with _connect(server, codecs=("json+b64", "binary")) as conn:
-            assert conn.codec.name == "json+b64"
-
-    def test_no_mutual_codec_fails_typed(self, engine):
-        with WireServer(engine, port=0, codecs=("json+b64",)).serve_background() as server:
-            with pytest.raises(ServingError, match="no mutual codec"):
-                _connect(server, codecs=("binary",))
+    def test_no_mutual_codec_fails_typed(self, server):
+        with pytest.raises(ServingError, match="no mutual codec"):
+            _connect(server, codecs=("json+b64",))
+        # The refusal closed that connection only; a binary client dials fine.
+        with _connect(server, codecs=("binary",)) as conn:
+            assert conn.codec.name == "binary"
 
     def test_unknown_client_codec_names_are_skipped_not_fatal(self, server):
         with _connect(server, codecs=("binary",)) as conn:
@@ -205,7 +235,7 @@ class TestHandshake:
 
 
 class TestLocate:
-    @pytest.mark.parametrize("codecs", [("binary",), ("json+b64",)])
+    @pytest.mark.parametrize("codecs", [("binary",)])
     def test_locate_bit_exact_vs_engine(self, engine, server, codecs):
         rng = np.random.default_rng(5)
         xs = rng.uniform(-0.1, 1.1, 1000)
@@ -285,47 +315,76 @@ class TestControlPlane:
                 conn.control({"kind": "rollback-shard", "deployment": "la",
                               "row": 0, "col": 0})
 
-    def test_json_b64_dense_locate_arrives_as_a_control_frame(self, engine, server):
-        from repro.serving.codecs import JsonB64Codec
 
-        xs = np.array([0.1, 0.9]); ys = np.array([0.1, 0.9])
-        body = JsonB64Codec().encode_request("la", xs, ys)
-        with _connect(server, codecs=("json+b64",)) as conn:
-            sock = conn._sock
-            send_frame(sock, FRAME_JSON, body)
-            kind, payload = recv_frame(sock)
-        assert kind == FRAME_JSON
-        version, regions = JsonB64Codec().decode_response(payload)
-        assert version == 1
-        assert np.array_equal(regions, engine.locate_points("la", xs, ys))
+class TestOneLocateForm:
+    """What both fronts take: a hello naming binary, and binary locates."""
 
+    @pytest.mark.parametrize("alias", ["bin", "raw"])
+    def test_binary_aliases_negotiate_binary(self, front, alias):
+        with _connect(front, codecs=(alias,)) as conn:
+            assert conn.codec.name == "binary"
+            assert conn.locate("la", np.array([0.1]), np.array([0.1]))[0] == 1
 
-class TestConnectionDiscipline:
-    def test_binary_frame_on_json_connection_answers_typed_error(self, server):
-        # a json+b64 WireConnection never sends FRAME_LOCATE, so force the
-        # codec mismatch with raw frames.  The frame was fully read, so the
-        # stream stays coherent and the connection survives.
-        raw = socket.create_connection((server.host, server.port), timeout=5.0)
+    @pytest.mark.parametrize("codecs", [["json+b64"], []], ids=["json-only", "none"])
+    def test_hello_without_binary_is_refused_typed_then_closed(self, front, codecs):
+        raw = _raw_hello(front, codecs)
         try:
-            send_frame(raw, FRAME_JSON,
-                       b'{"op": "hello", "v": 1, "codecs": ["json+b64"]}')
-            recv_frame(raw)
-            send_frame(raw, FRAME_LOCATE, b"\x00" * 32)
             kind, payload = recv_frame(raw)
-            assert kind == FRAME_ERROR and b"negotiated" in payload
-            send_frame(raw, FRAME_JSON, b'{"op": "healthz"}')
-            kind, payload = recv_frame(raw)
-            assert kind == FRAME_JSON and b'"ok"' in payload
+            assert kind == FRAME_ERROR
+            assert b'"ServingError"' in payload and b"no mutual codec" in payload
+            assert recv_frame(raw) is None  # the server closed the connection
         finally:
             raw.close()
 
-    def test_server_close_tears_down_live_connections(self, engine):
-        server = WireServer(engine, port=0).serve_background()
-        conn = _connect(server)
-        server.close()
+    @pytest.mark.parametrize("form", ["list", "json+b64"])
+    def test_json_locate_is_refused_typed_and_the_connection_survives(
+        self, engine, front, form
+    ):
+        rng = np.random.default_rng(9)
+        xs = rng.uniform(-0.1, 1.1, 300)
+        ys = rng.uniform(-0.1, 1.1, 300)
+        if form == "list":
+            body = LocateRequest(deployment="la", xs=xs, ys=ys).to_json().encode()
+        else:
+            body = JsonB64Codec().encode_request("la", xs, ys)
+        expected = np.asarray(engine.locate_points("la", xs, ys), dtype="<i8")
+        with _connect(front) as conn:
+            send_frame(conn._sock, FRAME_JSON, body)
+            kind, payload = recv_frame(conn._sock)
+            assert kind == FRAME_ERROR
+            error = error_to_exception(json.loads(payload)["error"])
+            assert type(error) is ConfigurationError
+            assert "FRAME_LOCATE" in str(error) and "POST /v1/locate" in str(error)
+            version, regions = conn.locate("la", xs, ys)
+        assert version == 1
+        assert regions.tobytes() == expected.tobytes()
+
+
+class TestConnectionDiscipline:
+    @pytest.mark.parametrize("kind", ["in-process", "workers"])
+    def test_server_close_tears_down_live_connections(self, engine, kind):
+        threads_before = set(threading.enumerate())
+        front = _start_front(kind, engine)
+        segments = [export.segment.name for export in getattr(front, "_exports", {}).values()]
+        conn = _connect(front, timeout=20.0)
+        assert conn.locate("la", np.array([0.1]), np.array([0.1]))[0] == 1
+        front.close()
+        started = time.monotonic()
         with pytest.raises((TransportError, ServingError, OSError)):
             conn.locate("la", np.array([0.1]), np.array([0.1]))
+        # Raised because the server dropped the connection, not because
+        # the client's 20 s read timeout ran out.
+        assert time.monotonic() - started < 10.0
         conn.close()
+        deadline = time.monotonic() + 10.0
+        while set(threading.enumerate()) - threads_before:
+            assert time.monotonic() < deadline, (
+                f"threads outlived close(): {set(threading.enumerate()) - threads_before}"
+            )
+            time.sleep(0.02)
+        for name in segments:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
 
     def test_double_start_refused(self, engine, server):
         with pytest.raises(ServingError, match="already running"):

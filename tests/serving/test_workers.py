@@ -70,7 +70,7 @@ class TestPoolBasics:
         with pytest.raises(ServingError, match="already started"):
             pool.start()
 
-    @pytest.mark.parametrize("codecs", [("binary",), ("json+b64",)])
+    @pytest.mark.parametrize("codecs", [("binary",)])
     def test_locate_bit_exact_vs_in_process_oracle(
         self, engine, pool, tmp_path, codecs
     ):

@@ -592,6 +592,46 @@ class TestOnMapBatches:
             padded = grid.locate_padded(xs, ys)
         assert_ids_address_reference_cells(grid, padded, *reference_locate_many(grid, xs, ys))
 
+    @pytest.mark.parametrize("grid, xs, ys", [
+        (Grid(3, 5), [5e-324, 0.5], [0.5, 5e-324]),
+        (Grid(3, 3, BoundingBox(0.0, 0.0, 3e12, 3e12)), [1e-300], [1e-300]),
+    ], ids=["smallest-subnormal", "huge-cells"])
+    @pytest.mark.parametrize("off_map", [False, True], ids=["on-map", "with-off-map"])
+    def test_subnormal_quotients_signal_nothing_under_errstate_raise(
+        self, grid, xs, ys, off_map
+    ):
+        # A point within 1e-300 of a zero low bound divides to a subnormal
+        # quotient.  Whatever the caller's settings, the kernel must not
+        # raise for it, on a batch with or without an off-map point.
+        xs, ys = np.array(xs), np.array(ys)
+        if off_map:
+            xs, ys = np.append(xs, -1.0), np.append(ys, 0.5)
+        partition = block_partition(grid, [1], [1], complete=True)
+        ref_rows, ref_cols = reference_locate_many(grid, xs, ys, strict=False)
+        expected = reference_regions(partition, xs, ys)
+        worker = ShmWorkerReader(partition)
+        try:
+            with np.errstate(all="raise"):
+                padded = grid.locate_padded(xs, ys, False)
+                rows, cols = grid.locate_many(xs, ys, False)
+                dense = PartitionServer(partition).locate_points(xs, ys, strict=False)
+                shared = worker.locate_points(xs, ys)
+        finally:
+            worker.close()
+        assert_ids_address_reference_cells(grid, padded, ref_rows, ref_cols)
+        assert_bit_equal(rows, ref_rows)
+        assert_bit_equal(cols, ref_cols)
+        assert_bit_equal(dense, expected)
+        assert_bit_equal(shared, expected)
+
+    def test_only_grids_whose_offsets_can_underflow_enter_errstate(self):
+        # A zero low bound lets an on-map quotient be subnormal; a low bound
+        # of 1 (smallest offset 2.2e-16) cannot with cells of normal size.
+        assert Grid(3, 5)._underflows
+        assert Grid(3, 3, BoundingBox(0.0, 0.0, 3e12, 3e12))._underflows
+        assert not GRID._underflows
+        assert not Grid(4, 4, BoundingBox(1.0, 1.0, 2.0, 2.0))._underflows
+
 
 class TestStoredConstants:
     """``Grid`` keeps its bounds and cell sizes as plain attributes; they
