@@ -144,7 +144,7 @@ from .protocol import (
     ShardRollbackRequest,
     ShardSwapRequest,
 )
-from .wire import WireServer
+from .wire import WIRE_CODECS, WireServer
 from .workers import WorkerPool
 
 __all__ = [
@@ -832,7 +832,7 @@ class ServingHTTPServer(ThreadingHTTPServer):
             }
         return {
             "protocol_version": PROTOCOL_VERSION,
-            "codecs": ["binary"],  # the wire plane's one codec
+            "codecs": list(WIRE_CODECS),
             "http_codecs": list(HTTP_LOCATE_CODECS),
             "wire": wire,
             "admin": self.admin,

@@ -112,6 +112,9 @@ _HEADER = struct.Struct("<IBBH")
 
 _BINARY = BinaryCodec()
 
+#: The codecs the wire serves: a locate crosses it only as binary frames.
+WIRE_CODECS: Tuple[str, ...] = (_BINARY.name,)
+
 
 def error_to_exception(error: Dict[str, Any]) -> ReproError:
     """The typed exception a wire/HTTP JSON error body maps back to.
@@ -258,7 +261,7 @@ def _negotiate(sock: socket.socket, info: Dict[str, Any]) -> bool:
             codec = resolve_codec(name)
         except ReproError:
             continue  # a codec this build does not know; try the next
-        if codec.name == _BINARY.name:
+        if codec.name in WIRE_CODECS:
             send_frame(
                 sock,
                 FRAME_JSON,
@@ -274,7 +277,7 @@ def _negotiate(sock: socket.socket, info: Dict[str, Any]) -> bool:
             return True
     raise ServingError(
         f"no mutual codec: client offered {wanted}, server serves "
-        f"{[_BINARY.name]}"
+        f"{list(WIRE_CODECS)}"
     )
 
 
@@ -545,7 +548,9 @@ class WireConnection:
     as it does with HTTP connections.  ``codecs`` is the list sent in the
     hello; a server answers ``binary`` (:attr:`codec` after
     :meth:`connect`) or refuses the connection typed when the list lacks
-    it.
+    it.  A server that answers any other codec fails :meth:`connect`
+    with :class:`~repro.exceptions.TransportError`, since :meth:`locate`
+    sends only binary frames.
     """
 
     def __init__(
@@ -553,7 +558,7 @@ class WireConnection:
         host: str,
         port: int,
         timeout: float = 30.0,
-        codecs: Sequence[str] = ("binary", "json+b64"),
+        codecs: Sequence[str] = WIRE_CODECS,
     ) -> None:
         self.host = host
         self.port = int(port)
@@ -609,7 +614,12 @@ class WireConnection:
                 raise TransportError(
                     f"malformed handshake answer: {hello!r}"
                 )
-            self.codec = resolve_codec(codec_name)
+            if codec_name not in WIRE_CODECS:
+                raise TransportError(
+                    f"wire server answered codec {codec_name!r}; this client "
+                    f"sends locates only as {list(WIRE_CODECS)} frames"
+                )
+            self.codec = _BINARY
             self.server_info = dict(hello.get("server") or {})
         except BaseException:  # repro: ignore[exception-discipline] -- resource guard, not a handler: a failed handshake must close the socket whatever aborted it; always re-raised
             sock.close()

@@ -64,18 +64,6 @@ class Grid:
                 f"grid cells of {self._cell_width!r} x {self._cell_height!r} are "
                 "not normal finite floats"
             )
-        # Whether an on-map offset can divide to a subnormal, which signals
-        # underflow: an axis's smallest positive offset is half an ulp of
-        # its low bound (the smallest subnormal at a zero bound), and the
-        # quotient is subnormal below cell_size * tiny.  The test below is
-        # half an ulp against twice that bound: a margin of 2 that the
-        # rounding of either side cannot cross.
-        self._underflows = any(
-            math.ulp(abs(low)) < 4 * size * sys.float_info.min
-            for low, size in (
-                (self._min_x, self._cell_width), (self._min_y, self._cell_height)
-            )
-        )
 
     # -- basic properties ----------------------------------------------------
 
@@ -194,26 +182,20 @@ class Grid:
         :class:`GridError` for off-map points exactly as
         :meth:`locate_many` does.
 
-        A batch with off-map points runs under ``np.errstate``: their
-        offsets may be NaN, inf or beyond int64, so their divide and cast
-        are silenced there and their garbage ids overwritten.  An
-        all-on-map batch has finite offsets in ``[0, width]`` and normal
-        cell sizes (the constructor refuses others), so no divide
-        overflows and no cast is invalid.  The one signal it can raise is
-        underflow, a subnormal quotient from a point within about 1e-308
-        of the low bound: only on a grid where that can happen (a zero
-        low bound, say) is it silenced, so the answer does not depend on
-        the caller's ``np.errstate``; other grids skip ``errstate``.
+        Every batch runs under one ``np.errstate``, so the answer does not
+        depend on the caller's settings.  Off-map offsets may be NaN, inf
+        or beyond int64: their divide and cast are silenced and their
+        garbage ids overwritten.  An on-map batch has finite offsets in
+        ``[0, width]`` and normal cell sizes (the constructor refuses
+        others), so its one possible signal is underflow: a subnormal
+        quotient from a point within about 1e-308 of the low bound.
         """
         # returns: int64
         shape, xs, ys, off_map = self._checked_coords(xs, ys, strict)
-        if off_map is None:
-            if not self._underflows:
-                return self._padded_ids(xs, ys).reshape(shape), 0
-            with np.errstate(under="ignore"):
-                return self._padded_ids(xs, ys).reshape(shape), 0
         with np.errstate(invalid="ignore", over="ignore", under="ignore"):
             ids = self._padded_ids(xs, ys)
+        if off_map is None:
+            return ids.reshape(shape), 0
         np.copyto(ids, -1, where=off_map)
         return ids.reshape(shape), int(np.count_nonzero(off_map))
 

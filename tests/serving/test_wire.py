@@ -8,13 +8,12 @@ negotiation, the refusal of JSON locates and the close of live
 connections are checked against both fronts here.
 """
 
+import json
 import socket
 import struct
 import threading
 import time
 from multiprocessing import shared_memory
-
-import json
 
 import numpy as np
 import pytest
@@ -214,6 +213,38 @@ class TestHandshake:
         finally:
             raw.close()
 
+    def test_client_offers_only_binary_by_default(self, server):
+        assert WireConnection(server.host, server.port).codecs == ("binary",)
+
+    def test_server_answering_another_codec_fails_at_connect(self):
+        # A server that names a codec other than binary (an older one
+        # dialled with codecs=("json+b64",), say) is refused at the
+        # handshake, not on the first locate.
+        listener = socket.create_server(("127.0.0.1", 0))
+        hellos = []
+
+        def answer_json_b64():
+            sock, _ = listener.accept()
+            with sock:
+                hellos.append(json.loads(recv_frame(sock)[1]))
+                send_frame(sock, FRAME_JSON,
+                           b'{"op": "hello", "v": 1, "codec": "json+b64"}')
+                recv_frame(sock)  # EOF once the client gives up
+
+        thread = threading.Thread(target=answer_json_b64, daemon=True)
+        thread.start()
+        try:
+            conn = WireConnection("127.0.0.1", listener.getsockname()[1],
+                                  timeout=5.0, codecs=("json+b64",))
+            with pytest.raises(TransportError, match=r"answered codec 'json\+b64'"):
+                conn.connect()
+            assert not conn.connected and conn.codec is None
+            thread.join(5.0)
+            assert not thread.is_alive()
+        finally:
+            listener.close()
+        assert hellos == [{"op": "hello", "v": 1, "codecs": ["json+b64"]}]
+
     def test_protocol_version_mismatch_fails_typed(self, server):
         raw = socket.create_connection((server.host, server.port), timeout=5.0)
         try:
@@ -235,13 +266,12 @@ class TestHandshake:
 
 
 class TestLocate:
-    @pytest.mark.parametrize("codecs", [("binary",)])
-    def test_locate_bit_exact_vs_engine(self, engine, server, codecs):
+    def test_locate_bit_exact_vs_engine(self, engine, server):
         rng = np.random.default_rng(5)
         xs = rng.uniform(-0.1, 1.1, 1000)
         ys = rng.uniform(-0.1, 1.1, 1000)
         expected = engine.locate_points("la", xs, ys)
-        with _connect(server, codecs=codecs) as conn:
+        with _connect(server, codecs=("binary",)) as conn:
             version, regions = conn.locate("la", xs, ys)
         assert version == 1
         assert regions.tobytes() == np.asarray(expected, dtype="<i8").tobytes()

@@ -70,16 +70,13 @@ class TestPoolBasics:
         with pytest.raises(ServingError, match="already started"):
             pool.start()
 
-    @pytest.mark.parametrize("codecs", [("binary",)])
-    def test_locate_bit_exact_vs_in_process_oracle(
-        self, engine, pool, tmp_path, codecs
-    ):
+    def test_locate_bit_exact_vs_in_process_oracle(self, engine, pool, tmp_path):
         oracle = _oracle(tmp_path, "v1")
         rng = np.random.default_rng(11)
         xs = rng.uniform(-0.2, 1.2, 2000)  # includes off-map points
         ys = rng.uniform(-0.2, 1.2, 2000)
         expected = np.asarray(oracle.locate_points(xs, ys), dtype="<i8")
-        with _connect(pool, codecs=codecs) as conn:
+        with _connect(pool, codecs=("binary",)) as conn:
             version, regions = conn.locate("la", xs, ys)
         assert version == 1
         assert regions.tobytes() == expected.tobytes()

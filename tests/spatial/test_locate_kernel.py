@@ -624,14 +624,6 @@ class TestOnMapBatches:
         assert_bit_equal(dense, expected)
         assert_bit_equal(shared, expected)
 
-    def test_only_grids_whose_offsets_can_underflow_enter_errstate(self):
-        # A zero low bound lets an on-map quotient be subnormal; a low bound
-        # of 1 (smallest offset 2.2e-16) cannot with cells of normal size.
-        assert Grid(3, 5)._underflows
-        assert Grid(3, 3, BoundingBox(0.0, 0.0, 3e12, 3e12))._underflows
-        assert not GRID._underflows
-        assert not Grid(4, 4, BoundingBox(1.0, 1.0, 2.0, 2.0))._underflows
-
 
 class TestStoredConstants:
     """``Grid`` keeps its bounds and cell sizes as plain attributes; they
