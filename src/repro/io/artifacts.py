@@ -90,17 +90,6 @@ class PartitionArtifact:
         return dict(spec) if isinstance(spec, dict) else None
 
 
-def _region_extents(partition: Partition) -> np.ndarray:
-    """``n_regions x 4`` table of (row_start, row_stop, col_start, col_stop)."""
-    return np.array(
-        [
-            (region.row_start, region.row_stop, region.col_start, region.col_stop)
-            for region in partition.regions
-        ],
-        dtype=np.int64,
-    )
-
-
 def save_partition_artifact(
     partition: Partition,
     path: str | Path,
@@ -145,7 +134,7 @@ def save_partition_artifact(
         np.savez_compressed(
             handle,
             label_grid=np.asarray(partition.label_grid, dtype=np.int64),
-            region_extents=_region_extents(partition),
+            region_extents=partition.extents,
         )
     return path
 

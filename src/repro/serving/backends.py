@@ -29,19 +29,19 @@ points of a non-strict locate — a guarantee enforced bit-exactly by
 The module also holds the label-grid helpers every dense reader shares
 — the server, :class:`~repro.serving.sharding.ShardedDeployment` and the
 shared-memory workers: :func:`pad_labels` builds the padded grid their
-one ``take`` reads, :func:`padded_shape` is its shape, and
-:func:`range_regions` answers every range query from the
-:func:`range_candidates` window and a table of region extents.
+one ``take`` reads, and :func:`padded_shape` is its shape.  Range
+queries read no label grid: every reader answers them with
+:func:`repro.spatial.queries.regions_intersecting` over a region-bounds
+table.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from ..registry import register_backend
-from ..spatial.geometry import BoundingBox
 from ..spatial.grid import Grid
 from ..spatial.partition import Partition
 
@@ -52,8 +52,6 @@ __all__ = [
     "pad_labels",
     "padded_shape",
     "read_padded",
-    "range_candidates",
-    "range_regions",
 ]
 
 
@@ -111,57 +109,6 @@ def read_padded(
     if covered:
         return regions, regions.size - n_off_map
     return regions, int(np.count_nonzero(regions >= 0))
-
-
-def range_candidates(
-    grid: Grid, labels: np.ndarray, query: BoundingBox
-) -> np.ndarray:
-    """Region ids in the label-grid window under ``query``, uncovered dropped.
-
-    The window is widened by one cell on each side so boxes that exactly
-    touch a cell boundary cannot lose a neighbor to floating-point
-    rounding, and clipped to the grid (a padded ``labels`` reads the same:
-    the window never reaches the border).  The result is a candidate set
-    — callers keep the regions whose bounds pass the exact
-    ``intersects`` test.
-    """
-    # returns: int64[k]
-    bounds = grid.bounds
-    if not bounds.intersects(query):
-        return np.empty(0, dtype=np.int64)
-    cell_width, cell_height = grid.cell_width, grid.cell_height
-    row_lo = int(np.floor((query.min_y - bounds.min_y) / cell_height)) - 1
-    row_hi = int(np.floor((query.max_y - bounds.min_y) / cell_height)) + 2
-    col_lo = int(np.floor((query.min_x - bounds.min_x) / cell_width)) - 1
-    col_hi = int(np.floor((query.max_x - bounds.min_x) / cell_width)) + 2
-    row_lo, col_lo = max(row_lo, 0), max(col_lo, 0)
-    row_hi, col_hi = min(row_hi, grid.rows), min(col_hi, grid.cols)
-    if row_lo >= row_hi or col_lo >= col_hi:
-        return np.empty(0, dtype=np.int64)
-    candidates = np.unique(labels[row_lo:row_hi, col_lo:col_hi])
-    return candidates[candidates >= 0]
-
-
-def range_regions(
-    grid: Grid,
-    labels: np.ndarray,
-    extents: Sequence[BoundingBox],
-    query: BoundingBox,
-) -> List[int]:
-    """Indices of the regions whose extent intersects ``query``, in order.
-
-    The range query of every reader: :func:`range_candidates` reads the
-    candidates off the label window, and each passes the exact closed-box
-    ``intersects`` test against its box in ``extents`` (each reader builds
-    that table once), so no false positive survives.
-    Cost is the window area plus the handful of candidates, not the
-    region count.
-    """
-    return [
-        int(index)
-        for index in range_candidates(grid, labels, query)
-        if extents[index].intersects(query)
-    ]
 
 
 class LocatorBackend:

@@ -730,7 +730,7 @@ class ServingEngine:
             deployment=deployment.name,
             version=resolved.version,
             kind="range",
-            regions=tuple(int(index) for index in regions),
+            regions=tuple(regions),
         )
 
     # -- introspection --------------------------------------------------------

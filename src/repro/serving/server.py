@@ -10,8 +10,9 @@ vectorised batch queries from it —
   vectorised pass through the configured locator backend, ``-1`` for
   off-map points in the default non-strict mode;
 * :meth:`locate_cells` — the same for pre-discretised cell coordinates;
-* :meth:`range_query` — regions intersecting a box, found by slicing the
-  label grid down to the box's cell window instead of scanning every region.
+* :meth:`range_query` — regions intersecting a box, one vectorised
+  closed-box test over the partition's region-bounds table
+  (:func:`repro.spatial.queries.range_query`, the library's own).
 
 Point location is answered by a pluggable backend
 (:mod:`repro.serving.backends`, selected by
@@ -33,9 +34,9 @@ import numpy as np
 from ..config import ServingConfig
 from ..io.artifacts import load_partition_artifact
 from ..registry import BACKENDS
+from ..spatial import queries
 from ..spatial.geometry import BoundingBox
 from ..spatial.partition import Partition, masked_cell_lookup
-from .backends import range_regions
 
 
 def region_counts_from_assignment(assignment: np.ndarray, n_regions: int) -> np.ndarray:
@@ -78,7 +79,6 @@ class PartitionServer:
     ) -> None:
         self._partition = partition
         self._grid = partition.grid
-        self._labels = partition.label_grid
         self._provenance = dict(provenance or {})
         self._config = config or ServingConfig()
         # Resolve the backend eagerly (unknown names fail at construction)
@@ -88,8 +88,6 @@ class PartitionServer:
         self._backend_entry = BACKENDS.resolve(self._config.backend)
         self._index: Any = None
         self._spec: Any = None
-        # Region extent boxes, built by the first range query.
-        self._extents: Optional[Tuple[BoundingBox, ...]] = None
 
     @property
     def _backend(self) -> Any:
@@ -236,15 +234,11 @@ class PartitionServer:
     def range_query(self, query: BoundingBox) -> List[int]:
         """Indices of all regions whose extent intersects ``query``.
 
-        Semantically identical to :func:`repro.spatial.queries.range_query`
-        (closed boxes: touching counts, region order preserved), but
-        answered by :func:`~repro.serving.backends.range_regions`: the
-        candidates under the query's label window, tested against this
-        server's table of region extents, built once by the first query.
+        :func:`repro.spatial.queries.range_query` itself (closed boxes:
+        touching counts, region order preserved): one closed-box test over
+        the partition's region-bounds table, whatever the backend.
         """
-        if self._extents is None:
-            self._extents = tuple(region.bounds for region in self._partition.regions)
-        return range_regions(self._grid, self._labels, self._extents, query)
+        return queries.range_query(self._partition, query)
 
     # -- aggregates --------------------------------------------------------------
 

@@ -54,11 +54,12 @@ import numpy as np
 
 from ..config import ServingConfig
 from ..exceptions import ServingError
+from ..spatial import queries
 from ..spatial.geometry import BoundingBox
 from ..spatial.partition import Partition
 from .backends import pad_labels, read_padded
 from .locks import new_lock, new_rwlock
-from .server import PartitionServer, region_counts_from_assignment
+from .server import region_counts_from_assignment
 
 __all__ = ["ShardedDeployment", "TileGeometry"]
 
@@ -184,7 +185,6 @@ class ShardedDeployment:
         self._shard_rows = int(shard_rows)
         self._shard_cols = int(shard_cols)
         self._geometry = TileGeometry(grid.rows, grid.cols, shard_rows, shard_cols)
-        self._range_server: Optional[PartitionServer] = None
         labels = partition.label_grid
         self._shards: List[_Shard] = []
         for index in range(self._geometry.n_tiles):
@@ -331,19 +331,16 @@ class ShardedDeployment:
         )
 
     def range_query(self, query: BoundingBox) -> List[int]:
-        """Regions intersecting ``query`` (delegates to the source partition).
+        """Regions intersecting ``query``, off the source partition's bounds table.
 
         Range queries read region extents, not the sharded cell index, so
-        they are answered exactly like the monolithic server's.  Per-tile
-        label swaps deliberately do not reach here: a swapped tile changes
-        *point location* only, while region extents stay those of the
-        source partition (the documented scope of shard-level hot-swap).
+        they are answered exactly like the monolithic server's, by
+        :func:`repro.spatial.queries.range_query`.  Per-tile label swaps
+        deliberately do not reach here: a swapped tile changes *point
+        location* only, while region extents stay those of the source
+        partition (the documented scope of shard-level hot-swap).
         """
-        if self._range_server is None:
-            self._range_server = PartitionServer(
-                self._partition, provenance=self._provenance, config=self._config
-            )
-        return self._range_server.range_query(query)
+        return queries.range_query(self._partition, query)
 
     # -- per-tile hot-swap -----------------------------------------------------
 

@@ -56,10 +56,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..exceptions import ConfigurationError, ReproError, ServingError
+from ..spatial import queries
 from ..spatial.geometry import BoundingBox
 from ..spatial.grid import Grid
-from ..spatial.region import GridRegion
-from .backends import pad_labels, padded_shape, range_regions, read_padded
+from .backends import pad_labels, padded_shape, read_padded
 from .locks import new_lock
 from .protocol import LATEST, QueryResult, RangeRequest
 from .wire import accept_loop
@@ -95,7 +95,9 @@ class _WorkerDeployment:
     against the in-process engine: the :class:`Grid` (reconstructed from
     geometry — pure arithmetic, no arrays), the shared padded label grid
     (a read-only :func:`~repro.serving.backends.padded_shape` view over
-    the segment), and the region extent boxes for range queries.  The
+    the segment), and the region-bounds table for range queries, built
+    from the exported integer extents by the same
+    :meth:`~repro.spatial.grid.Grid.block_bounds` as the partition's.  The
     ``shm`` handle is kept referenced so the mapping outlives every
     in-flight request that reads through it.
     """
@@ -125,14 +127,8 @@ class _WorkerDeployment:
         labels.flags.writeable = False  # readers, by contract
         self.labels = labels
         self.covered = bool((labels[:self.grid.rows, :self.grid.cols] >= 0).all())
-        extents = np.asarray(export["extents"], dtype=np.int64)
-        self.region_bounds = tuple(
-            GridRegion(
-                self.grid, int(r0), int(r1), int(c0), int(c1)
-            ).bounds
-            for r0, r1, c0, c1 in extents
-        )
-        self.n_regions = len(self.region_bounds)
+        self.region_bounds = self.grid.block_bounds(export["extents"])
+        self.n_regions = self.region_bounds.shape[1]
         self.source = export.get("source")
 
 
@@ -261,16 +257,13 @@ class WorkerState:
         return entry.version, assignment
 
     def range_query(self, request: RangeRequest) -> QueryResult:
-        """Regions intersecting the request box, off the shared labels.
+        """Regions intersecting the request box, off the snapshot's bounds table.
 
-        The same :func:`~repro.serving.backends.range_regions` as
-        :meth:`~repro.serving.server.PartitionServer.range_query`, over
-        the snapshot's extent table.
+        The same :func:`~repro.spatial.queries.regions_intersecting` as
+        :meth:`~repro.serving.server.PartitionServer.range_query`.
         """
         entry = self._resolve(request.deployment, request.version)
-        regions = range_regions(
-            entry.grid, entry.labels, entry.region_bounds, request.bounds
-        )
+        regions = queries.regions_intersecting(entry.region_bounds, request.bounds)
         with self._counter_lock:
             self._queries += 1
         return QueryResult(
@@ -626,16 +619,6 @@ class WorkerPool:
             view = np.ndarray(shape, dtype=np.int64, buffer=segment.buf)
             # The one copy, parent-side, publish-time.
             pad_labels(_export_labels(server), out=view)
-            extents = np.array(
-                [
-                    (
-                        region.row_start, region.row_stop,
-                        region.col_start, region.col_stop,
-                    )
-                    for region in partition.regions
-                ],
-                dtype=np.int64,
-            )
             descriptor = {
                 "name": name,
                 "version": version,
@@ -646,7 +629,7 @@ class WorkerPool:
                     grid.bounds.min_x, grid.bounds.min_y,
                     grid.bounds.max_x, grid.bounds.max_y,
                 ],
-                "extents": extents,
+                "extents": partition.extents,
                 "source": source,
             }
             if export is not None:

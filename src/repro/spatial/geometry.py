@@ -48,7 +48,9 @@ class BoundingBox:
     max_y: float
 
     def __post_init__(self) -> None:
-        if self.min_x > self.max_x or self.min_y > self.max_y:
+        # Written as "not ordered" so a NaN bound, which compares false
+        # both ways, is refused with the inverted boxes.
+        if not (self.min_x <= self.max_x and self.min_y <= self.max_y):
             raise GeometryError(
                 "invalid bounding box: "
                 f"({self.min_x}, {self.min_y}) -> ({self.max_x}, {self.max_y})"

@@ -266,6 +266,32 @@ class Grid:
         upper = self.cell_bounds(row_stop - 1, col_stop - 1)
         return lower.union(upper)
 
+    def block_bounds(self, extents: np.ndarray) -> np.ndarray:
+        """:meth:`row_slice_bounds` of many cell blocks, as one read-only table.
+
+        ``extents`` is ``n x 4`` integer ``(row_start, row_stop, col_start,
+        col_stop)`` rows; the answer is the float64 ``4 x n`` table whose
+        rows are ``min_x, min_y, max_x, max_y``, so each coordinate's
+        compare in :func:`repro.spatial.queries.regions_intersecting` reads
+        contiguous memory.  Each entry is bit-equal to
+        :meth:`row_slice_bounds`: the low edge is the first cell's
+        ``min + start * size`` and the high edge the last cell's
+        ``(min + (stop - 1) * size) + size``.  Cell edges grow with the
+        index, so the ``union`` there picks exactly these and needs no
+        min/max here.
+        """
+        # returns: float64[4, n]
+        r0, r1, c0, c1 = np.asarray(extents, dtype=np.int64).T
+        cw, ch = self._cell_width, self._cell_height
+        table = np.stack([
+            self._min_x + c0 * cw,
+            self._min_y + r0 * ch,
+            (self._min_x + (c1 - 1) * cw) + cw,
+            (self._min_y + (r1 - 1) * ch) + ch,
+        ])
+        table.flags.writeable = False
+        return table
+
 
 def _axis_cells(values: np.ndarray, low: float, cell_size: float) -> np.ndarray:
     """Unclamped cell index ``trunc((values - low) / cell_size)`` per coordinate.

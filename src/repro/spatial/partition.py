@@ -82,6 +82,12 @@ class Partition:
         if require_complete:
             self.validate_complete()
         self._label_grid = self._build_label_grid()
+        self._extents = np.array(
+            [(r.row_start, r.row_stop, r.col_start, r.col_stop) for r in self._regions],
+            dtype=np.int64,
+        )
+        self._extents.setflags(write=False)
+        self._region_bounds = grid.block_bounds(self._extents)
 
     # -- invariants -----------------------------------------------------------
 
@@ -130,6 +136,26 @@ class Partition:
         This is the array the serving layer answers batched lookups from.
         """
         return self._label_grid
+
+    @property
+    def extents(self) -> np.ndarray:
+        """Read-only ``n_regions x 4`` int64 table of cell extents.
+
+        Row ``i`` is region ``i``'s ``(row_start, row_stop, col_start,
+        col_stop)``: what artifact bundles store and what the worker pool
+        ships to its processes.
+        """
+        return self._extents
+
+    @property
+    def region_bounds(self) -> np.ndarray:
+        """Read-only ``4 x n_regions`` float64 table of region extents.
+
+        :meth:`Grid.block_bounds` of :attr:`extents`, built once: column
+        ``i`` is ``regions[i].bounds`` bit for bit, and every range query
+        (:func:`repro.spatial.queries.range_query`) reads it.
+        """
+        return self._region_bounds
 
     def __len__(self) -> int:
         return len(self._regions)

@@ -61,13 +61,27 @@ class PartitionLocator:
 def range_query(partition: Partition, query: BoundingBox) -> List[int]:
     """Indices of all neighborhoods whose extent intersects ``query``.
 
-    The result preserves the partition's region ordering.
+    The result preserves the partition's region ordering; boxes are
+    closed, so a query that only touches a region's edge matches it.
     """
-    matches: List[int] = []
-    for index, region in enumerate(partition.regions):
-        if region.bounds.intersects(query):
-            matches.append(index)
-    return matches
+    return regions_intersecting(partition.region_bounds, query)
+
+
+def regions_intersecting(bounds: np.ndarray, query: BoundingBox) -> List[int]:
+    """Columns of a ``4 x n`` bounds table whose closed box meets ``query``.
+
+    ``bounds`` is a :meth:`Grid.block_bounds` table (rows ``min_x, min_y,
+    max_x, max_y``).  The range query of every reader, the serving layer's
+    included: four contiguous compares and one ``flatnonzero``, in region
+    order.  :class:`BoundingBox` refuses NaN, so an infinite query is the
+    only unusual input, and it compares like any other float.
+    """
+    # array: bounds float64[4, n]
+    hits = bounds[2] >= query.min_x
+    hits &= bounds[0] <= query.max_x
+    hits &= bounds[3] >= query.min_y
+    hits &= bounds[1] <= query.max_y
+    return np.flatnonzero(hits).tolist()
 
 
 def region_containing_cell(partition: Partition, row: int, col: int) -> GridRegion:

@@ -1,9 +1,13 @@
 """Tests for the batched partition serving layer."""
 
+import math
+import sys
 from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import DatasetConfig, GridConfig, ServingConfig
 from repro.core.fair_kdtree import FairKDTreePartitioner
@@ -16,8 +20,16 @@ from repro.serving.workers import WorkerState
 from repro.spatial.geometry import BoundingBox, Point
 from repro.spatial.grid import Grid
 from repro.spatial.partition import Partition, uniform_partition
-from repro.spatial.queries import PartitionLocator, range_query
+from repro.spatial.queries import PartitionLocator
 from repro.spatial.region import GridRegion
+
+
+def scan_reference(partition, query):
+    """The per-region closed-box scan every range reader must reproduce."""
+    return [
+        index for index, region in enumerate(partition.regions)
+        if region.bounds.intersects(query)
+    ]
 
 
 @pytest.fixture()
@@ -117,13 +129,13 @@ class TestRangeQuery:
             x0, x1 = sorted(rng.uniform(bounds.min_x - 1.0, bounds.max_x + 1.0, 2))
             y0, y1 = sorted(rng.uniform(bounds.min_y - 1.0, bounds.max_y + 1.0, 2))
             query = BoundingBox(x0, y0, x1, y1)
-            assert server.range_query(query) == range_query(partition, query)
+            assert server.range_query(query) == scan_reference(partition, query)
 
     def test_edge_touching_box(self, partition, server, grid):
         # Zero-width box exactly on an internal region boundary.
         split_x = grid.bounds.min_x + grid.bounds.width / 4.0
         query = BoundingBox(split_x, grid.bounds.min_y, split_x, grid.bounds.max_y)
-        assert server.range_query(query) == range_query(partition, query)
+        assert server.range_query(query) == scan_reference(partition, query)
 
     def test_disjoint_box_is_empty(self, server, grid):
         query = BoundingBox(grid.bounds.max_x + 1.0, 0.0, grid.bounds.max_x + 2.0, 1.0)
@@ -238,20 +250,98 @@ def range_readers(request):
 
 
 class TestRangeParity:
-    """Every range reader answers as the region scan of ``range_query``."""
+    """Every range reader answers as the per-region ``intersects`` scan."""
 
     @pytest.mark.parametrize("boxes", [_random_boxes, _edge_touching_boxes])
     def test_every_reader_matches_the_region_scan(self, range_readers, boxes):
         partition, readers = range_readers
         queries = boxes(partition)
         for query in queries:
-            expected = range_query(partition, query)
+            expected = scan_reference(partition, query)
             for name, reader in readers.items():
                 assert reader(query) == expected, (name, query)
         # The box sets reach the interesting cases: empty, partial and full.
-        sizes = {len(range_query(partition, query)) for query in queries}
+        sizes = {len(scan_reference(partition, query)) for query in queries}
         assert 0 in sizes or boxes is _edge_touching_boxes
         assert len(partition) in sizes and len(sizes) > 2
+
+    def test_every_reader_answers_an_unbounded_box(self, range_readers):
+        partition, readers = range_readers
+        everything = list(range(len(partition)))
+        widest = BoundingBox(-sys.float_info.max, -sys.float_info.max,
+                             sys.float_info.max, sys.float_info.max)
+        for name, reader in readers.items():
+            assert reader(widest) == everything, name
+        # A typed range request is finite by contract, so the worker meets
+        # the infinite box through its snapshot's table only.
+        infinite = BoundingBox(-math.inf, -math.inf, math.inf, math.inf)
+        assert readers["server"](infinite) == everything
+        assert readers["sharded_2x2"](infinite) == everything
+
+    def test_sharded_ranges_ignore_tile_swaps(self, range_readers):
+        partition, _ = range_readers
+        sharded = ShardedDeployment(partition, 2, 2)
+        r0, r1, c0, c1 = sharded.tile_window(0, 0)
+        sharded.swap_shard(0, 0, np.full((r1 - r0, c1 - c0), -1, dtype=np.int64))
+        r0, r1, c0, c1 = sharded.tile_window(1, 1)
+        sharded.swap_shard(1, 1, np.zeros((r1 - r0, c1 - c0), dtype=np.int64))
+        for query in _edge_touching_boxes(partition):
+            assert sharded.range_query(query) == scan_reference(partition, query)
+
+
+@st.composite
+def _kd_partitions(draw):
+    """A KD-tree-shaped partition of an offset, non-dyadic 37x53 grid,
+    with regions dropped in about half the draws."""
+    grid = Grid(37, 53, BoundingBox(-118.7, 33.6, -117.6, 34.4))
+    regions = [(0, grid.rows, 0, grid.cols)]
+    for _ in range(draw(st.integers(min_value=0, max_value=24))):
+        index = draw(st.integers(min_value=0, max_value=len(regions) - 1))
+        r0, r1, c0, c1 = regions[index]
+        if draw(st.booleans()) and r1 - r0 > 1:
+            cut = draw(st.integers(min_value=r0 + 1, max_value=r1 - 1))
+            regions[index:index + 1] = [(r0, cut, c0, c1), (cut, r1, c0, c1)]
+        elif c1 - c0 > 1:
+            cut = draw(st.integers(min_value=c0 + 1, max_value=c1 - 1))
+            regions[index:index + 1] = [(r0, r1, c0, cut), (r0, r1, cut, c1)]
+    if draw(st.booleans()) and len(regions) > 1:
+        regions = regions[::2]
+    return Partition(
+        grid, [GridRegion(grid, *extent) for extent in regions], require_complete=False
+    )
+
+
+@st.composite
+def _finite_boxes(draw, partition):
+    """Boxes on region edges (zero-area ones included) or anywhere near the map."""
+    table = partition.region_bounds
+    m = partition.grid.bounds
+    xs_edges = sorted(set(table[0].tolist() + table[2].tolist()))
+    ys_edges = sorted(set(table[1].tolist() + table[3].tolist()))
+    near_x = st.floats(min_value=m.min_x - 1.0, max_value=m.max_x + 1.0)
+    near_y = st.floats(min_value=m.min_y - 1.0, max_value=m.max_y + 1.0)
+    xs = sorted(draw(st.one_of(st.sampled_from(xs_edges), near_x)) for _ in range(2))
+    ys = sorted(draw(st.one_of(st.sampled_from(ys_edges), near_y)) for _ in range(2))
+    return BoundingBox(xs[0], ys[0], xs[1], ys[1])
+
+
+class TestRangeReadersProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_server_sharded_and_worker_return_the_same_list(self, data):
+        partition = data.draw(_kd_partitions())
+        boxes = data.draw(st.lists(_finite_boxes(partition), min_size=1, max_size=6))
+        server = PartitionServer(partition)
+        sharded = ShardedDeployment(partition, 3, 2)
+        worker = _SharedWorker(partition)
+        try:
+            for query in boxes:
+                expected = scan_reference(partition, query)
+                assert server.range_query(query) == expected
+                assert sharded.range_query(query) == expected
+                assert worker.range_query(query) == expected
+        finally:
+            worker.close()
 
 
 class TestFromArtifact:
