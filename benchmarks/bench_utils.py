@@ -34,34 +34,53 @@ def record_output(output_dir: Path, name: str, text: str) -> None:
     print(f"\n===== {name} =====\n{text}\n")
 
 
-def timed(callable_):
-    """``(wall seconds, result)`` of one call."""
-    start = time.perf_counter()
+def timed(callable_, clock=time.perf_counter):
+    """``(seconds, result)`` of one call, wall time unless ``clock`` says.
+
+    ``clock=time.thread_time`` counts only the calling thread's CPU time,
+    so time the thread spent preempted by another process counts for
+    neither side of a ratio; it suits single-threaded work only.
+    """
+    start = clock()
     result = callable_()
-    return time.perf_counter() - start, result
+    return clock() - start, result
 
 
-def paired_ratios(baseline, candidates, repeats):
+def paired_ratios(baseline, candidates, repeats, clock=time.perf_counter):
     """Median per-round time ratio of each candidate to ``baseline``.
 
     Every round times each candidate back to back with a fresh
     ``baseline`` call, so the two timings of one ratio share the machine
     state of that moment; the pair's order alternates across rounds so
     neither side always runs second.  Returns ``(ratios, bests,
-    results)``: the median ratio per candidate, best-of wall time per
-    name (``"baseline"`` included) and the last result per name.
+    results)``: the median ratio per candidate, best-of time per name
+    (``"baseline"`` included) and the last result per name.  ``clock``
+    is handed to :func:`timed`.
+
+    A side's previous result is freed before the side is timed again, so
+    every timed call runs beside the same live results.  Kept alive, a
+    10^6-point answer from the call before changed where the allocator
+    put the next call's temporaries, and a call that followed itself
+    paid up to 50% more in page faults than one that followed the other
+    side.
     """
     ratios = {name: [] for name in candidates}
     bests = {name: float("inf") for name in ("baseline", *candidates)}
     results = {}
+
+    def fresh(name, callable_):
+        results.pop(name, None)
+        elapsed, results[name] = timed(callable_, clock)
+        return elapsed
+
     for round_ in range(repeats):
         for name, callable_ in candidates.items():
             if round_ % 2:
-                elapsed, results[name] = timed(callable_)
-                base, results["baseline"] = timed(baseline)
+                elapsed = fresh(name, callable_)
+                base = fresh("baseline", baseline)
             else:
-                base, results["baseline"] = timed(baseline)
-                elapsed, results[name] = timed(callable_)
+                base = fresh("baseline", baseline)
+                elapsed = fresh(name, callable_)
             ratios[name].append(elapsed / base)
             bests[name] = min(bests[name], elapsed)
             bests["baseline"] = min(bests["baseline"], base)

@@ -216,6 +216,17 @@ def test_sanitizer_overhead(benchmark, output_dir):
     documented alongside the amortised dispatch factor, which must stay
     near 1x because the locate hot path takes locks per batch, not per
     point.
+
+    Both ratios time each side by the calling thread's CPU time
+    (``time.thread_time``): the dispatch is single-threaded, so time a side
+    spends preempted by another process is charged to neither.  Page
+    faults stay the thread's own work, and they were most of the noise
+    that once read 1.03-1.10 for a direct server paired with an identical
+    second one: a call that followed itself, its previous 10^6-point
+    answer still alive, paid more faults than one that followed the other
+    side.  So each side is warmed once, :func:`bench_utils.paired_ratios`
+    frees a side's last answer before timing it again, and each armed
+    answer is freed at the end of its round.
     """
     from repro.analysis import sanitized
     from repro.serving.locks import new_lock
@@ -234,11 +245,16 @@ def test_sanitizer_overhead(benchmark, output_dir):
 
     def run() -> None:
         # Phase 1 — sanitizer off.  Timed before any arming so the class
-        # instrumentation cannot contaminate the baseline.
+        # instrumentation cannot contaminate the baseline.  One untimed
+        # call per side first: the first calls fault in the heap their
+        # temporaries reuse.
+        server.locate_points(xs, ys)
+        engine_off.locate_points("la", xs, ys)
         ratios, bests, answers = paired_ratios(
             lambda: server.locate_points(xs, ys),
             {"engine_off": lambda: engine_off.locate_points("la", xs, ys)},
             REPEATS,
+            clock=time.thread_time,
         )
         assert np.array_equal(answers["baseline"], answers["engine_off"]), (
             "uninstrumented engine routing changed assignments"
@@ -255,23 +271,29 @@ def test_sanitizer_overhead(benchmark, output_dir):
         sanitized_best = wrapped_pair = float("inf")
         for round_ in range(REPEATS):
             if round_ % 2 == 0:
-                unarmed, _ = timed(lambda: engine_off.locate_points("la", xs, ys))
+                unarmed, _ = timed(
+                    lambda: engine_off.locate_points("la", xs, ys), time.thread_time
+                )
             with sanitized() as sink:
                 engine_on = ServingEngine()
                 engine_on.deploy("la", PartitionServer(partition))
-                engine_on.locate_points("la", xs[:1], ys[:1])  # builds the index
                 armed, sanitized_answer = timed(
-                    lambda: engine_on.locate_points("la", xs, ys)
+                    lambda: engine_on.locate_points("la", xs, ys), time.thread_time
                 )
                 if round_ == 0:  # after this round's pair, not inside it
                     wrapped_pair = _time_lock_pairs(new_lock("bench.wrapped"))
             if round_ % 2 == 1:
-                unarmed, _ = timed(lambda: engine_off.locate_points("la", xs, ys))
+                unarmed, _ = timed(
+                    lambda: engine_off.locate_points("la", xs, ys), time.thread_time
+                )
             report = sink.report()
             assert report.clean, "\n" + report.render_text()
             assert np.array_equal(answers["baseline"], sanitized_answer), (
                 "sanitized engine routing changed assignments"
             )
+            # Freed here, so the next round's pair runs beside the same
+            # live arrays on both sides (see paired_ratios).
+            del sanitized_answer
             factors.append(armed / unarmed)
             sanitized_best = min(sanitized_best, armed)
 
@@ -323,9 +345,9 @@ def test_sanitizer_overhead(benchmark, output_dir):
         title="Runtime-sanitizer overhead — dispatch with the seam disabled "
         "vs a REPRO_SANITIZE-armed engine on the identical 10^6-point "
         "batch, plus the honest per-operation cost of an instrumented "
-        f"acquire/release pair (times best of {REPEATS}, off_overhead and "
-        f"sanitized_factor_x the median of {REPEATS} paired ratios; pairs best "
-        f"of 3 x {PAIR_OPS})",
+        f"acquire/release pair (thread CPU times best of {REPEATS}, "
+        f"off_overhead and sanitized_factor_x the median of {REPEATS} paired "
+        f"ratios; pairs best of 3 x {PAIR_OPS} wall)",
     )
     _flush_sections(output_dir)
 

@@ -10,18 +10,19 @@ sizes 10^5 and 10^6 (10^7 with ``REPRO_BENCH_FULL=1``).
 The per-point rate is measured over a fixed ``PER_POINT_SAMPLE`` subsample
 and extrapolated — a raw 10^7-point Python loop would dominate the whole
 benchmark suite's runtime while measuring exactly the same per-call cost.
-Batch timings are measured in full, best of ``REPEATS``.
+Batch timings are measured in full.  The speedup is the median of
+per-round paired ratios (:func:`bench_utils.paired_ratios`): every round
+times the batch and the per-point sample back to back, in alternating
+order; the table's times are best of ``REPEATS``.
 
 Asserted: the batched path answers the 10^6-point workload at >= 50x the
 per-point rate, and both paths agree on every sampled point.
 """
 
-import time
-
 import numpy as np
 import pytest
 
-from bench_utils import record_output
+from bench_utils import paired_ratios, record_output
 
 from repro.config import DatasetConfig, GridConfig
 from repro.core.fair_kdtree import FairKDTreePartitioner
@@ -38,7 +39,7 @@ FULL_SIZES = (100_000, 1_000_000, 10_000_000)
 #: Points timed per-point (per-point cost is constant; the rate extrapolates).
 PER_POINT_SAMPLE = 50_000
 
-#: Best-of repetitions for the batched path (damps scheduler noise).
+#: Paired rounds: the speedup is their median ratio.
 REPEATS = 3
 
 #: Required advantage of the batched path at the 10^6-point tier.
@@ -76,25 +77,22 @@ def test_serving_throughput(benchmark, output_dir):
             xs = rng.uniform(bounds.min_x, bounds.max_x, size)
             ys = rng.uniform(bounds.min_y, bounds.max_y, size)
 
-            batch_best = float("inf")
-            for _ in range(REPEATS):
-                start = time.perf_counter()
-                assignment = server.locate_points(xs, ys)
-                batch_best = min(batch_best, time.perf_counter() - start)
-            batch_rate = size / batch_best
-
             sample = min(size, PER_POINT_SAMPLE)
             points = [Point(x, y) for x, y in zip(xs[:sample], ys[:sample])]
-            start = time.perf_counter()
-            scalar = [locator.locate_point(point) for point in points]
-            per_point_seconds = time.perf_counter() - start
-            per_point_rate = sample / per_point_seconds
-
-            assert scalar == assignment[:sample].tolist(), (
+            ratios, bests, answers = paired_ratios(
+                lambda: server.locate_points(xs, ys),
+                {"per_point": lambda: [locator.locate_point(p) for p in points]},
+                REPEATS,
+            )
+            assert answers["per_point"] == answers["baseline"][:sample].tolist(), (
                 f"batched and per-point lookups disagree at size {size}"
             )
+            batch_best = bests["baseline"]
+            batch_rate = size / batch_best
+            per_point_rate = sample / bests["per_point"]
 
-            speedup = batch_rate / per_point_rate
+            # Per-point seconds per point over batched seconds per point.
+            speedup = ratios["per_point"] * size / sample
             speedups[size] = speedup
             rows.append(
                 {
@@ -113,7 +111,7 @@ def test_serving_throughput(benchmark, output_dir):
         rows,
         title="Partition serving — batched label-grid lookups vs per-point "
         "locate_point (Fair KD-tree h=8, Los Angeles, 64x64 grid, "
-        f"best of {REPEATS})",
+        f"times best of {REPEATS}, speedup the median of {REPEATS} paired ratios)",
     )
     record_output(output_dir, "serving_throughput", table)
 

@@ -17,15 +17,15 @@ The benchmark builds the Fair KD-tree on two Los Angeles configurations:
 
 Heights 6-12 are swept, partitions are asserted identical between engines
 at every height, and the production configuration must show at least the
-3x height-10 speedup promised for this change.
+3x height-10 speedup promised for this change.  Each speedup is the median
+of per-round paired ratios (:func:`bench_utils.paired_ratios`): every round
+builds with both engines back to back, in alternating order.
 """
-
-import time
 
 import numpy as np
 import pytest
 
-from bench_utils import record_output
+from bench_utils import paired_ratios, record_output
 
 from repro.config import DatasetConfig, GridConfig
 from repro.core.fair_kdtree import FairKDTreePartitioner
@@ -38,8 +38,8 @@ HEIGHTS = (6, 7, 8, 9, 10, 11, 12)
 #: Configurations benchmarked: (label, n_records).
 CONFIGS = (("paper", 1153), ("production", 100_000))
 
-#: Repetitions per measurement; the best time is reported to damp scheduler
-#: noise (important because the height-10 speedup is asserted below).
+#: Paired rounds per measurement: the speedup is their median ratio, and
+#: the table's times are best-of.
 REPEATS = 3
 
 #: Required height-10 advantage of the prefix-sum engine at production scale.
@@ -72,16 +72,6 @@ def _residuals(dataset) -> np.ndarray:
     return np.round(residuals * 1024.0) / 1024.0
 
 
-def _best_build_seconds(dataset, residuals, height: int, engine: str) -> float:
-    partitioner = FairKDTreePartitioner(height, split_engine=engine)
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        partitioner.build_from_residuals(dataset, residuals)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 @pytest.mark.benchmark(group="split_engine")
 def test_split_engine_speedup(benchmark, output_dir):
     """Sweep heights 6-12 on both engines; equivalent partitions required."""
@@ -93,21 +83,24 @@ def test_split_engine_speedup(benchmark, output_dir):
             dataset = _la_dataset(n_records)
             residuals = _residuals(dataset)
             for height in HEIGHTS:
-                seconds = {
-                    engine: _best_build_seconds(dataset, residuals, height, engine)
+                builds = {
+                    engine: FairKDTreePartitioner(height, split_engine=engine)
                     for engine in SPLIT_ENGINES
                 }
-                partitions = {
-                    engine: FairKDTreePartitioner(
-                        height, split_engine=engine
-                    ).build_from_residuals(dataset, residuals)
-                    for engine in SPLIT_ENGINES
-                }
+                ratios, seconds, partitions = paired_ratios(
+                    lambda: builds["prefix_sum"].build_from_residuals(dataset, residuals),
+                    {"record_scan": lambda: builds["record_scan"].build_from_residuals(
+                        dataset, residuals
+                    )},
+                    REPEATS,
+                )
+                seconds["prefix_sum"] = seconds.pop("baseline")
+                partitions["prefix_sum"] = partitions.pop("baseline")
                 regions = [list(p.regions) for p in partitions.values()]
                 assert regions[0] == regions[1], (
                     f"engines disagree at {label} height {height}"
                 )
-                speedup = seconds["record_scan"] / seconds["prefix_sum"]
+                speedup = ratios["record_scan"]
                 speedups[(label, height)] = speedup
                 rows.append(
                     {
@@ -126,7 +119,8 @@ def test_split_engine_speedup(benchmark, output_dir):
     table = format_table(
         rows,
         title="Fair KD-tree build — prefix-sum vs record-scan split engine "
-        "(Los Angeles, 64x64 grid, best of %d)" % REPEATS,
+        "(Los Angeles, 64x64 grid, times best of %d, speedup the median of %d "
+        "paired ratios)" % (REPEATS, REPEATS),
     )
     record_output(output_dir, "split_engine_timing", table)
 

@@ -1,4 +1,4 @@
-"""Serving-engine tour: deployments, hot-swap/rollback, backends, sharding.
+"""Serving-engine tour: deployments, hot-swap/rollback, sharding.
 
 Run with:
 
@@ -7,8 +7,8 @@ Run with:
 The script builds two partition artifacts (a fair KD-tree at two heights),
 deploys them as successive versions of one named deployment, answers batch
 queries through both the array-native hot path and the typed JSON
-protocol, rolls the deployment back, compares the dense and sparse
-locator backends, serves a sharded deployment, and persists the whole
+protocol, rolls the deployment back, serves a sharded deployment
+bit-identical to a monolithic one, and persists the whole
 deployment table to a manifest another process could reload.
 """
 
@@ -30,7 +30,6 @@ from repro.api import (
     build_partition,
     open_engine,
 )
-from repro.config import ServingConfig
 from repro.serving import ServingEngine
 
 
@@ -85,21 +84,9 @@ def main() -> None:
         )
         print("pinned to latest answered by v", pinned.version)
 
-        # -- locator backends: same answers, different indexes --------------
-        sparse_engine = ServingEngine(config=ServingConfig(backend="sparse"))
-        sparse_engine.deploy("la", v2)
+        # -- spatial sharding: versioned tiles, bit-identical --------------
         dense_engine = ServingEngine()
         dense_engine.deploy("la", v2)
-        assert np.array_equal(
-            dense_engine.locate_points("la", xs, ys),
-            sparse_engine.locate_points("la", xs, ys),
-        )
-        dense_info = dense_engine.describe("la")["server"]
-        sparse_info = sparse_engine.describe("la")["server"]
-        print(f"backends agree; index bytes — dense: {dense_info['index_bytes']}, "
-              f"sparse: {sparse_info['index_bytes']}")
-
-        # -- spatial sharding: versioned tiles, bit-identical --------------
         engine.deploy("la_tiled", v2, shards=(2, 2))
         assert np.array_equal(
             engine.locate_points("la_tiled", xs, ys),

@@ -66,7 +66,6 @@ from .ml import make_classifier
 from .ml.model_selection import factory_for
 from . import api
 from .api import (
-    BACKENDS,
     MODELS,
     PARTITIONERS,
     TASKS,
@@ -78,7 +77,6 @@ from .api import (
     run_pipeline,
 )
 from .registry import (
-    register_backend,
     register_model,
     register_partitioner,
     register_task,
@@ -127,7 +125,6 @@ __all__ = [
     "PARTITIONERS",
     "MODELS",
     "TASKS",
-    "BACKENDS",
     "PartitionSpec",
     "RunSpec",
     "make_partitioner",
@@ -137,7 +134,6 @@ __all__ = [
     "register_partitioner",
     "register_model",
     "register_task",
-    "register_backend",
 ]
 
 

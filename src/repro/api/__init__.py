@@ -33,21 +33,17 @@ Quickstart — build, persist and serve a partition in ~10 lines::
 
 Registering a new partitioner (``@register_partitioner`` on the class) is
 all it takes for the method to show up in the CLI's ``--method`` choices,
-the experiment sweeps, artifact provenance and the serving layer; a new
-locator backend (``@register_backend``) likewise shows up in
-``ServingConfig.backend`` and the CLI's ``--backend`` choices.
+the experiment sweeps, artifact provenance and the serving layer.
 """
 
 from __future__ import annotations
 
 from ..registry import (
-    BACKENDS,
     MODELS,
     PARTITIONERS,
     TASKS,
     Registry,
     RegistryEntry,
-    register_backend,
     register_model,
     register_partitioner,
     register_task,
@@ -83,11 +79,9 @@ __all__ = [
     "PARTITIONERS",
     "MODELS",
     "TASKS",
-    "BACKENDS",
     "register_partitioner",
     "register_model",
     "register_task",
-    "register_backend",
     "PartitionSpec",
     "RunSpec",
     "as_partition_spec",

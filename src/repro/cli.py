@@ -76,7 +76,7 @@ from .fairness.report import compare_partitions, improvement_summary
 from .io.export import save_rows_csv
 from .io.points import read_points_csv
 from .logging_utils import configure_logging
-from .registry import BACKENDS, MODELS, PARTITIONERS
+from .registry import MODELS, PARTITIONERS
 from .serving import ServingEngine
 from .serving.http import DEFAULT_PORT as DEFAULT_HTTP_PORT
 from .serving.wire import DEFAULT_WIRE_PORT
@@ -227,15 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="deployment manifest JSON shared by 'deploy', 'deployments' and "
         "'query --name' — the serving engine's persisted deployment table",
-    )
-    serving.add_argument(
-        "--backend",
-        default=None,
-        choices=BACKENDS.names(),
-        help="point-location backend servers are built with (dense: label-grid "
-        "fancy indexing, the default; sparse: memory-lean row-band interval "
-        "index); when omitted, manifest-backed verbs keep the backend the "
-        "manifest was saved with",
     )
     serving.add_argument(
         "--shards",
@@ -390,9 +381,6 @@ def _experiment_catalogue() -> str:
     lines.append("Classifier families (--model):")
     for name, summary in MODELS.summaries().items():
         lines.append(f"   {name:28s} {summary}")
-    lines.append("Locator backends (--backend; from the registry):")
-    for name, summary in BACKENDS.summaries().items():
-        lines.append(f"   {name:28s} {summary}")
     return "\n".join(lines)
 
 
@@ -483,7 +471,7 @@ def _run_build(context, args: argparse.Namespace) -> List[dict]:
 
 
 def _serving_config(args: argparse.Namespace) -> ServingConfig:
-    return ServingConfig(strict=args.strict, backend=args.backend or "dense")
+    return ServingConfig(strict=args.strict)
 
 
 def _engine_for(
@@ -497,8 +485,8 @@ def _engine_for(
     yet; verbs that *read* deployments pass ``require_manifest`` so a
     missing manifest is a clean error instead of an empty engine.  A
     manifest-backed engine keeps the serving config the manifest was saved
-    with (notably the locator backend); for read-only verbs, ``--backend``
-    / ``--strict`` override their own field for this invocation only.
+    with; for read-only verbs, ``--strict`` / ``--no-strict`` override it
+    for this invocation only.
     ``deploy`` passes ``allow_overrides=False`` — it re-saves the manifest,
     and a per-invocation flag must not rewrite the persisted config every
     other deployment serves under; :func:`run` rejects such flags up front
@@ -509,8 +497,6 @@ def _engine_for(
     if args.manifest and (require_manifest or Path(args.manifest).is_file()):
         overrides = {}
         if allow_overrides:
-            if args.backend:
-                overrides["backend"] = args.backend
             if args.strict:
                 overrides["strict"] = True
             elif args.no_strict:
@@ -910,10 +896,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                 f"'{args.experiment}' requires --shard (a 0-based RxC tile "
                 "address like '--shard 0x1')"
             )
-        if args.backend or args.strict or args.no_strict:
+        if args.strict or args.no_strict:
             # Shard ops re-save the manifest, same rule as deploy below.
             parser.error(
-                f"--backend/--strict cannot be combined with "
+                f"--strict cannot be combined with "
                 f"'{args.experiment}': the manifest keeps the config it was "
                 "created with"
             )
@@ -926,12 +912,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     if args.experiment == "deploy" and not (args.name and args.manifest):
         parser.error("'deploy' requires --name and --manifest")
     if args.experiment == "deploy" \
-            and (args.backend or args.strict or args.no_strict) \
+            and (args.strict or args.no_strict) \
             and args.manifest and Path(args.manifest).is_file():
         # Ignoring the flag would silently lose intent; rewriting the
         # persisted config would silently change every other deployment.
         parser.error(
-            "--backend/--strict configure a manifest only when it is first "
+            "--strict configures a manifest only when it is first "
             "created; the existing manifest keeps the config it was saved with"
         )
     if args.experiment == "deployments" and not args.manifest:
@@ -952,11 +938,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             )
         if args.wire_port is not None and args.wire == "off":
             parser.error("--wire-port is meaningless with --wire off")
-        if args.admin and (args.backend or args.strict or args.no_strict):
+        if args.admin and (args.strict or args.no_strict):
             # Admin hot-swaps re-save the manifest; a per-invocation flag
             # must not silently rewrite the persisted serving config.
             parser.error(
-                "--backend/--strict cannot be combined with 'serve --admin': "
+                "--strict cannot be combined with 'serve --admin': "
                 "admin hot-swaps re-save the manifest, which keeps the "
                 "config it was created with"
             )

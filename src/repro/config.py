@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 from typing import Tuple
 
 from .exceptions import ConfigurationError
-from .registry import BACKENDS, MODELS
+from .registry import MODELS
 
 #: Tree heights swept in the paper's Figures 7 and 8.
 PAPER_HEIGHTS: Tuple[int, ...] = (4, 5, 6, 7, 8, 9, 10)
@@ -130,26 +130,21 @@ class ServingConfig:
     used beyond that are evicted).  ``strict`` selects how the server treats
     query points outside the map: ``False`` (default) maps them to ``-1``,
     ``True`` raises — the same switch as ``Partition.assign``.
-    ``backend`` names the point-location index every server built under
-    this config uses; known backends live in the locator-backend registry
-    (:data:`repro.registry.BACKENDS`, populated by the ``@register_backend``
-    decorators in :mod:`repro.serving.backends`) and aliases are accepted.
+    Every server answers point queries the same way (one gather from the
+    partition's padded label grid), so there is no index to choose.
 
     Sharded deployments (:class:`~repro.serving.sharding.ShardedDeployment`)
     take no knobs of their own: they answer every batch with the same
-    single gather as a monolithic dense server, so ``strict`` is the only
-    field that reaches them.
+    single gather as a monolithic server, so ``strict`` is the only field
+    that reaches them.
     """
 
     cache_entries: int = 8
     strict: bool = False
-    backend: str = "dense"
 
     def __post_init__(self) -> None:
         if self.cache_entries < 1:
             raise ConfigurationError(
                 f"cache_entries must be >= 1, got {self.cache_entries}"
             )
-        if self.backend not in BACKENDS:
-            raise ConfigurationError(BACKENDS.unknown_message(self.backend))
 

@@ -64,6 +64,17 @@ class SpatialPartitioner(ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+def convergence_of(model: Classifier) -> Dict[str, Any]:
+    """``n_iterations`` and ``gradient_norm`` of a fitted iterative model.
+
+    Empty for model families that report neither (trees, naive Bayes), so
+    build metadata carries the keys only where they mean something.
+    """
+    if not all(hasattr(model, key) for key in ("n_iterations", "gradient_norm")):
+        return {}
+    return {"n_iterations": model.n_iterations, "gradient_norm": model.gradient_norm}
+
+
 def train_scores_on_dataset(
     dataset: SpatialDataset,
     labels: np.ndarray,

@@ -25,7 +25,12 @@ from ..registry import register_partitioner
 from ..spatial.kdtree import KDNode
 from ..spatial.partition import Partition
 from ..spatial.region import GridRegion
-from .base import PartitionerOutput, SpatialPartitioner, train_scores_on_dataset
+from .base import (
+    PartitionerOutput,
+    SpatialPartitioner,
+    convergence_of,
+    train_scores_on_dataset,
+)
 from .objective import SplitScorer, make_scorer
 from .split import best_axis_split
 from .split_engine import (
@@ -122,6 +127,7 @@ class FairKDTreePartitioner(SpatialPartitioner):
                 "split_engine": self._split_engine,
                 "n_model_trainings": 1,
                 "initial_model": type(model).__name__,
+                **convergence_of(model),
             },
         )
 

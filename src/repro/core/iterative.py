@@ -10,7 +10,7 @@ cost is one extra model training per level (Theorem 4).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -20,7 +20,12 @@ from ..ml.model_selection import ModelFactory
 from ..registry import register_partitioner
 from ..spatial.partition import Partition
 from ..spatial.region import GridRegion
-from .base import PartitionerOutput, SpatialPartitioner, train_scores_on_dataset
+from .base import (
+    PartitionerOutput,
+    SpatialPartitioner,
+    convergence_of,
+    train_scores_on_dataset,
+)
 from .objective import SplitScorer, make_scorer
 from .split import best_axis_split
 from .split_engine import DEFAULT_SPLIT_ENGINE, make_split_engine, validate_split_engine
@@ -98,12 +103,14 @@ class IterativeFairKDTreePartitioner(SpatialPartitioner):
         grid = dataset.grid
         frontier: List[GridRegion] = [GridRegion.full(grid)]
         self._n_trainings = 0
+        convergence: List[Dict[str, Any]] = []
 
         for level in range(self._height):
             partition = Partition(grid, frontier)
             current = dataset.with_partition(partition)
-            scores, _, _ = train_scores_on_dataset(current, labels, model_factory)
+            scores, model, _ = train_scores_on_dataset(current, labels, model_factory)
             self._n_trainings += 1
+            convergence.append(convergence_of(model))
             residuals = scores - labels.astype(float)
             engine = make_split_engine(
                 self._split_engine, grid, dataset.cell_rows, dataset.cell_cols, residuals
@@ -129,13 +136,15 @@ class IterativeFairKDTreePartitioner(SpatialPartitioner):
                 break
 
         final_partition = Partition(grid, frontier)
-        return PartitionerOutput(
-            partition=final_partition,
-            metadata={
-                "method": self.name,
-                "height": self._height,
-                "objective": self._scorer.name,
-                "split_engine": self._split_engine,
-                "n_model_trainings": self._n_trainings,
-            },
-        )
+        metadata: Dict[str, Any] = {
+            "method": self.name,
+            "height": self._height,
+            "objective": self._scorer.name,
+            "split_engine": self._split_engine,
+            "n_model_trainings": self._n_trainings,
+        }
+        # One entry per level, for models that report their convergence.
+        if convergence and all(convergence):
+            for key in convergence[0]:
+                metadata[key] = [level[key] for level in convergence]
+        return PartitionerOutput(partition=final_partition, metadata=metadata)

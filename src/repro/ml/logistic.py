@@ -92,6 +92,7 @@ class LogisticRegressionClassifier(Classifier):
         self._weights: Optional[np.ndarray] = None
         self._intercept: float = 0.0
         self._n_iterations: int = 0
+        self._gradient_norm: Optional[float] = None
 
     # -- training --------------------------------------------------------------
 
@@ -136,9 +137,11 @@ class LogisticRegressionClassifier(Classifier):
             weights -= step * gradient_w
             intercept -= step * gradient_b
             self._n_iterations = iteration + 1
-            if max(np.abs(gradient_w).max(initial=0.0), abs(gradient_b)) < self._tol:
+            gradient_norm = max(np.abs(gradient_w).max(initial=0.0), abs(gradient_b))
+            if gradient_norm < self._tol:
                 break
 
+        self._gradient_norm = float(gradient_norm)
         self._weights = weights
         self._intercept = intercept
 
@@ -191,3 +194,12 @@ class LogisticRegressionClassifier(Classifier):
     def n_iterations(self) -> int:
         """Number of gradient-descent epochs actually executed."""
         return self._n_iterations
+
+    @property
+    def gradient_norm(self) -> Optional[float]:
+        """The gradient's infinity norm the last epoch compared against ``tol``.
+
+        Below ``tol`` when the fit stopped early; at or above it when the
+        fit ran out of ``max_iter`` epochs.  ``None`` before :meth:`fit`.
+        """
+        return self._gradient_norm

@@ -9,11 +9,11 @@ module replaces all of them with one mechanism:
 * :class:`Registry` — an ordered name -> :class:`RegistryEntry` table with
   alias resolution, metadata flags, and did-you-mean error messages;
 * :data:`PARTITIONERS` / :data:`MODELS` / :data:`TASKS` /
-  :data:`BACKENDS` — the four registries the package actually uses;
+  :data:`CODECS` — the four registries the package actually uses;
 * :func:`register_partitioner` / :func:`register_model` /
-  :func:`register_backend` — class decorators applied to the
+  :func:`register_codec` — class decorators applied to the
   implementations in :mod:`repro.core`, :mod:`repro.ml` and
-  :mod:`repro.serving.backends`; :func:`register_task` — the
+  :mod:`repro.serving.codecs`; :func:`register_task` — the
   function-valued equivalent for label tasks.
 
 Registration happens where the implementation lives, so adding a method is
@@ -49,12 +49,10 @@ __all__ = [
     "PARTITIONERS",
     "MODELS",
     "TASKS",
-    "BACKENDS",
     "CODECS",
     "register_partitioner",
     "register_model",
     "register_task",
-    "register_backend",
     "register_codec",
 ]
 
@@ -310,10 +308,6 @@ MODELS = ModelRegistry("model kind", populate_from="repro.ml")
 #: Label tasks (populated by importing :mod:`repro.datasets.labels`).
 TASKS = Registry("label task", populate_from="repro.datasets.labels")
 
-#: Point-location backends for the serving layer (populated by importing
-#: :mod:`repro.serving.backends`).
-BACKENDS = Registry("locator backend", populate_from="repro.serving.backends")
-
 #: Wire codecs for the serving transports (populated by importing
 #: :mod:`repro.serving.codecs`).
 CODECS = Registry("serving codec", populate_from="repro.serving.codecs")
@@ -361,29 +355,6 @@ def register_model(
     registered family generically.
     """
     return MODELS.decorator(
-        name, aliases=aliases, summary=summary, paper_ref=paper_ref, **metadata
-    )
-
-
-def register_backend(
-    name: str,
-    *,
-    aliases: Tuple[str, ...] = (),
-    summary: str = "",
-    paper_ref: str = "",
-    **metadata: Any,
-) -> Callable[[Any], Any]:
-    """Class decorator registering a locator backend in :data:`BACKENDS`.
-
-    A backend is a class whose constructor takes one
-    :class:`~repro.spatial.partition.Partition` and whose instances answer
-    vectorised ``locate_cells(rows, cols)`` queries for in-grid cell
-    coordinates (``-1`` for uncovered cells of incomplete partitions); see
-    :class:`repro.serving.backends.LocatorBackend`.  Registered names are
-    the values :class:`~repro.config.ServingConfig.backend` and the CLI's
-    ``--backend`` flag accept.
-    """
-    return BACKENDS.decorator(
         name, aliases=aliases, summary=summary, paper_ref=paper_ref, **metadata
     )
 

@@ -31,9 +31,8 @@ Its unit of work is "answer queries against stored partitions", not
 * :class:`~repro.serving.server.PartitionServer` — fully vectorised batch
   point-location and range queries over one partition (``-1`` for off-map
   points in the default non-strict mode).
-* :mod:`~repro.serving.backends` — pluggable point-location indexes
-  behind the server (dense label grid, sparse band index), registered in
-  :data:`repro.registry.BACKENDS`.
+* :mod:`~repro.serving.backends` — the one point-location read behind
+  every reader: one flat ``take`` from a partition's padded label grid.
 * :class:`~repro.serving.sharding.ShardedDeployment` — one partition
   served as a tile grid of independently versioned shards, composed into
   one sentinel-padded label grid that answers every batch with a single
@@ -46,7 +45,7 @@ Pair with :mod:`repro.io.artifacts` (the on-disk bundle format) and the
 ``build`` / ``deploy`` / ``deployments`` / ``query`` CLI verbs.
 """
 
-from .backends import DenseGridLocator, LocatorBackend, SparseBandLocator
+from .backends import DenseGridLocator
 from .cache import ArtifactCache
 from .client import ServingClient
 from .codecs import BinaryCodec, Codec, JsonB64Codec, codec_names, resolve_codec
@@ -81,9 +80,7 @@ __all__ = [
     "Envelope",
     "PROTOCOL_VERSION",
     "LATEST",
-    "LocatorBackend",
     "DenseGridLocator",
-    "SparseBandLocator",
     "Codec",
     "JsonB64Codec",
     "BinaryCodec",

@@ -43,7 +43,7 @@ class ArtifactCache:
     config:
         ``config.cache_entries`` bounds the resident server count and the
         config is handed to every server the cache constructs (so its
-        ``strict`` and ``backend`` defaults apply uniformly).
+        ``strict`` default applies uniformly).
     spec_validator:
         Forwarded to :meth:`PartitionServer.from_artifact` on every cache
         miss, so bundles loaded through the cache get the same embedded-spec

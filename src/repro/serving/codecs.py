@@ -5,7 +5,7 @@ with dense base64 arrays) and its client.  This module lifts that choice
 into a pluggable **codec**: a stateless object that encodes a dense
 locate batch into payload bytes and back, selected by name through
 :data:`repro.registry.CODECS` (``register_codec``, mirroring the
-partitioner/backend registries).  Two codecs ship:
+partitioner/model registries).  Two codecs ship:
 
 * ``json+b64`` — the PR 5/6 wire format, byte-for-byte: a JSON object
   with ``xs_b64``/``ys_b64`` (base64 of raw little-endian float64) in and

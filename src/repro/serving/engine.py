@@ -81,9 +81,10 @@ MANIFEST_FORMAT_VERSION = 2
 #: Manifest formats :meth:`ServingEngine.from_manifest` can restore.
 _SUPPORTED_MANIFEST_FORMATS = (1, 2)
 
-#: Serving-config keys older manifests carry for sharded-dispatch knobs
-#: that no longer exist; :meth:`ServingEngine.from_manifest` drops them.
-_RETIRED_CONFIG_KEYS = ("shard_workers", "parallel_threshold")
+#: Serving-config keys older manifests carry for knobs that no longer
+#: exist (sharded dispatch, the locator backend: every server now reads the
+#: one padded label grid); :meth:`ServingEngine.from_manifest` drops them.
+_RETIRED_CONFIG_KEYS = ("shard_workers", "parallel_threshold", "backend")
 
 #: Deployment names the engine refuses, to keep the version-alias grammar
 #: unambiguous.
@@ -184,7 +185,7 @@ class ServingEngine:
     ----------
     config:
         Serving knobs shared by every server the engine loads (strictness
-        default, locator backend, cache residency bound).
+        default, cache residency bound).
     spec_validator:
         Forwarded to the artifact cache so every bundle deployed by path
         gets embedded-spec re-validation (pass
@@ -814,18 +815,12 @@ class ServingEngine:
             "shards": list(resolved.shards) if resolved.shards else None,
             "n_regions": resolved.n_regions if error is None else None,
             "backend": None if error is not None else (
-                "sharded" if resolved.shards else self._backend_name()
+                "sharded" if resolved.shards else "dense"
             ),
         }
         if error is not None:
             row["error"] = error
         return row
-
-    def _backend_name(self) -> str:
-        """Canonical name of the configured locator backend."""
-        from ..registry import BACKENDS
-
-        return BACKENDS.resolve(self._config.backend).name
 
     @property
     def stats(self) -> Dict[str, Any]:
@@ -928,8 +923,8 @@ class ServingEngine:
         loaded until a query, :meth:`describe` or :meth:`deployments` row
         actually addresses its version.  A bundle deleted from disk
         therefore only fails the operations that route to it; every other
-        deployment keeps serving.  The engine's serving config (backend,
-        strictness, cache bound) is restored from the manifest; an explicit
+        deployment keeps serving.  The engine's serving config (strictness,
+        cache bound) is restored from the manifest; an explicit
         ``config`` replaces it wholesale, while ``config_overrides`` (a
         field->value mapping) changes *only* the named fields and keeps the
         manifest's values for the rest — what a CLI flag should do.

@@ -3,22 +3,21 @@
 The build side of the system produces a :class:`~repro.spatial.partition.Partition`
 once; the serve side answers millions of "which neighborhood is this point
 in?" questions against it.  :class:`PartitionServer` is that serve side: it
-holds the partition's dense cell->region label grid and answers fully
-vectorised batch queries from it —
+answers fully vectorised batch queries from the partition's own tables —
 
-* :meth:`locate_points` — continuous coordinates -> region indices in one
-  vectorised pass through the configured locator backend, ``-1`` for
-  off-map points in the default non-strict mode;
+* :meth:`locate_points` — continuous coordinates -> region indices, one
+  flat ``take`` from the partition's padded label grid
+  (:attr:`~repro.spatial.partition.Partition.padded_labels`) through its
+  :class:`~repro.serving.backends.DenseGridLocator`, ``-1`` for off-map
+  points in the default non-strict mode;
 * :meth:`locate_cells` — the same for pre-discretised cell coordinates;
 * :meth:`range_query` — regions intersecting a box, one vectorised
   closed-box test over the partition's region-bounds table
   (:func:`repro.spatial.queries.range_query`, the library's own).
 
-Point location is answered by a pluggable backend
-(:mod:`repro.serving.backends`, selected by
-:attr:`~repro.config.ServingConfig.backend`): the default dense label-grid
-index, or the memory-lean sparse band index.  Servers are cheap to
-construct from an in-memory partition and cheap to restore from an
+The server builds no index of its own: the partition built its padded
+grid once, and the locator reads it without a copy.  Servers are cheap
+to construct from an in-memory partition and cheap to restore from an
 artifact bundle (:meth:`from_artifact`), which is how the
 :class:`~repro.serving.engine.ServingEngine` and the
 :class:`~repro.serving.cache.ArtifactCache` use them.
@@ -33,10 +32,10 @@ import numpy as np
 
 from ..config import ServingConfig
 from ..io.artifacts import load_partition_artifact
-from ..registry import BACKENDS
 from ..spatial import queries
 from ..spatial.geometry import BoundingBox
 from ..spatial.partition import Partition, masked_cell_lookup
+from .backends import DenseGridLocator
 
 
 def region_counts_from_assignment(assignment: np.ndarray, n_regions: int) -> np.ndarray:
@@ -67,8 +66,7 @@ class PartitionServer:
         automatically when the server is restored from an artifact).
     config:
         Serving knobs; ``config.strict`` sets the default out-of-map
-        behaviour of the locate methods and ``config.backend`` selects the
-        point-location index from the locator-backend registry.
+        behaviour of the locate methods.
     """
 
     def __init__(
@@ -81,19 +79,8 @@ class PartitionServer:
         self._grid = partition.grid
         self._provenance = dict(provenance or {})
         self._config = config or ServingConfig()
-        # Resolve the backend eagerly (unknown names fail at construction)
-        # but build its index lazily: servers opened only for their
-        # partition/provenance — sharding, range-only use — never pay for
-        # an index they do not query.
-        self._backend_entry = BACKENDS.resolve(self._config.backend)
-        self._index: Any = None
+        self._locator = DenseGridLocator(partition)
         self._spec: Any = None
-
-    @property
-    def _backend(self) -> Any:
-        if self._index is None:
-            self._index = self._backend_entry.obj(self._partition)
-        return self._index
 
     @classmethod
     def from_artifact(
@@ -142,9 +129,9 @@ class PartitionServer:
         return len(self._partition)
 
     @property
-    def backend(self) -> str:
-        """Canonical name of the locator backend answering point queries."""
-        return self._backend_entry.name
+    def padded_labels(self) -> np.ndarray:
+        """The padded label grid every locate reads (the partition's own)."""
+        return self._partition.padded_labels
 
     def describe(self) -> Dict[str, Any]:
         """One-line-able summary of what this server is serving."""
@@ -156,12 +143,8 @@ class PartitionServer:
             "bounds": [
                 grid.bounds.min_x, grid.bounds.min_y, grid.bounds.max_x, grid.bounds.max_y,
             ],
-            "backend": self._backend_entry.name,
-            # None until a locate query builds the index — describing a
-            # server must stay cheap and must not defeat the lazy build.
-            "index_bytes": (
-                self._index.memory_bytes() if self._index is not None else None
-            ),
+            "backend": "dense",
+            "index_bytes": int(self._partition.padded_labels.nbytes),
             "provenance": dict(self._provenance),
         }
 
@@ -169,7 +152,7 @@ class PartitionServer:
         return (
             f"PartitionServer({len(self._partition)} regions over "
             f"{self._grid.rows}x{self._grid.cols} grid, "
-            f"{self._backend_entry.name} backend)"
+            "dense backend)"
         )
 
     # -- batched point location ------------------------------------------------
@@ -184,15 +167,14 @@ class PartitionServer:
 
         In non-strict mode (the default), coordinates outside the map — or
         inside an uncovered cell of an incomplete partition — come back as
-        ``-1``.  The backend answers the whole batch: the dense one with one
-        flat ``take`` at the padded-grid ids of ``Grid.locate_padded``
-        (off-map id ``-1`` reads the ``-1`` corner), the sparse one from the
-        cells of ``Grid.locate_many``.  In strict mode, off-map coordinates
+        ``-1``.  One flat ``take`` at the padded-grid ids of
+        ``Grid.locate_padded`` answers the whole batch (off-map id ``-1``
+        reads the ``-1`` corner).  In strict mode, off-map coordinates
         raise :class:`~repro.exceptions.GridError`, matching
         ``Grid.locate_many``.
         """
         # returns: int64
-        return self._backend.locate_points(
+        return self._locator.locate_points(
             self._grid, xs, ys, self._resolve_strict(strict)
         )
 
@@ -201,11 +183,11 @@ class PartitionServer:
     ) -> Tuple[np.ndarray, int]:
         """:meth:`locate_points` and how many of the points a region covers.
 
-        The engine's dispatch, which keeps a ``located`` counter: the dense
-        backend takes the count from the kernel's off-map count when the
-        partition is complete, instead of a second pass over the answer.
+        The engine's dispatch, which keeps a ``located`` counter: it comes
+        from the kernel's off-map count when the partition is complete,
+        instead of a second pass over the answer.
         """
-        return self._backend.locate_counted(
+        return self._locator.locate_counted(
             self._grid, xs, ys, self._resolve_strict(strict)
         )
 
@@ -218,7 +200,7 @@ class PartitionServer:
         — the same contract as
         :meth:`~repro.spatial.partition.Partition.assign` (both route
         through :func:`~repro.spatial.partition.masked_cell_lookup`),
-        answered by the configured backend instead of the dense label grid.
+        answered from the padded label grid.
         """
         return masked_cell_lookup(
             rows,
@@ -226,7 +208,7 @@ class PartitionServer:
             self._grid.rows,
             self._grid.cols,
             self._resolve_strict(strict),
-            self._backend.locate_cells,
+            self._locator.locate_cells,
         )
 
     # -- range queries ----------------------------------------------------------
@@ -236,7 +218,7 @@ class PartitionServer:
 
         :func:`repro.spatial.queries.range_query` itself (closed boxes:
         touching counts, region order preserved): one closed-box test over
-        the partition's region-bounds table, whatever the backend.
+        the partition's region-bounds table.
         """
         return queries.range_query(self._partition, query)
 

@@ -9,12 +9,14 @@ history, and single tiles hot-swap and roll back while queries flow.
 Reads
 -----
 
-The tiles of one in-process deployment are co-resident, so every publish
-composes them into one padded label grid
-(:func:`~repro.serving.backends.pad_labels`: a copy of the last row and
-column, then a ``-1`` row and column) and ``locate_points`` answers a
-batch the way every dense reader does — ``Grid.locate_padded``'s flat
-ids, then one ``take`` from the raveled padded grid.  Off-map points get
+The tiles of one in-process deployment are co-resident, so they are read
+through one padded label grid (:func:`~repro.spatial.grid.pad_labels`
+layout: a copy of the last row and column, then a ``-1`` row and column)
+and ``locate_points`` answers a batch the way every reader does —
+``Grid.locate_padded``'s flat ids, then one ``take`` from the raveled
+padded grid.  Until a tile is swapped that grid is the source
+partition's own :attr:`~repro.spatial.partition.Partition.padded_labels`;
+every swap or rollback composes a fresh one from the tiles.  Off-map points get
 id ``-1``, which reads the ``-1`` corner, so there is no sort, no
 scatter and no per-tile dispatch.  Region indices are global, so the
 answers are bit-identical to a monolithic
@@ -36,14 +38,11 @@ tile (no torn reads across tiles; the stress suite in
 ``tests/serving/test_shard_concurrency.py`` verifies reads bit-exact
 against a single-threaded oracle of the versioned tile states).
 
-Scope note: shards are always *dense* label slices copied out of the
-source partition's label grid at construction — the
-:attr:`~repro.config.ServingConfig.backend` knob selects the index of
-monolithic servers and does not reach inside shard tiles.  In this
-in-process model the source partition (and its dense grid) is resident
-anyway; the class demonstrates the per-tile versioning mechanics, while
-the per-node memory win only materialises when tiles live on separate
-nodes.
+Scope note: shards are dense label slices copied out of the source
+partition's label grid at construction.  In this in-process model the
+source partition (and its dense grid) is resident anyway; the class
+demonstrates the per-tile versioning mechanics, while the per-node
+memory win only materialises when tiles live on separate nodes.
 """
 
 from __future__ import annotations
@@ -56,8 +55,9 @@ from ..config import ServingConfig
 from ..exceptions import ServingError
 from ..spatial import queries
 from ..spatial.geometry import BoundingBox
+from ..spatial.grid import pad_labels
 from ..spatial.partition import Partition
-from .backends import pad_labels, read_padded
+from .backends import read_padded
 from .locks import new_lock, new_rwlock
 from .server import region_counts_from_assignment
 
@@ -199,8 +199,9 @@ class ShardedDeployment:
         # Orders tile mutation + republish against each other; never held
         # by the query path.
         self._admin_lock = new_lock("sharded.admin_lock")
-        # (padded grid, every cell covered), republished as one reference.
-        self._padded = self._compose_padded()  # guarded-by(writes): self._admin_lock
+        # (padded grid, every cell covered), republished as one reference;
+        # the partition's own until a tile swap.
+        self._padded = (partition.padded_labels, partition.is_complete)  # guarded-by(writes): self._admin_lock
 
     # -- introspection -------------------------------------------------------
 
@@ -219,10 +220,6 @@ class ShardedDeployment:
     @property
     def shards(self) -> Tuple[int, int]:
         return (self._shard_rows, self._shard_cols)
-
-    @property
-    def backend(self) -> str:
-        return "sharded"
 
     def describe(self) -> Dict[str, Any]:
         grid = self._grid
@@ -256,19 +253,16 @@ class ShardedDeployment:
         """Cell window ``(r0, r1, c0, c1)`` of the tile at ``(row, col)``."""
         return self._geometry.tile_window(self._shard_index(row, col))
 
-    def compose_labels(self) -> np.ndarray:
-        """The effective full label grid, tile swaps applied.
+    @property
+    def padded_labels(self) -> np.ndarray:
+        """The *current* published padded label grid, tile swaps applied.
 
-        The export path the multiprocess workers use: a read-only
-        ``rows x cols`` int64 view into the *current* published padded
-        grid, so a worker publication after :meth:`swap_shard` ships the
-        swapped tile, not the construction-time partition.  Published
-        grids are never mutated, so the view stays one consistent
-        snapshot.
+        The export path the multiprocess workers use, so a worker
+        publication after :meth:`swap_shard` ships the swapped tile, not
+        the construction-time partition.  Published grids are read-only
+        and never mutated, so it stays one consistent snapshot.
         """
-        # returns: int64[r, c]
-        rows, cols = self._grid.shape
-        return self._padded[0][:rows, :cols]
+        return self._padded[0]
 
     def __repr__(self) -> str:
         return (
@@ -284,6 +278,9 @@ class ShardedDeployment:
 
     def _compose_padded(self) -> Tuple[np.ndarray, bool]:
         """The padded label grid of the tiles' active versions, freshly built.
+
+        Runs only after a tile swap or rollback: construction publishes the
+        source partition's own padded grid.
 
         Published with whether every cell has a region (a swapped tile may
         leave cells uncovered) as one pair, so a read sees one snapshot.

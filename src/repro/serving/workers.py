@@ -7,11 +7,12 @@ socket** (the kernel load-balances connections across blocked
 acceptors — the classic pre-fork design) and answer the wire protocol of
 :mod:`repro.serving.wire` from **shared memory**:
 
-* the parent copies each deployment's dense label grid *once* into a
-  ``multiprocessing.shared_memory`` segment at publish time, padded by
-  :func:`~repro.serving.backends.pad_labels` (a copy of the last row and
-  column, then a ``-1`` row and column) so a worker answers a batch with
-  the same single flat ``take`` as the in-process dense server;
+* the parent copies each deployment's served padded label grid
+  (:func:`~repro.spatial.grid.pad_labels` layout: a copy of the last row
+  and column, then a ``-1`` row and column) *once* into a
+  ``multiprocessing.shared_memory`` segment at publish time, so a worker
+  answers a batch with the same single flat ``take`` as the in-process
+  server;
 * workers attach read-only views — the fork after export means the
   mapping is inherited, and a respawned worker re-attaches by name;
 * a hot-swap publishes a **new** segment and a version bump over each
@@ -58,8 +59,8 @@ import numpy as np
 from ..exceptions import ConfigurationError, ReproError, ServingError
 from ..spatial import queries
 from ..spatial.geometry import BoundingBox
-from ..spatial.grid import Grid
-from .backends import pad_labels, padded_shape, read_padded
+from ..spatial.grid import Grid, padded_shape
+from .backends import read_padded
 from .locks import new_lock
 from .protocol import LATEST, QueryResult, RangeRequest
 from .wire import accept_loop
@@ -94,7 +95,7 @@ class _WorkerDeployment:
     Everything a worker needs to answer the read path bit-exactly
     against the in-process engine: the :class:`Grid` (reconstructed from
     geometry — pure arithmetic, no arrays), the shared padded label grid
-    (a read-only :func:`~repro.serving.backends.padded_shape` view over
+    (a read-only :func:`~repro.spatial.grid.padded_shape` view over
     the segment), and the region-bounds table for range queries, built
     from the exported integer extents by the same
     :meth:`~repro.spatial.grid.Grid.block_bounds` as the partition's.  The
@@ -241,8 +242,8 @@ class WorkerState:
         raveled padded grid (off-map id ``-1`` reads the ``-1`` corner),
         by :func:`~repro.serving.backends.read_padded` — so it is
         bit-identical to
-        :meth:`~repro.serving.server.PartitionServer.locate_points` with
-        the dense backend (the oracle the worker tests pin against).
+        :meth:`~repro.serving.server.PartitionServer.locate_points` (the
+        oracle the worker tests pin against).
         """
         # returns: int64[n]
         entry = self._resolve(name, version)
@@ -391,14 +392,6 @@ def _publish_stamp(version: int, server: Any) -> Tuple:
     if callable(shard_versions):
         return (version, tuple(tuple(row) for row in shard_versions()))
     return (version, None)
-
-
-def _export_labels(server: Any) -> np.ndarray:
-    """The effective dense label grid of any server type, publish-time."""
-    compose = getattr(server, "compose_labels", None)
-    if callable(compose):  # sharded: apply tile swaps
-        return compose()
-    return server.partition.label_grid
 
 
 class WorkerPool:
@@ -612,13 +605,12 @@ class WorkerPool:
                 continue
             partition = server.partition
             grid = partition.grid
-            shape = padded_shape(grid.rows, grid.cols)
-            segment = shared_memory.SharedMemory(
-                create=True, size=shape[0] * shape[1] * 8
-            )
-            view = np.ndarray(shape, dtype=np.int64, buffer=segment.buf)
+            # The served grid: tile swaps applied on a sharded deployment.
+            padded = server.padded_labels
+            segment = shared_memory.SharedMemory(create=True, size=padded.nbytes)
+            view = np.ndarray(padded.shape, dtype=np.int64, buffer=segment.buf)
             # The one copy, parent-side, publish-time.
-            pad_labels(_export_labels(server), out=view)
+            np.copyto(view, padded)
             descriptor = {
                 "name": name,
                 "version": version,

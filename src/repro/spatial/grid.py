@@ -171,10 +171,11 @@ class Grid:
         The id of an on-map point is ``row * (cols+2) + col`` with the
         *unclamped* cell indices, each in ``[0, rows]`` and ``[0, cols]``:
         a point on (or rounding up to) a maximal edge gets index ``rows``
-        or ``cols``, which :func:`repro.serving.backends.pad_labels` fills
-        with a copy of the last row or column (its shape is
-        :func:`repro.serving.backends.padded_shape`) — so a dense reader
-        answers a batch with one ``padded.ravel().take(ids)``, no clamp.
+        or ``cols``, which :func:`pad_labels` fills with a copy of the last
+        row or column (its shape is :func:`padded_shape`; every
+        :class:`~repro.spatial.partition.Partition` holds it as
+        ``padded_labels``) — so a reader answers a batch with one
+        ``padded.ravel().take(ids)``, no clamp.
         Off-map points (NaN and +/-inf included) get ``-1``, which ``take``
         reads as the ``-1`` corner; ``n_off_map`` counts them off the
         inside mask, so a reader whose labels have no ``-1`` knows how many
@@ -315,6 +316,39 @@ def _axis_cells(values: np.ndarray, low: float, cell_size: float) -> np.ndarray:
     cells = offsets.view(np.intp)
     np.copyto(cells, offsets, casting="unsafe")
     return cells
+
+
+def padded_shape(rows: int, cols: int) -> Tuple[int, int]:
+    """Shape of the :func:`pad_labels` grid of a ``rows x cols`` label grid."""
+    return (rows + 2, cols + 2)
+
+
+def pad_labels(labels: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The padded int64 copy of ``labels`` that every point location reads.
+
+    Its shape is :func:`padded_shape`.  For an ``R x C`` ``labels``:
+    ``[:R, :C]`` holds the labels, row ``R`` copies row ``R-1`` and
+    column ``C`` copies column ``C-1`` (corner included), and row ``R+1``
+    and column ``C+1`` are ``-1``.
+    :meth:`Grid.locate_padded` returns flat ids into exactly this layout:
+    its unclamped cell indices reach ``R`` and ``C`` only for points on (or
+    rounding up to) a maximal edge, which the copies answer as the clamp
+    would, and an off-map point's id ``-1`` reads the ``-1`` corner — so
+    ``padded.ravel().take(ids)`` answers a whole batch, off-map points
+    included: no clamp, no result scaffold, no masked scatter.  ``out``
+    (shape :func:`padded_shape`, int64, C-contiguous) receives the padded
+    grid in place.
+    """
+    # returns: int64[u, v] contiguous
+    rows, cols = labels.shape
+    if out is None:
+        out = np.empty(padded_shape(rows, cols), dtype=np.int64)
+    out[:rows, :cols] = labels
+    out[rows, :cols] = labels[rows - 1]
+    out[:rows + 1, cols] = out[:rows + 1, cols - 1]
+    out[rows + 1, :] = -1
+    out[:rows + 1, cols + 1] = -1
+    return out
 
 
 def _validated_cell_coords(

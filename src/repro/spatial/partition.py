@@ -13,7 +13,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from ..exceptions import PartitionError
-from .grid import Grid
+from .grid import Grid, pad_labels
 from .region import GridRegion
 
 
@@ -31,8 +31,8 @@ def masked_cell_lookup(
     cell->label function) to the coordinates: all-inside batches in one
     pass, otherwise out-of-grid cells either raise (``strict``) or come
     back as ``-1``.  :meth:`Partition.assign` and the serving layer's
-    backend-routed ``locate_cells`` are the same contract over different
-    lookups — this helper is that contract, written once.
+    ``locate_cells`` are the same contract over different lookups — this
+    helper is that contract, written once.
     """
     rows = np.asarray(rows, dtype=int)
     cols = np.asarray(cols, dtype=int)
@@ -79,9 +79,12 @@ class Partition:
             if region.grid != grid:
                 raise PartitionError("all regions must reference the partition's grid")
         self._validate_disjoint()
+        self._is_complete = int(self._coverage.min(initial=1)) >= 1
         if require_complete:
             self.validate_complete()
         self._label_grid = self._build_label_grid()
+        self._padded_labels = pad_labels(self._label_grid)
+        self._padded_labels.setflags(write=False)
         self._extents = np.array(
             [(r.row_start, r.row_stop, r.col_start, r.col_stop) for r in self._regions],
             dtype=np.int64,
@@ -101,14 +104,14 @@ class Partition:
 
     def validate_complete(self) -> None:
         """Raise :class:`PartitionError` unless every grid cell is covered."""
-        if int(self._coverage.min(initial=1)) < 1:
+        if not self._is_complete:
             missing = int(np.count_nonzero(self._coverage == 0))
             raise PartitionError(f"partition is incomplete: {missing} cells uncovered")
 
     @property
     def is_complete(self) -> bool:
         """True when the regions tile the entire grid."""
-        return bool(np.all(self._coverage >= 1))
+        return self._is_complete
 
     def _build_label_grid(self) -> np.ndarray:
         labels = np.full(self._grid.shape, -1, dtype=int)
@@ -133,9 +136,19 @@ class Partition:
 
         ``label_grid[r, c]`` is the index of the region covering cell
         ``(r, c)``, or ``-1`` for uncovered cells of incomplete partitions.
-        This is the array the serving layer answers batched lookups from.
         """
         return self._label_grid
+
+    @property
+    def padded_labels(self) -> np.ndarray:
+        """Read-only int64 ``(rows+2) x (cols+2)`` padded label grid.
+
+        :func:`~repro.spatial.grid.pad_labels` of :attr:`label_grid`, built
+        once: the layout :meth:`Grid.locate_padded` returns flat ids into,
+        so every point location in the serving layer is one ``take`` from
+        it.
+        """
+        return self._padded_labels
 
     @property
     def extents(self) -> np.ndarray:

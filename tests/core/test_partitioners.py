@@ -64,6 +64,22 @@ class TestFairKDTree:
         assert output.metadata["n_model_trainings"] == 1
         assert output.sample_weights is None
 
+    def test_metadata_records_convergence(self, la_dataset, la_labels, fast_logistic_factory):
+        output = FairKDTreePartitioner(height=4).build(
+            la_dataset, la_labels, fast_logistic_factory
+        )
+        assert 1 <= output.metadata["n_iterations"] <= 120  # the factory's max_iter
+        assert output.metadata["gradient_norm"] >= 0.0
+
+    def test_models_without_convergence_leave_it_out(self, la_dataset, la_labels):
+        from repro.ml.naive_bayes import GaussianNaiveBayesClassifier
+
+        output = FairKDTreePartitioner(height=2).build(
+            la_dataset, la_labels, GaussianNaiveBayesClassifier
+        )
+        assert "n_iterations" not in output.metadata
+        assert "gradient_norm" not in output.metadata
+
     def test_tree_root_exposed(self, la_dataset, la_labels, fast_logistic_factory):
         partitioner = FairKDTreePartitioner(height=3)
         partitioner.build(la_dataset, la_labels, fast_logistic_factory)
@@ -125,11 +141,22 @@ class TestIterativeFairKDTree:
         assert output.metadata["n_model_trainings"] == 4
         assert partitioner.n_model_trainings == 4
 
+    def test_metadata_records_convergence_per_level(
+        self, la_dataset, la_labels, fast_logistic_factory
+    ):
+        output = IterativeFairKDTreePartitioner(height=3).build(
+            la_dataset, la_labels, fast_logistic_factory
+        )
+        assert len(output.metadata["n_iterations"]) == 3
+        assert len(output.metadata["gradient_norm"]) == 3
+        assert all(n >= 1 for n in output.metadata["n_iterations"])
+
     def test_height_zero_trains_nothing(self, la_dataset, la_labels, fast_logistic_factory):
         partitioner = IterativeFairKDTreePartitioner(height=0)
         output = partitioner.build(la_dataset, la_labels, fast_logistic_factory)
         assert output.metadata["n_model_trainings"] == 0
         assert output.n_neighborhoods == 1
+        assert "n_iterations" not in output.metadata
 
     def test_partition_refines_with_height(self, la_dataset, la_labels, fast_logistic_factory):
         shallow = IterativeFairKDTreePartitioner(height=2).build(

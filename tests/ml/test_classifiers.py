@@ -80,6 +80,22 @@ class TestLogisticRegression:
         with pytest.raises(TrainingError):
             LogisticRegressionClassifier().coefficients
 
+    def test_gradient_norm_of_a_fit_that_stops_early(self, separable_problem):
+        """A loose ``tol`` stops the fit before ``max_iter``, and the norm it
+        reports is the one that fell below ``tol``."""
+        features, labels = separable_problem
+        assert LogisticRegressionClassifier().gradient_norm is None
+        model = LogisticRegressionClassifier(max_iter=300, tol=5e-2).fit(features, labels)
+        assert model.n_iterations < 300
+        assert 0.0 <= model.gradient_norm < 5e-2
+
+    def test_gradient_norm_of_a_fit_that_runs_out_of_steps(self, separable_problem):
+        """300 steps at the default ``tol`` end above it, and say so."""
+        features, labels = separable_problem
+        model = LogisticRegressionClassifier(max_iter=300, tol=1e-6).fit(features, labels)
+        assert model.n_iterations == 300
+        assert model.gradient_norm >= 1e-6
+
     def test_sign_of_coefficients_matches_separation(self, separable_problem):
         features, labels = separable_problem
         model = LogisticRegressionClassifier(max_iter=400, learning_rate=0.3).fit(

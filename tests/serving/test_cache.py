@@ -94,11 +94,6 @@ class TestArtifactCache:
         with pytest.raises(GridError):
             server.locate_points(np.array([5.0]), np.array([0.5]))
 
-    def test_config_backend_reaches_served_partitions(self, tmp_path):
-        path = _bundle(tmp_path, "a", 2)
-        cache = ArtifactCache(ServingConfig(backend="sparse"))
-        assert cache.get(path).backend == "sparse"
-
 
 class TestStaleness:
     def test_rebuilt_bundle_reloads_without_invalidate(self, tmp_path):

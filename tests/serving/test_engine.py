@@ -363,11 +363,12 @@ class TestManifest:
         assert engine.deploy("la", bundles["v1"])["n_regions"] == 16
 
     def test_manifest_preserves_serving_config(self, bundles, tmp_path):
-        engine = ServingEngine(config=ServingConfig(backend="sparse", strict=True))
+        engine = ServingEngine(config=ServingConfig(strict=True, cache_entries=3))
         engine.deploy("la", bundles["v1"])
         manifest = engine.save_manifest(tmp_path / "deployments.json")
         restored = ServingEngine.from_manifest(manifest)
-        assert restored.describe("la")["backend"] == "sparse"
+        assert restored.config == ServingConfig(strict=True, cache_entries=3)
+        assert restored.describe("la")["backend"] == "dense"
         from repro.exceptions import GridError
 
         with pytest.raises(GridError):  # strict restored too
@@ -382,20 +383,45 @@ class TestManifest:
     def test_manifest_with_retired_shard_knobs_restores(self, bundles, tmp_path):
         """Manifests written before the sharded dispatch knobs were retired
         still restore: their stale config keys are dropped on load."""
-        engine = ServingEngine(config=ServingConfig(backend="sparse", strict=True))
+        engine = ServingEngine(config=ServingConfig(strict=True))
         engine.deploy("la", bundles["v1"])
         manifest = engine.save_manifest(tmp_path / "deployments.json")
         payload = json.loads(manifest.read_text())
         payload["config"].update(shard_workers=0, parallel_threshold=10_000)
         manifest.write_text(json.dumps(payload))
         restored = ServingEngine.from_manifest(manifest)
-        assert restored.config == ServingConfig(backend="sparse", strict=True)
+        assert restored.config == ServingConfig(strict=True)
         np.testing.assert_array_equal(
             restored.locate_points("la", np.array([0.5, 5.0]), np.array([0.5, 0.5]),
                                    strict=False),
             engine.locate_points("la", np.array([0.5, 5.0]), np.array([0.5, 0.5]),
                                  strict=False),
         )
+
+    @pytest.mark.parametrize(
+        "backend", ["sparse", "dense", "band_index", "tree_walk", "label_grid"]
+    )
+    def test_manifest_with_retired_backend_restores(self, bundles, tmp_path, backend):
+        """Manifests saved while the locator backend was a config field
+        (any of its names, aliases included) still restore, and answer
+        bit-exactly like a fresh deploy of the same bundles."""
+        fresh = ServingEngine(config=ServingConfig(strict=True, cache_entries=3))
+        fresh.deploy("la", bundles["v2"])
+        fresh.deploy("tiles", bundles["v2"], shards=(2, 2))
+        manifest = fresh.save_manifest(tmp_path / "deployments.json")
+        payload = json.loads(manifest.read_text())
+        payload["config"]["backend"] = backend
+        manifest.write_text(json.dumps(payload))
+        restored = ServingEngine.from_manifest(manifest)
+        assert restored.config == ServingConfig(strict=True, cache_entries=3)
+        rng = np.random.default_rng(5)
+        xs = np.concatenate([rng.uniform(-0.2, 1.2, 500), [0.0, 1.0, 0.25, 1.0]])
+        ys = np.concatenate([rng.uniform(-0.2, 1.2, 500), [0.0, 1.0, 1.0, 0.75]])
+        for name, kind in (("la", "dense"), ("tiles", "sharded")):
+            assert restored.describe(name)["backend"] == kind
+            got = restored.locate_points(name, xs, ys, strict=False)
+            want = fresh.locate_points(name, xs, ys, strict=False)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_missing_and_malformed_manifests_fail_cleanly(self, tmp_path):
         with pytest.raises(ServingError, match="does not exist"):
@@ -411,26 +437,16 @@ class TestManifest:
         with pytest.raises(ServingError, match="format version"):
             ServingEngine.from_manifest(manifest)
 
-    def test_config_backend_applies_on_restore(self, bundles, tmp_path):
-        engine = ServingEngine()
-        engine.deploy("la", bundles["v1"])
-        manifest = engine.save_manifest(tmp_path / "deployments.json")
-        restored = ServingEngine.from_manifest(
-            manifest, config=ServingConfig(backend="sparse")
-        )
-        assert restored.describe("la")["backend"] == "sparse"
-
     def test_config_overrides_merge_with_manifest_config(self, bundles, tmp_path):
         """Overriding one field must not clobber the others."""
         from repro.exceptions import GridError
 
-        engine = ServingEngine(config=ServingConfig(backend="sparse", cache_entries=3))
+        engine = ServingEngine(config=ServingConfig(cache_entries=3))
         engine.deploy("la", bundles["v1"])
         manifest = engine.save_manifest(tmp_path / "deployments.json")
         restored = ServingEngine.from_manifest(
             manifest, config_overrides={"strict": True}
         )
-        assert restored.describe("la")["backend"] == "sparse"  # kept
         assert restored.cache.max_entries == 3                 # kept
         with pytest.raises(GridError):                         # overridden
             restored.locate_points("la", np.array([5.0]), np.array([0.5]))

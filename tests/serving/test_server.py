@@ -15,10 +15,9 @@ from repro.datasets.edgap import load_edgap_city
 from repro.exceptions import GridError
 from repro.io.artifacts import save_partition_artifact
 from repro.serving import PartitionServer, RangeRequest, ShardedDeployment
-from repro.serving.backends import pad_labels, padded_shape
 from repro.serving.workers import WorkerState
 from repro.spatial.geometry import BoundingBox, Point
-from repro.spatial.grid import Grid
+from repro.spatial.grid import Grid, pad_labels, padded_shape
 from repro.spatial.partition import Partition, uniform_partition
 from repro.spatial.queries import PartitionLocator
 from repro.spatial.region import GridRegion

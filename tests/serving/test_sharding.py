@@ -9,7 +9,7 @@ from repro.config import ServingConfig
 from repro.exceptions import GridError, ServingError
 from repro.serving import PartitionServer, ServingEngine, ShardedDeployment
 from repro.spatial.geometry import BoundingBox
-from repro.spatial.grid import Grid
+from repro.spatial.grid import Grid, pad_labels
 from repro.spatial.partition import uniform_partition
 
 
@@ -245,14 +245,17 @@ class TestDispatchPlans:
 
 class TestTileComposition:
     def test_tile_views_reassemble_the_grid(self, partition):
-        """``compose_labels`` is the full grid, tile swaps applied."""
+        """``padded_labels`` is the partition's own grid until a tile swap,
+        then a fresh padded grid with the swap applied."""
         sharded = ShardedDeployment(partition, 3, 2)
-        np.testing.assert_array_equal(sharded.compose_labels(), partition.label_grid)
+        assert sharded.padded_labels is partition.padded_labels
         r0, r1, c0, c1 = sharded.tile_window(1, 0)
         sharded.swap_shard(1, 0, np.zeros((r1 - r0, c1 - c0), dtype=np.int64))
         expected = partition.label_grid.copy()
         expected[r0:r1, c0:c1] = 0
-        np.testing.assert_array_equal(sharded.compose_labels(), expected)
+        assert sharded.padded_labels is not partition.padded_labels
+        assert not sharded.padded_labels.flags.writeable
+        np.testing.assert_array_equal(sharded.padded_labels, pad_labels(expected))
 
 
 class TestShardSwap:
@@ -337,9 +340,9 @@ class TestShardSwap:
         bounds = partition.grid.bounds
         xs = np.array([bounds.min_x + 0.1]); ys = np.array([bounds.min_y + 0.1])
         first = sharded.locate_points(xs, ys)
-        snapshot = sharded.compose_labels()
+        snapshot = sharded.padded_labels
         r0, r1, c0, c1 = sharded.tile_window(0, 0)
         sharded.swap_shard(0, 0, np.zeros((r1 - r0, c1 - c0), dtype=np.int64))
         assert int(sharded.locate_points(xs, ys)[0]) == 0
         assert int(first[0]) == int(partition.label_grid[0, 0])
-        np.testing.assert_array_equal(snapshot, partition.label_grid)
+        np.testing.assert_array_equal(snapshot, partition.padded_labels)

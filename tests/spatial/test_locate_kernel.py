@@ -20,15 +20,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.config import ServingConfig
 from repro.exceptions import GridError
 from repro.io.artifacts import save_partition_artifact
 from repro.serving import PartitionServer, ServingEngine, ShardedDeployment
 from repro.serving import WireConnection, WorkerPool
-from repro.serving.backends import pad_labels, padded_shape
 from repro.serving.workers import WorkerState, fork_available
 from repro.spatial.geometry import BoundingBox
-from repro.spatial.grid import Grid
+from repro.spatial.grid import Grid, pad_labels, padded_shape
 from repro.spatial.partition import Partition
 from repro.spatial.region import GridRegion
 
@@ -288,7 +286,6 @@ def reader_objects(request, partition, incomplete):
     worker = ShmWorkerReader(source)
     yield source, {
         "dense": PartitionServer(source),
-        "sparse": PartitionServer(source, config=ServingConfig(backend="sparse")),
         "sharded_2x2": ShardedDeployment(source, 2, 2),
         "sharded_4x4": ShardedDeployment(source, 4, 4),
         "shm_worker": worker,
@@ -303,7 +300,7 @@ def readers(reader_objects):
     return source, {name: reader.locate_points for name, reader in objects.items()}
 
 
-READER_NAMES = ("dense", "sparse", "sharded_2x2", "sharded_4x4", "shm_worker")
+READER_NAMES = ("dense", "sharded_2x2", "sharded_4x4", "shm_worker")
 
 
 # -- the kernel itself ----------------------------------------------------------------

@@ -15,7 +15,7 @@ from repro.cli import (
     run,
 )
 from repro.io.points import write_points_csv
-from repro.registry import BACKENDS, MODELS, PARTITIONERS
+from repro.registry import MODELS, PARTITIONERS
 
 
 class TestParser:
@@ -61,8 +61,6 @@ class TestParser:
             assert name in output
         for name in MODELS.names():
             assert name in output
-        for name in BACKENDS.names():
-            assert name in output
 
     def test_serving_verbs_registered(self):
         assert SERVING_COMMANDS == (
@@ -74,11 +72,12 @@ class TestParser:
         )
         assert args.method == "median_kdtree"
 
-    def test_backend_choices_derived_from_registry(self):
-        args = build_parser().parse_args(["query", "--backend", "sparse"])
-        assert args.backend == "sparse"
+    def test_backend_flag_is_gone(self, capsys):
+        # Every server reads the one padded label grid: nothing to choose.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["query", "--backend", "rtree"])
+            build_parser().parse_args(["query", "--backend", "dense"])
+        assert "Locator backends" not in build_parser().format_help()
+        capsys.readouterr()
 
     def test_shards_argument_parsing(self):
         assert build_parser().parse_args(["deploy", "--shards", "2x4"]).shards == (2, 4)
@@ -116,7 +115,7 @@ class TestParser:
     def test_shard_verbs_reject_config_overrides(self, capsys):
         with pytest.raises(SystemExit):
             run(["rollback-shard", "--name", "la", "--manifest", "m.json",
-                 "--shard", "0x0", "--backend", "sparse"])
+                 "--shard", "0x0", "--strict"])
         capsys.readouterr()
 
     def test_shard_flag_rejected_outside_shard_verbs(self, capsys):
@@ -159,7 +158,7 @@ class TestParser:
     def test_deploy_config_flags_rejected_against_existing_manifest(self, capsys, tmp_path):
         manifest = tmp_path / "deployments.json"
         manifest.write_text("{}")  # existence is what triggers the guard
-        for flag in (["--backend", "sparse"], ["--strict"]):
+        for flag in (["--strict"], ["--no-strict"]):
             with pytest.raises(SystemExit):
                 run(["deploy", "--artifact", "x.artifact", "--name", "la",
                      "--manifest", str(manifest), *flag])
@@ -189,7 +188,7 @@ class TestParser:
     def test_serve_admin_rejects_config_overrides(self, capsys):
         # Admin hot-swaps re-save the manifest, so per-invocation config
         # flags must not silently rewrite the persisted serving config.
-        for flag in (["--backend", "sparse"], ["--strict"], ["--no-strict"]):
+        for flag in (["--strict"], ["--no-strict"]):
             with pytest.raises(SystemExit):
                 run(["serve", "--manifest", "m.json", "--admin", *flag])
 
@@ -459,28 +458,26 @@ class TestRun:
         assert "deployment adhoc:" in output
         assert "queries=1" in output
 
-    def test_deploy_backend_choice_sticks_in_manifest(self, capsys, tmp_path):
+    def test_manifest_saved_with_a_backend_serves_dense(self, capsys, tmp_path):
+        """A manifest whose stored config still names a locator backend
+        loads, and its deployments answer from the dense padded grid."""
         artifact = self._build(tmp_path, "la")
         manifest = tmp_path / "deployments.json"
         assert run([
             "deploy", "--artifact", str(artifact), "--name", "la",
-            "--manifest", str(manifest), "--backend", "sparse",
+            "--manifest", str(manifest),
         ]) == 0
+        payload = json.loads(manifest.read_text())
+        payload["config"]["backend"] = "sparse"
+        manifest.write_text(json.dumps(payload))
         capsys.readouterr()
         points = tmp_path / "points.csv"
         write_points_csv(points, np.array([0.5]), np.array([0.5]))
-        # No --backend on the query: the manifest's choice must hold.
         assert run([
             "query", "--name", "la", "--manifest", str(manifest),
             "--points", str(points),
         ]) == 0
-        assert "sparse backend" in capsys.readouterr().out
-        # An unrelated flag (--strict) must not clobber the stored backend.
-        assert run([
-            "query", "--name", "la", "--manifest", str(manifest),
-            "--points", str(points), "--strict",
-        ]) == 0
-        assert "sparse backend" in capsys.readouterr().out
+        assert "dense backend" in capsys.readouterr().out
 
     def test_no_strict_overrides_strict_manifest(self, capsys, tmp_path):
         artifact = self._build(tmp_path, "la")
@@ -514,18 +511,6 @@ class TestRun:
                 "query", "--artifact", str(artifact), "--points", str(points),
                 "--manifest", str(tmp_path / "deployments.json"),
             ])
-
-    def test_query_with_sparse_backend_matches_dense(self, capsys, tmp_path):
-        artifact = self._build(tmp_path, "la")
-        points = tmp_path / "points.csv"
-        rng = np.random.default_rng(11)
-        write_points_csv(points, rng.uniform(-0.2, 1.2, 40), rng.uniform(-0.2, 1.2, 40))
-        dense_csv, sparse_csv = tmp_path / "dense.csv", tmp_path / "sparse.csv"
-        assert run(["query", "--artifact", str(artifact), "--points", str(points),
-                    "--output", str(dense_csv)]) == 0
-        assert run(["query", "--artifact", str(artifact), "--points", str(points),
-                    "--backend", "sparse", "--output", str(sparse_csv)]) == 0
-        assert dense_csv.read_text() == sparse_csv.read_text()
 
     def test_query_unknown_deployment_fails_cleanly(self, capsys, tmp_path):
         artifact = self._build(tmp_path, "la")

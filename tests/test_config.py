@@ -86,16 +86,8 @@ class TestServingConfig:
         config = ServingConfig()
         assert config.cache_entries == 8
         assert config.strict is False
-        assert config.backend == "dense"
-        assert [f.name for f in fields(ServingConfig)] == [
-            "cache_entries", "strict", "backend",
-        ]
+        assert [f.name for f in fields(ServingConfig)] == ["cache_entries", "strict"]
 
     def test_invalid_cache_entries_raise(self):
         with pytest.raises(ConfigurationError):
             ServingConfig(cache_entries=0)
-
-    def test_backend_validated_against_registry(self):
-        assert ServingConfig(backend="sparse").backend == "sparse"
-        with pytest.raises(ConfigurationError, match="unknown locator backend"):
-            ServingConfig(backend="rtree")
