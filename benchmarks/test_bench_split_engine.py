@@ -1,10 +1,12 @@
 """Benchmark — prefix-sum vs record-scan split engine.
 
 Tree construction cost is dominated by the SplitNeighborhood procedure.
-The legacy record-scan path re-masks every record for each node and axis,
-so a build costs ``O(nodes * n_records)``; the prefix-sum engine bins the
-records once and answers every per-node query from cumulative tables in
-time proportional to the node's side length.
+The record-scan reference re-masks every record for each node and axis,
+so a build costs ``O(nodes * n_records)``; the prefix-sum engine, which
+every build uses, bins the records once and answers every per-node query
+from cumulative tables in time proportional to the node's side length.
+The reference build is the same partitioner with the module-level
+``make_split_engine`` name it calls replaced by the reference engine.
 
 The benchmark builds the Fair KD-tree on two Los Angeles configurations:
 
@@ -28,8 +30,9 @@ import pytest
 from bench_utils import paired_ratios, record_output
 
 from repro.config import DatasetConfig, GridConfig
+from repro.core import fair_kdtree
 from repro.core.fair_kdtree import FairKDTreePartitioner
-from repro.core.split_engine import SPLIT_ENGINES
+from repro.core.split_engine import RecordScanEngine
 from repro.datasets.edgap import load_edgap_city
 from repro.experiments.reporting import format_table
 
@@ -72,6 +75,13 @@ def _residuals(dataset) -> np.ndarray:
     return np.round(residuals * 1024.0) / 1024.0
 
 
+def _record_scan_build(partitioner, dataset, residuals):
+    """``partitioner``'s build on the record-scan reference engine."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fair_kdtree, "make_split_engine", RecordScanEngine)
+        return partitioner.build_from_residuals(dataset, residuals)
+
+
 @pytest.mark.benchmark(group="split_engine")
 def test_split_engine_speedup(benchmark, output_dir):
     """Sweep heights 6-12 on both engines; equivalent partitions required."""
@@ -83,14 +93,11 @@ def test_split_engine_speedup(benchmark, output_dir):
             dataset = _la_dataset(n_records)
             residuals = _residuals(dataset)
             for height in HEIGHTS:
-                builds = {
-                    engine: FairKDTreePartitioner(height, split_engine=engine)
-                    for engine in SPLIT_ENGINES
-                }
+                partitioner = FairKDTreePartitioner(height)
                 ratios, seconds, partitions = paired_ratios(
-                    lambda: builds["prefix_sum"].build_from_residuals(dataset, residuals),
-                    {"record_scan": lambda: builds["record_scan"].build_from_residuals(
-                        dataset, residuals
+                    lambda: partitioner.build_from_residuals(dataset, residuals),
+                    {"record_scan": lambda: _record_scan_build(
+                        partitioner, dataset, residuals
                     )},
                     REPEATS,
                 )

@@ -42,10 +42,8 @@ def test_timing_fair_vs_iterative(benchmark, bench_context, output_dir):
     dataset = bench_context.dataset(city)
     labels = act_task().labels(dataset)
     factory = bench_context.model_factory("logistic_regression")
-    fair = FairKDTreePartitioner(height, split_engine=bench_context.split_engine)
-    iterative = IterativeFairKDTreePartitioner(
-        height, split_engine=bench_context.split_engine
-    )
+    fair = FairKDTreePartitioner(height)
+    iterative = IterativeFairKDTreePartitioner(height)
     ratios, _, _ = paired_ratios(
         lambda: fair.build(dataset, labels, factory),
         {"iterative": lambda: iterative.build(dataset, labels, factory)},

@@ -37,8 +37,6 @@ from .config import (
     PAPER_MULTI_OBJECTIVE_HEIGHTS,
 )
 from .core import (
-    DEFAULT_SPLIT_ENGINE,
-    SPLIT_ENGINES,
     FairKDTreePartitioner,
     GridReweightingPartitioner,
     IterativeFairKDTreePartitioner,
@@ -104,8 +102,6 @@ __all__ = [
     "RedistrictingPipeline",
     "PipelineResult",
     "make_split_engine",
-    "SPLIT_ENGINES",
-    "DEFAULT_SPLIT_ENGINE",
     "load_edgap_city",
     "act_task",
     "employment_task",

@@ -16,8 +16,8 @@ figure sweeps — now builds a spec and calls one of:
   entry point (``engine.deploy(name, path)``, then query by name).
 
 Construction is metadata-driven: each registry entry declares which spec
-fields its constructor understands (``accepts_split_engine``,
-``accepts_objective``, ``accepts_alphas``), so a new partitioner
+fields its constructor understands (``accepts_objective``,
+``accepts_alphas``), so a new partitioner
 registered with the right flags is immediately buildable, benchmarkable,
 servable and persistable with zero facade edits.
 """
@@ -92,8 +92,6 @@ def make_partitioner(spec: PartitionSpecLike) -> SpatialPartitioner:
     kwargs: Dict[str, Any] = {}
     if entry.flag("accepts_objective"):
         kwargs["objective"] = spec.objective
-    if entry.flag("accepts_split_engine"):
-        kwargs["split_engine"] = spec.split_engine
     if entry.flag("accepts_alphas") and spec.alphas is not None:
         kwargs["alphas"] = spec.alphas
     return entry.obj(spec.height, **kwargs)
@@ -158,7 +156,6 @@ class BuildResult:
             "city": run.city,
             "method": run.partition.method,
             "height": run.partition.height,
-            "split_engine": run.partition.split_engine,
             "model": run.model,
             "task": run.task,
             "grid_rows": run.grid_rows,

@@ -6,7 +6,7 @@ serving layer — used to say it with ad-hoc kwargs.  These two frozen
 dataclasses replace that:
 
 * :class:`PartitionSpec` — which partitioner, at what height, with which
-  objective / task weights / split engine;
+  objective / task weights;
 * :class:`RunSpec` — a partition spec plus the dataset, model, task and
   evaluation controls around it.
 
@@ -27,12 +27,16 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from ..config import DEFAULT_SPLIT_ENGINE, validate_split_engine
 from ..exceptions import ConfigurationError
 from ..registry import MODELS, PARTITIONERS, TASKS
 from ..validation import check_keys
 
 __all__ = ["PartitionSpec", "RunSpec"]
+
+#: Values of the retired ``split_engine`` key that stored specs may carry.
+#: Every one built the same partition, so :meth:`PartitionSpec.from_dict`
+#: drops the key; any other value still raises.
+_RETIRED_SPLIT_ENGINES = ("prefix_sum", "record_scan")
 
 
 @dataclass(frozen=True)
@@ -49,14 +53,12 @@ class PartitionSpec:
     height: int = 6
     objective: str = "balance"
     alphas: Optional[Tuple[float, ...]] = None
-    split_engine: str = DEFAULT_SPLIT_ENGINE
 
     def __post_init__(self) -> None:
         entry = PARTITIONERS.resolve(self.method)
         object.__setattr__(self, "method", entry.name)
         if self.height < 0:
             raise ConfigurationError(f"height must be non-negative, got {self.height}")
-        validate_split_engine(self.split_engine)
         if self.alphas is not None:
             if not entry.flag("accepts_alphas"):
                 raise ConfigurationError(
@@ -80,8 +82,14 @@ class PartitionSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PartitionSpec":
         """Validated spec from a dict; unknown keys raise immediately."""
-        check_keys("PartitionSpec", data, tuple(f.name for f in fields(cls)))
+        check_keys("PartitionSpec", data, tuple(f.name for f in fields(cls)) + ("split_engine",))
         kwargs = dict(data)
+        split_engine = kwargs.pop("split_engine", _RETIRED_SPLIT_ENGINES[0])
+        if split_engine not in _RETIRED_SPLIT_ENGINES:
+            raise ConfigurationError(
+                f"unknown split engine {split_engine!r}; stored specs may name "
+                f"only {_RETIRED_SPLIT_ENGINES}, which build the same partition"
+            )
         if kwargs.get("alphas") is not None:
             kwargs["alphas"] = tuple(kwargs["alphas"])
         return cls(**kwargs)

@@ -60,7 +60,6 @@ import numpy as np
 from .api import PartitionSpec, RunSpec, build_partition
 from .core.base import train_scores_on_dataset
 from .core.results import comparisons_to_rows
-from .core.split_engine import DEFAULT_SPLIT_ENGINE, SPLIT_ENGINES
 from .datasets.labels import act_task
 from .experiments.disparity import run_disparity_experiment
 from .experiments.ence_sweep import run_ence_sweep
@@ -176,13 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="classifier family",
     )
     parser.add_argument("--grid", type=int, default=32, help="base grid resolution (grid x grid)")
-    parser.add_argument(
-        "--split-engine",
-        default=DEFAULT_SPLIT_ENGINE,
-        choices=SPLIT_ENGINES,
-        help="how tree builders compute split statistics (prefix_sum: cumulative "
-        "tables built once per tree; record_scan: legacy per-node record scan)",
-    )
     parser.add_argument("--seed", type=int, default=11, help="evaluation seed")
     parser.add_argument("--output", default=None, help="optional CSV output path")
     parser.add_argument("--verbose", action="store_true", help="enable INFO logging")
@@ -331,7 +323,6 @@ def _context(args: argparse.Namespace):
         grid_rows=args.grid,
         grid_cols=args.grid,
         seed=args.seed,
-        split_engine=args.split_engine,
     )
 
 
@@ -432,15 +423,13 @@ def _run_build(context, args: argparse.Namespace) -> List[dict]:
 
     The partition is built for the first requested city at the largest
     requested height; the artifact records full provenance (city, method,
-    height, grid, engine, model, seeds) so ``query`` can report what it
+    height, grid, model, seeds) so ``query`` can report what it
     serves.
     """
     city = context.cities[0]
     height = max(context.heights)
     spec = RunSpec(
-        partition=PartitionSpec(
-            method=args.method, height=height, split_engine=context.split_engine
-        ),
+        partition=PartitionSpec(method=args.method, height=height),
         city=city,
         model=args.model,
         grid_rows=context.grid_rows,
@@ -655,7 +644,7 @@ def _run_query(args: argparse.Namespace) -> List[dict]:
     provenance = info["server"].get("provenance", {})
     source = ", ".join(
         f"{key}={provenance[key]}"
-        for key in ("city", "method", "height", "split_engine")
+        for key in ("city", "method", "height")
         if key in provenance
     )
     print(

@@ -29,30 +29,6 @@ PAPER_ACT_THRESHOLD = 22.0
 #: Family-employment threshold (percent) for the second task (Section 5.4).
 PAPER_EMPLOYMENT_THRESHOLD = 10.0
 
-#: Registered split-statistics engines, in preference order.  This is the
-#: canonical registry: ``repro.core.split_engine`` re-exports it, and every
-#: layer (config validation, CLI choices, ``MedianKDTree``) validates
-#: against this tuple so adding an engine means editing one place.
-SPLIT_ENGINES: Tuple[str, ...] = ("prefix_sum", "record_scan")
-
-#: Engine used when callers do not ask for a specific one.
-DEFAULT_SPLIT_ENGINE = "prefix_sum"
-
-
-def validate_split_engine(kind: str) -> str:
-    """Return ``kind`` if it names a registered split engine, else raise.
-
-    Lives next to the registry so every consumer — partitioner
-    constructors in :mod:`repro.core` and :class:`repro.spatial.kdtree.MedianKDTree`
-    alike — validates against the same set of names.
-    """
-    if kind not in SPLIT_ENGINES:
-        raise ConfigurationError(
-            f"unknown split engine {kind!r}; available: {SPLIT_ENGINES}"
-        )
-    return kind
-
-
 @dataclass(frozen=True)
 class GridConfig:
     """Resolution of the base grid overlaid on the map (U x V)."""

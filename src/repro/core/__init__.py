@@ -14,9 +14,9 @@ partitioner interface:
 * :class:`~repro.core.pipeline.RedistrictingPipeline` — the end-to-end
   train -> partition -> re-district -> retrain -> evaluate loop shared by all
   experiments.
-* :mod:`~repro.core.split_engine` — pluggable split-statistics engines; the
-  default prefix-sum engine turns every candidate-split evaluation into
-  constant-time cumulative-table reads.
+* :mod:`~repro.core.split_engine` — the prefix-sum split engine, which
+  turns every candidate-split evaluation into constant-time
+  cumulative-table reads, and its record-scan reference.
 
 Removed methods stay registered by name only (no class), so artifact
 bundles whose embedded spec names one still deploy.
@@ -33,14 +33,7 @@ from .objective import SplitScorer, available_objectives
 from .pipeline import PipelineResult, RedistrictingPipeline
 from .results import EvaluationMetrics, MethodComparison
 from .split import SplitDecision, best_axis_split, split_neighborhood
-from .split_engine import (
-    DEFAULT_SPLIT_ENGINE,
-    SPLIT_ENGINES,
-    PrefixSumEngine,
-    RecordScanEngine,
-    SplitEngine,
-    make_split_engine,
-)
+from .split_engine import PrefixSumEngine, RecordScanEngine, SplitEngine, make_split_engine
 
 __all__ = [
     "SpatialPartitioner",
@@ -59,8 +52,6 @@ __all__ = [
     "PrefixSumEngine",
     "RecordScanEngine",
     "make_split_engine",
-    "SPLIT_ENGINES",
-    "DEFAULT_SPLIT_ENGINE",
     "RedistrictingPipeline",
     "PipelineResult",
     "EvaluationMetrics",
@@ -90,5 +81,4 @@ PARTITIONERS.register(
     summary="removed; replaced by a Fair KD-tree of height 2*depth",
     paper_ref="future-work extension (removed)",
     accepts_objective=True,
-    accepts_split_engine=True,
 )

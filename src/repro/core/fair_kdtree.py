@@ -33,12 +33,7 @@ from .base import (
 )
 from .objective import SplitScorer, make_scorer
 from .split import best_axis_split
-from .split_engine import (
-    DEFAULT_SPLIT_ENGINE,
-    SplitEngine,
-    make_split_engine,
-    validate_split_engine,
-)
+from .split_engine import SplitEngine, make_split_engine
 
 
 @register_partitioner(
@@ -46,7 +41,6 @@ from .split_engine import (
     aliases=("fair",),
     summary="fairness-aware KD-tree: train once, split on residual balance",
     paper_ref="Algorithm 1 + 2",
-    accepts_split_engine=True,
     accepts_objective=True,
     tree_based=True,
     paper_order=1,
@@ -66,11 +60,6 @@ class FairKDTreePartitioner(SpatialPartitioner):
         Optional lower bound on the number of training records per leaf; a
         split producing a smaller side is rejected (the node stays a leaf).
         The paper does not bound leaf sizes, so the default is 0.
-    split_engine:
-        How per-node split statistics are computed: ``"prefix_sum"`` (default)
-        builds cumulative-sum tables once per tree, ``"record_scan"`` re-scans
-        the record arrays at every node (the original, slower path, kept for
-        equivalence testing).
     """
 
     name = "fair_kdtree"
@@ -80,7 +69,6 @@ class FairKDTreePartitioner(SpatialPartitioner):
         height: int,
         objective: str = "balance",
         min_records_per_leaf: int = 0,
-        split_engine: str = DEFAULT_SPLIT_ENGINE,
     ) -> None:
         if height < 0:
             raise ConfigurationError(f"height must be non-negative, got {height}")
@@ -89,17 +77,11 @@ class FairKDTreePartitioner(SpatialPartitioner):
         self._height = int(height)
         self._scorer: SplitScorer = make_scorer(objective)
         self._min_records = int(min_records_per_leaf)
-        self._split_engine = validate_split_engine(split_engine)
         self._root: Optional[KDNode] = None
 
     @property
     def height(self) -> int:
         return self._height
-
-    @property
-    def split_engine(self) -> str:
-        """Name of the engine used to compute split statistics."""
-        return self._split_engine
 
     @property
     def root(self) -> Optional[KDNode]:
@@ -124,7 +106,6 @@ class FairKDTreePartitioner(SpatialPartitioner):
                 "method": self.name,
                 "height": self._height,
                 "objective": self._scorer.name,
-                "split_engine": self._split_engine,
                 "n_model_trainings": 1,
                 "initial_model": type(model).__name__,
                 **convergence_of(model),
@@ -143,11 +124,7 @@ class FairKDTreePartitioner(SpatialPartitioner):
         if residuals.shape != (dataset.n_records,):
             raise ConfigurationError("residuals must match the dataset's record count")
         engine = make_split_engine(
-            self._split_engine,
-            dataset.grid,
-            dataset.cell_rows,
-            dataset.cell_cols,
-            residuals,
+            dataset.grid, dataset.cell_rows, dataset.cell_cols, residuals
         )
         self._root = self._build_node(GridRegion.full(dataset.grid), engine, depth=0)
         regions = [leaf.region for leaf in self._root.leaves()]
@@ -157,9 +134,7 @@ class FairKDTreePartitioner(SpatialPartitioner):
         node = KDNode(region=region, depth=depth)
         if depth >= self._height:
             return node
-        decision = best_axis_split(
-            region, preferred_axis=depth % 2, scorer=self._scorer, engine=engine
-        )
+        decision = best_axis_split(region, engine, depth % 2, self._scorer)
         if decision is None:
             return node
         if self._min_records and min(decision.left_count, decision.right_count) < self._min_records:

@@ -28,7 +28,7 @@ from .base import (
 )
 from .objective import SplitScorer, make_scorer
 from .split import best_axis_split
-from .split_engine import DEFAULT_SPLIT_ENGINE, make_split_engine, validate_split_engine
+from .split_engine import make_split_engine
 
 
 @register_partitioner(
@@ -36,7 +36,6 @@ from .split_engine import DEFAULT_SPLIT_ENGINE, make_split_engine, validate_spli
     aliases=("iterative",),
     summary="breadth-first fair KD-tree; retrains the model at every level",
     paper_ref="Algorithm 3",
-    accepts_split_engine=True,
     accepts_objective=True,
     tree_based=True,
     paper_order=2,
@@ -54,10 +53,9 @@ class IterativeFairKDTreePartitioner(SpatialPartitioner):
         Split objective name; the paper uses the balance objective (Eq. 9).
     min_records_per_leaf:
         Optional minimum training records per side for a split to be accepted.
-    split_engine:
-        ``"prefix_sum"`` (default) or ``"record_scan"``.  The residuals are
-        refreshed at every level, so the prefix-sum engine rebuilds its
-        tables once per level and serves the whole frontier from them.
+
+    The residuals are refreshed at every level, so the split engine rebuilds
+    its tables once per level and serves the whole frontier from them.
     """
 
     name = "iterative_fair_kdtree"
@@ -67,7 +65,6 @@ class IterativeFairKDTreePartitioner(SpatialPartitioner):
         height: int,
         objective: str = "balance",
         min_records_per_leaf: int = 0,
-        split_engine: str = DEFAULT_SPLIT_ENGINE,
     ) -> None:
         if height < 0:
             raise ConfigurationError(f"height must be non-negative, got {height}")
@@ -76,17 +73,11 @@ class IterativeFairKDTreePartitioner(SpatialPartitioner):
         self._height = int(height)
         self._scorer: SplitScorer = make_scorer(objective)
         self._min_records = int(min_records_per_leaf)
-        self._split_engine = validate_split_engine(split_engine)
         self._n_trainings = 0
 
     @property
     def height(self) -> int:
         return self._height
-
-    @property
-    def split_engine(self) -> str:
-        """Name of the engine used to compute split statistics."""
-        return self._split_engine
 
     @property
     def n_model_trainings(self) -> int:
@@ -112,17 +103,13 @@ class IterativeFairKDTreePartitioner(SpatialPartitioner):
             self._n_trainings += 1
             convergence.append(convergence_of(model))
             residuals = scores - labels.astype(float)
-            engine = make_split_engine(
-                self._split_engine, grid, dataset.cell_rows, dataset.cell_cols, residuals
-            )
+            engine = make_split_engine(grid, dataset.cell_rows, dataset.cell_cols, residuals)
 
             axis = level % 2
             next_frontier: List[GridRegion] = []
             any_split = False
             for region in frontier:
-                decision = best_axis_split(
-                    region, preferred_axis=axis, scorer=self._scorer, engine=engine
-                )
+                decision = best_axis_split(region, engine, axis, self._scorer)
                 reject = decision is not None and self._min_records and (
                     min(decision.left_count, decision.right_count) < self._min_records
                 )
@@ -140,7 +127,6 @@ class IterativeFairKDTreePartitioner(SpatialPartitioner):
             "method": self.name,
             "height": self._height,
             "objective": self._scorer.name,
-            "split_engine": self._split_engine,
             "n_model_trainings": self._n_trainings,
         }
         # One entry per level, for models that report their convergence.

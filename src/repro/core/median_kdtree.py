@@ -10,7 +10,6 @@ from ..ml.model_selection import ModelFactory
 from ..registry import register_partitioner
 from ..spatial.kdtree import MedianKDTree
 from .base import PartitionerOutput, SpatialPartitioner
-from .split_engine import DEFAULT_SPLIT_ENGINE, validate_split_engine
 
 
 @register_partitioner(
@@ -18,7 +17,6 @@ from .split_engine import DEFAULT_SPLIT_ENGINE, validate_split_engine
     aliases=("median",),
     summary="classic data-median KD-tree (density only, fairness-blind)",
     paper_ref="baseline",
-    accepts_split_engine=True,
     tree_based=True,
     baseline=True,
     paper_order=0,
@@ -34,20 +32,14 @@ class MedianKDTreePartitioner(SpatialPartitioner):
 
     name = "median_kdtree"
 
-    def __init__(self, height: int, split_engine: str = DEFAULT_SPLIT_ENGINE) -> None:
+    def __init__(self, height: int) -> None:
         if height < 0:
             raise ConfigurationError(f"height must be non-negative, got {height}")
         self._height = int(height)
-        self._split_engine = validate_split_engine(split_engine)
 
     @property
     def height(self) -> int:
         return self._height
-
-    @property
-    def split_engine(self) -> str:
-        """Name of the engine used to locate per-node medians."""
-        return self._split_engine
 
     def build(
         self,
@@ -62,7 +54,6 @@ class MedianKDTreePartitioner(SpatialPartitioner):
             cell_rows=dataset.cell_rows,
             cell_cols=dataset.cell_cols,
             max_height=self._height,
-            split_engine=self._split_engine,
         )
         tree.build()
         partition = tree.leaf_partition()
@@ -71,7 +62,6 @@ class MedianKDTreePartitioner(SpatialPartitioner):
             metadata={
                 "method": self.name,
                 "height": self._height,
-                "split_engine": self._split_engine,
                 "n_model_trainings": 0,
             },
         )

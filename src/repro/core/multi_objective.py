@@ -21,7 +21,6 @@ from ..registry import register_partitioner
 from .base import PartitionerOutput, SpatialPartitioner, train_scores_on_dataset
 from .fair_kdtree import FairKDTreePartitioner
 from .objective import make_scorer
-from .split_engine import DEFAULT_SPLIT_ENGINE, validate_split_engine
 
 
 @register_partitioner(
@@ -29,7 +28,6 @@ from .split_engine import DEFAULT_SPLIT_ENGINE, validate_split_engine
     aliases=("multi_objective",),
     summary="one fair partition serving several tasks (alpha-weighted residuals)",
     paper_ref="Section 4.3 (Eq. 11-13)",
-    accepts_split_engine=True,
     accepts_objective=True,
     accepts_alphas=True,
     tree_based=True,
@@ -48,9 +46,6 @@ class MultiObjectiveFairKDTreePartitioner(SpatialPartitioner):
         :meth:`build_multi`.
     objective:
         Split objective name, scored on the aggregated residuals.
-    split_engine:
-        ``"prefix_sum"`` (default) or ``"record_scan"``; forwarded to the
-        underlying fair KD-tree construction.
     """
 
     name = "multi_objective_fair_kdtree"
@@ -60,7 +55,6 @@ class MultiObjectiveFairKDTreePartitioner(SpatialPartitioner):
         height: int,
         alphas: Sequence[float] = (0.5, 0.5),
         objective: str = "balance",
-        split_engine: str = DEFAULT_SPLIT_ENGINE,
     ) -> None:
         if height < 0:
             raise ConfigurationError(f"height must be non-negative, got {height}")
@@ -73,7 +67,6 @@ class MultiObjectiveFairKDTreePartitioner(SpatialPartitioner):
             raise ConfigurationError(f"task weights must sum to 1, got {alphas}")
         self._height = int(height)
         self._alphas = alphas
-        self._split_engine = validate_split_engine(split_engine)
         # Eq. 13 multiplies each side's aggregated residual by the side's
         # cardinality, so the scorer is cardinality-weighted.
         self._scorer = make_scorer(objective, cardinality_weighted=True)
@@ -128,11 +121,7 @@ class MultiObjectiveFairKDTreePartitioner(SpatialPartitioner):
             trainings += 1
             aggregated += alpha * (scores - labels.astype(float))
 
-        tree = FairKDTreePartitioner(
-            height=self._height,
-            objective=self._objective_name,
-            split_engine=self._split_engine,
-        )
+        tree = FairKDTreePartitioner(height=self._height, objective=self._objective_name)
         tree._scorer = self._scorer  # reuse the identical recursion with Eq. 13 scoring
         partition = tree.build_from_residuals(dataset, aggregated)
         return PartitionerOutput(
@@ -142,7 +131,6 @@ class MultiObjectiveFairKDTreePartitioner(SpatialPartitioner):
                 "height": self._height,
                 "alphas": self._alphas,
                 "objective": self._objective_name,
-                "split_engine": self._split_engine,
                 "n_model_trainings": trainings,
             },
         )

@@ -6,12 +6,12 @@ evaluates every possible split index ``k`` along the axis, scores it with a
 :class:`~repro.core.objective.SplitScorer`, and returns the two sub-regions
 of the best split.
 
-The per-line aggregates that drive the scoring come from a
-:class:`~repro.core.split_engine.SplitEngine`.  Tree builders construct one
-engine per build (the prefix-sum engine amortises all record scanning into a
-single binning pass) and pass it down the recursion; callers that only have
-raw record arrays can still invoke the procedure directly and a record-scan
-engine is created on the fly.
+The per-line aggregates that drive the scoring come from a split engine
+(:mod:`repro.core.split_engine`).  Tree builders construct one
+:class:`~repro.core.split_engine.PrefixSumEngine` per build, which
+amortises all record scanning into a single binning pass, and pass it down
+the recursion; tests pass the reference
+:class:`~repro.core.split_engine.RecordScanEngine` the same way.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from ..exceptions import SplitError
 from ..spatial.region import GridRegion
 from .objective import SplitScorer
-from .split_engine import RecordScanEngine, SplitEngine
+from .split_engine import SplitEngine
 
 
 @dataclass(frozen=True)
@@ -41,31 +41,11 @@ class SplitDecision:
     right_count: int
 
 
-def _resolve_engine(
-    region: GridRegion,
-    cell_rows: Optional[np.ndarray],
-    cell_cols: Optional[np.ndarray],
-    residuals: Optional[np.ndarray],
-    engine: Optional[SplitEngine],
-) -> SplitEngine:
-    """Use the caller's engine, or wrap raw record arrays in a record scan."""
-    if engine is not None:
-        return engine
-    if cell_rows is None or cell_cols is None or residuals is None:
-        raise SplitError(
-            "either a split engine or (cell_rows, cell_cols, residuals) is required"
-        )
-    return RecordScanEngine(region.grid, cell_rows, cell_cols, residuals)
-
-
 def split_neighborhood(
     region: GridRegion,
-    cell_rows: Optional[np.ndarray] = None,
-    cell_cols: Optional[np.ndarray] = None,
-    residuals: Optional[np.ndarray] = None,
+    engine: SplitEngine,
     axis: int = 0,
     scorer: Optional[SplitScorer] = None,
-    engine: Optional[SplitEngine] = None,
 ) -> Optional[SplitDecision]:
     """Find the best split of ``region`` along ``axis`` (Algorithm 2).
 
@@ -73,20 +53,14 @@ def split_neighborhood(
     ----------
     region:
         The neighborhood to split.
-    cell_rows, cell_cols:
-        Grid-cell coordinates of **all** dataset records (records outside the
-        region are ignored).  May be omitted when ``engine`` is given.
-    residuals:
-        Per-record residuals ``s_u - y_u`` aligned with the coordinate arrays.
-        May be omitted when ``engine`` is given.
+    engine:
+        Split engine built over **all** records of the build (records outside
+        the region are ignored); tree builders pass one engine down the
+        whole recursion so records are binned once per build.
     axis:
         0 to split on rows, 1 to split on columns (the paper's transpose).
     scorer:
         Split objective; defaults to the paper's balance objective (Eq. 9).
-    engine:
-        Pre-built :class:`~repro.core.split_engine.SplitEngine` carrying the
-        record statistics; tree builders pass one engine down the whole
-        recursion so record scanning happens at most once per build.
 
     Returns
     -------
@@ -99,7 +73,6 @@ def split_neighborhood(
         non-empty regions, ties between equally-scored candidates are broken
         toward the most central split index for the same reason.
     """
-    engine = _resolve_engine(region, cell_rows, cell_cols, residuals, engine)
     if axis not in (0, 1):
         raise SplitError(f"axis must be 0 or 1, got {axis}")
     if not region.can_split(axis):
@@ -161,12 +134,9 @@ def split_neighborhood(
 
 def best_axis_split(
     region: GridRegion,
-    cell_rows: Optional[np.ndarray] = None,
-    cell_cols: Optional[np.ndarray] = None,
-    residuals: Optional[np.ndarray] = None,
+    engine: SplitEngine,
     preferred_axis: int = 0,
     scorer: Optional[SplitScorer] = None,
-    engine: Optional[SplitEngine] = None,
 ) -> Optional[SplitDecision]:
     """Split along ``preferred_axis`` if possible, otherwise along the other axis.
 
@@ -176,12 +146,7 @@ def best_axis_split(
     :func:`split_neighborhood` (a central geometric cut), so the fallback
     never depends on a downstream :class:`~repro.exceptions.SplitError`.
     """
-    engine = _resolve_engine(region, cell_rows, cell_cols, residuals, engine)
-    decision = split_neighborhood(
-        region, axis=preferred_axis, scorer=scorer, engine=engine
-    )
+    decision = split_neighborhood(region, engine, preferred_axis, scorer)
     if decision is not None:
         return decision
-    return split_neighborhood(
-        region, axis=1 - preferred_axis, scorer=scorer, engine=engine
-    )
+    return split_neighborhood(region, engine, 1 - preferred_axis, scorer)

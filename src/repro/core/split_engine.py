@@ -1,34 +1,29 @@
-"""Split-statistics engines powering the SplitNeighborhood procedure.
+"""Split statistics for the SplitNeighborhood procedure.
 
 Algorithm 2 evaluates every candidate split of a tree node from two
 per-line aggregates: the residual sum and the record count of each row
-(or column) of the node's region.  How those aggregates are obtained is
-independent of the rest of the procedure, so it is factored behind the
-:class:`SplitEngine` interface with two implementations:
+(or column) of the node's region.  Every tree build obtains them from one
+:class:`PrefixSumEngine`, which bins residuals and counts into dense
+``(grid.rows, grid.cols)`` arrays **once per tree build** and keeps 2-D
+cumulative-sum tables (the summed-area-table trick also offered as
+:class:`~repro.spatial.region.CumulativeGrid`).  Any region's total is four
+table lookups and any region's per-line sums are one slice subtraction, so
+each candidate-split evaluation costs ``O(side length)`` regardless of the
+dataset size.
 
-* :class:`RecordScanEngine` — the original approach: mask the full record
-  arrays against the region and bin the members into lines.  Every call
-  costs ``O(n_records)``, which dominates tree construction because the
-  mask is recomputed for every node and axis.
-* :class:`PrefixSumEngine` — bins residuals and counts into dense
-  ``(grid.rows, grid.cols)`` arrays **once per tree build** and keeps 2-D
-  cumulative-sum tables (the summed-area-table trick also offered as
-  :class:`~repro.spatial.region.CumulativeGrid`).  Any region's total is
-  four table lookups and any region's per-line sums are one slice
-  subtraction, so each candidate-split evaluation costs ``O(side length)``
-  regardless of the dataset size.
+:class:`RecordScanEngine` is the reference the prefix-sum engine is tested
+against: it masks the full record arrays against the region and bins the
+members into lines, ``O(n_records)`` per query, as the paper's pseudo-code
+implies.  No build path selects it; tests build it directly, or substitute
+it for the module-level :func:`make_split_engine` name a builder calls.
 
-Both engines feed the identical downstream scoring code.  Record counts are
-integers, so count-driven decisions (medians, empty-region detection) are
-identical by construction; residual sums are floating-point and the two
-engines accumulate them in different orders, so split decisions are
-guaranteed bit-identical only when every residual sum is exactly
-representable (e.g. dyadic-rational residuals, which the equivalence tests
-use) and agree empirically — to the last bit in practice — for arbitrary
-residuals.  The record-scan path is kept available (via the
-``split_engine`` flag on the partitioners and on
-:class:`~repro.api.specs.PartitionSpec`) for equivalence testing and as a
-reference implementation.
+Record counts are integers, so count-driven decisions (medians,
+empty-region detection) are identical by construction; residual sums are
+floating-point and the two engines accumulate them in different orders, so
+split decisions are guaranteed bit-identical only when every residual sum
+is exactly representable (e.g. dyadic-rational residuals, which the
+equivalence tests use) and agree empirically — to the last bit in practice
+— for arbitrary residuals.
 """
 
 from __future__ import annotations
@@ -38,20 +33,11 @@ from typing import Tuple
 
 import numpy as np
 
-from ..config import DEFAULT_SPLIT_ENGINE, SPLIT_ENGINES, validate_split_engine
-from ..exceptions import ConfigurationError, SplitError
+from ..exceptions import SplitError
 from ..spatial.grid import Grid, counts_per_cell, sums_per_cell
 from ..spatial.region import GridRegion
 
-__all__ = [
-    "SPLIT_ENGINES",
-    "DEFAULT_SPLIT_ENGINE",
-    "SplitEngine",
-    "RecordScanEngine",
-    "PrefixSumEngine",
-    "make_split_engine",
-    "validate_split_engine",
-]
+__all__ = ["SplitEngine", "RecordScanEngine", "PrefixSumEngine", "make_split_engine"]
 
 
 class SplitEngine(ABC):
@@ -59,11 +45,10 @@ class SplitEngine(ABC):
 
     An engine is constructed once per tree (it captures the record
     coordinates and residuals of the build) and is then threaded down the
-    recursion, answering line-sum queries for every node.
+    recursion, answering line-sum queries for every node.  The reference
+    :class:`RecordScanEngine` stands in for :class:`PrefixSumEngine`
+    through this interface.
     """
-
-    #: Engine identifier (matches the ``split_engine`` configuration value).
-    kind: str = "abstract"
 
     @abstractmethod
     def line_sums(self, region: GridRegion, axis: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -77,9 +62,6 @@ class SplitEngine(ABC):
     @abstractmethod
     def region_count(self, region: GridRegion) -> int:
         """Number of records whose cells fall inside ``region``."""
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(kind={self.kind!r})"
 
     def _check_grid(self, region: GridRegion) -> None:
         """Reject regions of a different grid (identity fast path)."""
@@ -105,12 +87,9 @@ class RecordScanEngine(SplitEngine):
     """Reference engine: re-scan the record arrays for every query.
 
     This is the behaviour the paper's pseudo-code implies and what the
-    implementation did originally; it is retained behind the
-    ``split_engine="record_scan"`` flag so the optimised engine can be
-    checked against it.
+    implementation did originally; tests check :class:`PrefixSumEngine`
+    against it.
     """
-
-    kind = "record_scan"
 
     def __init__(
         self,
@@ -148,7 +127,7 @@ class RecordScanEngine(SplitEngine):
 
 
 class PrefixSumEngine(SplitEngine):
-    """Optimised engine backed by 2-D cumulative-sum tables.
+    """The split engine of every tree build, backed by 2-D cumulative-sum tables.
 
     Construction bins every record once (``O(n_records + n_cells)``); every
     subsequent query is independent of the dataset size.  Residual and count
@@ -156,8 +135,6 @@ class PrefixSumEngine(SplitEngine):
     per-line sums for both statistics come out of a single slice
     subtraction.
     """
-
-    kind = "prefix_sum"
 
     def __init__(
         self,
@@ -204,18 +181,15 @@ class PrefixSumEngine(SplitEngine):
 
 
 def make_split_engine(
-    kind: str,
     grid: Grid,
     cell_rows: np.ndarray,
     cell_cols: np.ndarray,
     residuals: np.ndarray,
-) -> SplitEngine:
-    """Build the engine named ``kind`` for one tree build.
+) -> PrefixSumEngine:
+    """Build the split engine for one tree build.
 
     Parameters
     ----------
-    kind:
-        One of :data:`SPLIT_ENGINES` (``"prefix_sum"`` or ``"record_scan"``).
     grid:
         The base grid the tree is built over.
     cell_rows, cell_cols:
@@ -223,9 +197,4 @@ def make_split_engine(
     residuals:
         Per-record residuals ``s_u - y_u`` aligned with the coordinates.
     """
-    if kind == "prefix_sum":
-        return PrefixSumEngine(grid, cell_rows, cell_cols, residuals)
-    if kind == "record_scan":
-        return RecordScanEngine(grid, cell_rows, cell_cols, residuals)
-    validate_split_engine(kind)
-    raise ConfigurationError(f"split engine {kind!r} has no implementation")
+    return PrefixSumEngine(grid, cell_rows, cell_cols, residuals)

@@ -107,12 +107,7 @@ def run_multi_objective_experiment(
                     )
                     if PARTITIONERS.resolve(method).flag("multi_task"):
                         partitioner = make_partitioner(
-                            PartitionSpec(
-                                method=method,
-                                height=height,
-                                alphas=tuple(alphas),
-                                split_engine=context.split_engine,
-                            )
+                            PartitionSpec(method=method, height=height, alphas=tuple(alphas))
                         )
                         # The shared partition is built once from *all* tasks'
                         # training labels, then evaluated under the current task.

@@ -20,7 +20,6 @@ from ..api.specs import PartitionSpec
 from ..config import DatasetConfig, GridConfig
 from ..core.base import SpatialPartitioner
 from ..core.pipeline import RedistrictingPipeline
-from ..core.split_engine import DEFAULT_SPLIT_ENGINE
 from ..datasets.dataset import SpatialDataset
 from ..datasets.edgap import city_model, load_edgap_city
 from ..ml.model_selection import ModelFactory
@@ -71,9 +70,6 @@ class ExperimentContext:
         fast while leaving room for height-10 trees).
     test_fraction, seed, ece_bins:
         Evaluation controls shared by every pipeline run.
-    split_engine:
-        Split-statistics engine used by every tree partitioner the
-        experiments build (``"prefix_sum"`` or ``"record_scan"``).
     """
 
     cities: Tuple[str, ...] = PAPER_CITIES
@@ -86,7 +82,6 @@ class ExperimentContext:
     seed: int = 11
     ece_bins: int = 15
     dataset_seed: int = 7
-    split_engine: str = DEFAULT_SPLIT_ENGINE
     datasets: Dict[str, SpatialDataset] = field(default_factory=dict, compare=False)
 
     def dataset(self, city: str) -> SpatialDataset:
@@ -102,10 +97,8 @@ class ExperimentContext:
         return model_factory_for(kind)
 
     def partitioner(self, method: str, height: int) -> SpatialPartitioner:
-        """A partitioner wired to this context's split engine."""
-        return make_partitioner(
-            PartitionSpec(method=method, height=height, split_engine=self.split_engine)
-        )
+        """A partitioner for ``method`` at ``height``."""
+        return make_partitioner(PartitionSpec(method=method, height=height))
 
     def pipeline(self, kind: str) -> RedistrictingPipeline:
         """A redistricting pipeline wired to this context's controls."""

@@ -60,18 +60,15 @@ def run_timing_experiment(
     height: int = 10,
     model_kind: str = "logistic_regression",
     methods: Optional[tuple] = None,
-    split_engine: Optional[str] = None,
 ) -> TimingResult:
     """Measure partition build time for each method at ``height``.
 
     ``methods`` defaults to the registry's tree-based paper roster (the
     fair, iterative-fair and median KD-trees — Section 5.3.1 compares the
-    first two; the median baseline anchors the scale).  ``split_engine``
-    overrides the context's engine when given.
+    first two; the median baseline anchors the scale).
     """
     context = context or default_context()
     methods = methods if methods is not None else PARTITIONERS.paper_methods(tree_based=True)
-    split_engine = split_engine or context.split_engine
     task = task or act_task()
     dataset = context.dataset(city)
     labels = task.labels(dataset)
@@ -80,9 +77,7 @@ def run_timing_experiment(
     seconds: Dict[str, float] = {}
     trainings: Dict[str, int] = {}
     for method in methods:
-        partitioner = make_partitioner(
-            PartitionSpec(method=method, height=height, split_engine=split_engine)
-        )
+        partitioner = make_partitioner(PartitionSpec(method=method, height=height))
         start = time.perf_counter()
         output = partitioner.build(dataset, labels, factory)
         seconds[method] = time.perf_counter() - start

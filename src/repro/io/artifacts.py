@@ -63,7 +63,7 @@ class PartitionArtifact:
         The reconstructed partition, identical to the one that was saved.
     provenance:
         Free-form metadata recorded at save time (builder method, height,
-        split engine, dataset identity, ...).  Never interpreted by the
+        dataset identity, ...).  Never interpreted by the
         loader; surfaced so serving layers can report what they serve.
     format_version:
         The bundle's on-disk format version.

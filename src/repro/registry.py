@@ -77,7 +77,7 @@ class RegistryEntry:
     paper_ref:
         Where the component appears in the source paper, if anywhere.
     metadata:
-        Free-form capability flags (``accepts_split_engine``,
+        Free-form capability flags (``accepts_objective``,
         ``accepts_alphas``, ``servable``, ``paper_order``, ...).  Consumers
         read them through :meth:`flag`.
     """
@@ -325,7 +325,7 @@ def register_partitioner(
 
     Recognised metadata flags (all optional, defaulting to ``False``/``None``):
 
-    ``accepts_split_engine`` / ``accepts_objective`` / ``accepts_alphas``
+    ``accepts_objective`` / ``accepts_alphas``
         Which spec fields the constructor understands.
     ``paper_order``
         Position in the Figures 7/8 roster (``None`` = not in that roster).

@@ -129,9 +129,10 @@ class PartitionServer:
         return len(self._partition)
 
     @property
-    def padded_labels(self) -> np.ndarray:
-        """The padded label grid every locate reads (the partition's own)."""
-        return self._partition.padded_labels
+    def padded_snapshot(self) -> Tuple[np.ndarray, bool]:
+        """The padded label grid every locate reads, and whether every cell
+        has a region: the partition's own grid and completeness."""
+        return self._partition.padded_labels, self._partition.is_complete
 
     def describe(self) -> Dict[str, Any]:
         """One-line-able summary of what this server is serving."""

@@ -38,11 +38,12 @@ tile (no torn reads across tiles; the stress suite in
 ``tests/serving/test_shard_concurrency.py`` verifies reads bit-exact
 against a single-threaded oracle of the versioned tile states).
 
-Scope note: shards are dense label slices copied out of the source
-partition's label grid at construction.  In this in-process model the
-source partition (and its dense grid) is resident anyway; the class
-demonstrates the per-tile versioning mechanics, while the per-node
-memory win only materialises when tiles live on separate nodes.
+Scope note: each tile's version 1 is a view of the source partition's
+read-only label grid, so construction copies no labels; only a swap adds
+a tile array of its own.  In this in-process model the source partition
+(and its dense grid) is resident anyway; the class demonstrates the
+per-tile versioning mechanics, while the per-node memory win only
+materialises when tiles live on separate nodes.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ class ShardedDeployment:
                 _Shard(
                     index // self._shard_cols,
                     index % self._shard_cols,
-                    np.ascontiguousarray(labels[r0:r1, c0:c1], dtype=np.int64),
+                    labels[r0:r1, c0:c1],
                 )
             )
         # Orders tile mutation + republish against each other; never held
@@ -254,15 +255,16 @@ class ShardedDeployment:
         return self._geometry.tile_window(self._shard_index(row, col))
 
     @property
-    def padded_labels(self) -> np.ndarray:
-        """The *current* published padded label grid, tile swaps applied.
+    def padded_snapshot(self) -> Tuple[np.ndarray, bool]:
+        """The *current* published ``(padded grid, covered)`` pair, tile swaps applied.
 
         The export path the multiprocess workers use, so a worker
         publication after :meth:`swap_shard` ships the swapped tile, not
-        the construction-time partition.  Published grids are read-only
-        and never mutated, so it stays one consistent snapshot.
+        the construction-time partition, with the completeness read in
+        the same snapshot.  Published grids are read-only and never
+        mutated, so the pair stays one consistent snapshot.
         """
-        return self._padded[0]
+        return self._padded
 
     def __repr__(self) -> str:
         return (

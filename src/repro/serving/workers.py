@@ -96,8 +96,10 @@ class _WorkerDeployment:
     against the in-process engine: the :class:`Grid` (reconstructed from
     geometry — pure arithmetic, no arrays), the shared padded label grid
     (a read-only :func:`~repro.spatial.grid.padded_shape` view over
-    the segment), and the region-bounds table for range queries, built
-    from the exported integer extents by the same
+    the segment), whether every cell has a region (``covered``, read by
+    the parent in the same snapshot as the grid, so no worker rescans it),
+    and the region-bounds table for range queries, built from the exported
+    integer extents by the same
     :meth:`~repro.spatial.grid.Grid.block_bounds` as the partition's.  The
     ``shm`` handle is kept referenced so the mapping outlives every
     in-flight request that reads through it.
@@ -127,7 +129,7 @@ class _WorkerDeployment:
         )
         labels.flags.writeable = False  # readers, by contract
         self.labels = labels
-        self.covered = bool((labels[:self.grid.rows, :self.grid.cols] >= 0).all())
+        self.covered = bool(export["covered"])
         self.region_bounds = self.grid.block_bounds(export["extents"])
         self.n_regions = self.region_bounds.shape[1]
         self.source = export.get("source")
@@ -605,8 +607,9 @@ class WorkerPool:
                 continue
             partition = server.partition
             grid = partition.grid
-            # The served grid: tile swaps applied on a sharded deployment.
-            padded = server.padded_labels
+            # The served grid and its completeness, read as one snapshot:
+            # tile swaps applied on a sharded deployment.
+            padded, covered = server.padded_snapshot
             segment = shared_memory.SharedMemory(create=True, size=padded.nbytes)
             view = np.ndarray(padded.shape, dtype=np.int64, buffer=segment.buf)
             # The one copy, parent-side, publish-time.
@@ -622,6 +625,7 @@ class WorkerPool:
                     grid.bounds.max_x, grid.bounds.max_y,
                 ],
                 "extents": partition.extents,
+                "covered": covered,
                 "source": source,
             }
             if export is not None:

@@ -14,8 +14,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..config import DEFAULT_SPLIT_ENGINE, validate_split_engine
-from ..exceptions import ConfigurationError, SplitError
+from ..exceptions import SplitError
 from .grid import Grid, counts_per_cell
 from .partition import Partition
 from .region import CumulativeGrid, GridRegion
@@ -155,11 +154,10 @@ class MedianKDTree(RegionKDTree):
         adaptivity the paper keeps as a baseline).
     max_height:
         Tree height ``th``; the tree has at most ``2**th`` leaves.
-    split_engine:
-        ``"prefix_sum"`` (default) computes every node's median from a
-        cumulative count table built once at construction; ``"record_scan"``
-        re-scans the coordinate arrays per node (the original path, kept for
-        equivalence testing).  Both produce identical trees.
+
+    Every node's median is read off a cumulative count table built once at
+    construction.  :func:`scan_median_split` is the record-scan reference it
+    is tested against; both produce identical trees.
     """
 
     def __init__(
@@ -168,61 +166,21 @@ class MedianKDTree(RegionKDTree):
         cell_rows: Sequence[int],
         cell_cols: Sequence[int],
         max_height: int,
-        split_engine: str = DEFAULT_SPLIT_ENGINE,
     ) -> None:
-        self._cell_rows = np.asarray(cell_rows, dtype=int)
-        self._cell_cols = np.asarray(cell_cols, dtype=int)
-        if self._cell_rows.shape != self._cell_cols.shape:
+        cell_rows = np.asarray(cell_rows, dtype=int)
+        cell_cols = np.asarray(cell_cols, dtype=int)
+        if cell_rows.shape != cell_cols.shape:
             raise SplitError("cell_rows and cell_cols must have the same shape")
-        validate_split_engine(split_engine)
-        if split_engine == "prefix_sum":
-            self._count_table: Optional[CumulativeGrid] = CumulativeGrid(
-                grid, counts_per_cell(grid, self._cell_rows, self._cell_cols)
-            )
-        elif split_engine == "record_scan":
-            self._count_table = None
-        else:
-            # A name in the registry this class does not implement yet:
-            # fail loudly rather than silently falling back to a scan.
-            raise ConfigurationError(
-                f"MedianKDTree does not implement split engine {split_engine!r}"
-            )
-        self._split_engine = split_engine
+        self._count_table = CumulativeGrid(grid, counts_per_cell(grid, cell_rows, cell_cols))
         super().__init__(grid, max_height, self._median_split)
 
-    @property
-    def split_engine(self) -> str:
-        """Name of the engine used to locate per-node medians."""
-        return self._split_engine
-
     def _median_split(self, region: GridRegion, axis: int) -> Optional[int]:
-        """Region-local index of the data median along ``axis``."""
-        if self._count_table is not None:
-            return self._median_split_prefix(region, axis)
-        mask = region.member_mask(self._cell_rows, self._cell_cols)
-        if axis == 0:
-            coords = self._cell_rows[mask] - region.row_start
-            extent = region.n_rows
-        else:
-            coords = self._cell_cols[mask] - region.col_start
-            extent = region.n_cols
-        if extent < 2:
-            return None
-        if coords.size == 0:
-            # No data in this region: split geometrically in half so the
-            # domain is still fully covered at the requested granularity.
-            return extent // 2
-        median = float(np.median(coords))
-        index = int(np.floor(median)) + 1
-        # Clamp into the valid split range [1, extent - 1].
-        return int(min(max(index, 1), extent - 1))
-
-    def _median_split_prefix(self, region: GridRegion, axis: int) -> Optional[int]:
-        """Median from per-line record counts (no record scan).
+        """Region-local index of the data median along ``axis``.
 
         The k-th order statistic of the region-local coordinates is read off
-        the cumulative line counts, so the result matches the record-scan
-        median exactly: all quantities involved are integers.
+        the cumulative line counts, so the result matches
+        :func:`scan_median_split` exactly: all quantities involved are
+        integers.
         """
         line_counts = self._count_table.line_sums(region, axis)
         extent = line_counts.shape[0]
@@ -245,3 +203,31 @@ class MedianKDTree(RegionKDTree):
             floored_median = (lower + upper) // 2
         index = floored_median + 1
         return int(min(max(index, 1), extent - 1))
+
+
+def scan_median_split(
+    cell_rows: np.ndarray, cell_cols: np.ndarray, region: GridRegion, axis: int
+) -> Optional[int]:
+    """Reference median split: scan the record coordinates of ``region``.
+
+    The record-scan path :class:`MedianKDTree` is tested against; pass it to
+    :class:`RegionKDTree` with the coordinates bound, e.g.
+    ``functools.partial(scan_median_split, cell_rows, cell_cols)``.
+    """
+    mask = region.member_mask(cell_rows, cell_cols)
+    if axis == 0:
+        coords = cell_rows[mask] - region.row_start
+        extent = region.n_rows
+    else:
+        coords = cell_cols[mask] - region.col_start
+        extent = region.n_cols
+    if extent < 2:
+        return None
+    if coords.size == 0:
+        # No data in this region: split geometrically in half so the
+        # domain is still fully covered at the requested granularity.
+        return extent // 2
+    median = float(np.median(coords))
+    index = int(np.floor(median)) + 1
+    # Clamp into the valid split range [1, extent - 1].
+    return int(min(max(index, 1), extent - 1))

@@ -57,20 +57,11 @@ class TestMakePartitioner:
         built = make_partitioner({"method": "fair_kdtree", "height": 3})
         assert built.height == 3
 
-    @pytest.mark.parametrize("engine", ["prefix_sum", "record_scan"])
-    def test_split_engine_threaded(self, engine):
-        for method in ("median_kdtree", "fair_kdtree", "iterative_fair_kdtree"):
-            spec = PartitionSpec(method=method, height=4, split_engine=engine)
-            assert make_partitioner(spec).split_engine == engine
-
     def test_all_spec_fields_honoured_together(self):
-        spec = PartitionSpec(
-            method="fair_kdtree", height=5, objective="total", split_engine="record_scan"
-        )
+        spec = PartitionSpec(method="fair_kdtree", height=5, objective="total")
         partitioner = make_partitioner(spec)
         assert isinstance(partitioner, FairKDTreePartitioner)
         assert partitioner.height == 5
-        assert partitioner.split_engine == "record_scan"
         assert partitioner._scorer.name == "total"
 
     def test_alphas_forwarded_to_multi_objective(self):
@@ -160,6 +151,41 @@ class TestBuildAndServe:
         manifest["provenance"]["spec"]["gpu"] = True
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ConfigurationError):
+            open_engine().deploy("la", path)
+
+    @pytest.mark.parametrize("split_engine", ["prefix_sum", "record_scan"])
+    def test_deploy_accepts_retired_split_engine(self, tmp_path, split_engine):
+        """Bundles written while the split engine was selectable name one in
+        their spec; either value built the same partition, so the bundle
+        deploys with spec validation on and answers bit-exact."""
+        result = build_partition(small_run())
+        current = result.save(tmp_path / "current")
+        stored = result.save(tmp_path / "stored")
+        manifest_path = stored / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["provenance"]["split_engine"] = split_engine
+        manifest["provenance"]["spec"]["partition"]["split_engine"] = split_engine
+        manifest_path.write_text(json.dumps(manifest))
+
+        engine = open_engine()
+        engine.deploy("current", current)
+        engine.deploy("stored", stored)
+        assert engine.server_for("stored").spec == result.spec
+        bounds = result.partition.grid.bounds
+        rng = np.random.default_rng(3)
+        xs = rng.uniform(bounds.min_x - 0.1, bounds.max_x + 0.1, 2_000)
+        ys = rng.uniform(bounds.min_y - 0.1, bounds.max_y + 0.1, 2_000)
+        np.testing.assert_array_equal(
+            engine.locate_points("stored", xs, ys), engine.locate_points("current", xs, ys)
+        )
+
+    def test_deploy_rejects_unknown_split_engine(self, tmp_path):
+        path = build_partition(small_run()).save(tmp_path / "bundle")
+        manifest_path = path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["provenance"]["spec"]["partition"]["split_engine"] = "quantum"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigurationError, match="split engine 'quantum'"):
             open_engine().deploy("la", path)
 
     def test_deploy_tolerates_specless_bundle(self, tmp_path):

@@ -44,7 +44,6 @@ class TestPartitionerRegistry:
         entry = PARTITIONERS.resolve("fair_kdtree")
         assert entry.obj is FairKDTreePartitioner
         assert entry.paper_ref == "Algorithm 1 + 2"
-        assert entry.flag("accepts_split_engine")
         assert entry.flag("accepts_objective")
         assert not entry.flag("accepts_alphas")
 
@@ -70,7 +69,6 @@ class TestPartitionerRegistry:
         assert entry.obj is None
         assert "removed" in entry.summary and "Fair KD-tree" in entry.summary
         assert entry.flag("accepts_objective")
-        assert entry.flag("accepts_split_engine")
         assert not entry.flag("servable")
         assert "fair_quadtree" not in PARTITIONERS.paper_methods()
 

@@ -19,8 +19,7 @@ class TestPartitionSpec:
         assert PartitionSpec(method="fair") == PartitionSpec(method="fair_kdtree")
 
     def test_round_trip(self):
-        spec = PartitionSpec(method="iterative_fair_kdtree", height=8,
-                             objective="total", split_engine="record_scan")
+        spec = PartitionSpec(method="iterative_fair_kdtree", height=8, objective="total")
         assert PartitionSpec.from_dict(spec.to_dict()) == spec
         assert PartitionSpec.from_json(spec.to_json()) == spec
 
@@ -50,9 +49,19 @@ class TestPartitionSpec:
         with pytest.raises(ConfigurationError):
             PartitionSpec(height=-1)
 
+    @pytest.mark.parametrize("split_engine", ["prefix_sum", "record_scan"])
+    def test_retired_split_engine_dropped(self, split_engine):
+        """Stored specs may name a split engine; every one built the same
+        partition, so the key loads and is dropped."""
+        data = {"method": "fair_kdtree", "height": 5, "split_engine": split_engine}
+        spec = PartitionSpec.from_dict(data)
+        assert spec == PartitionSpec(method="fair_kdtree", height=5)
+        assert "split_engine" not in spec.to_dict()
+        assert RunSpec.from_dict({"partition": data}) == RunSpec(partition=spec)
+
     def test_unknown_split_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PartitionSpec(split_engine="quantum")
+        with pytest.raises(ConfigurationError, match="split engine 'quantum'"):
+            PartitionSpec.from_dict({"split_engine": "quantum"})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown PartitionSpec field"):
@@ -60,10 +69,8 @@ class TestPartitionSpec:
 
     def test_removed_fair_quadtree_spec_round_trips(self):
         """A stored spec naming the removed fair quadtree, with the objective
-        and split engine it accepted, still validates and round-trips."""
-        spec = PartitionSpec(
-            method="fair_quadtree", height=6, objective="total", split_engine="record_scan"
-        )
+        it accepted, still validates and round-trips."""
+        spec = PartitionSpec(method="fair_quadtree", height=6, objective="total")
         assert PartitionSpec.from_dict(json.loads(spec.to_json())) == spec
 
     def test_removed_fair_quadtree_spec_rejects_alphas(self):

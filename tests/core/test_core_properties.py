@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.core.fair_kdtree import FairKDTreePartitioner
 from repro.core.objective import SplitScorer, available_objectives
 from repro.core.split import best_axis_split, split_neighborhood
+from repro.core.split_engine import RecordScanEngine
 from repro.datasets.dataset import SpatialDataset
 from repro.datasets.schema import DatasetSchema, FeatureSpec
 from repro.spatial.grid import Grid
@@ -57,9 +58,8 @@ class TestSplitProperties:
     def test_split_partitions_region_and_records(self, data, axis, objective):
         grid, cell_rows, cell_cols, residuals = data
         region = GridRegion.full(grid)
-        decision = split_neighborhood(
-            region, cell_rows, cell_cols, residuals, axis, SplitScorer(objective)
-        )
+        engine = RecordScanEngine(grid, cell_rows, cell_cols, residuals)
+        decision = split_neighborhood(region, engine, axis, SplitScorer(objective))
         if decision is None:
             return
         assert decision.left.n_cells + decision.right.n_cells == region.n_cells
@@ -74,7 +74,8 @@ class TestSplitProperties:
         grid, cell_rows, cell_cols, residuals = data
         region = GridRegion.full(grid)
         scorer = SplitScorer("balance")
-        decision = split_neighborhood(region, cell_rows, cell_cols, residuals, axis, scorer)
+        engine = RecordScanEngine(grid, cell_rows, cell_cols, residuals)
+        decision = split_neighborhood(region, engine, axis, scorer)
         if decision is None:
             return
         extent = region.n_rows if axis == 0 else region.n_cols
@@ -90,7 +91,8 @@ class TestSplitProperties:
     def test_best_axis_split_always_succeeds_on_splittable_region(self, data, axis):
         grid, cell_rows, cell_cols, residuals = data
         region = GridRegion.full(grid)
-        decision = best_axis_split(region, cell_rows, cell_cols, residuals, axis)
+        engine = RecordScanEngine(grid, cell_rows, cell_cols, residuals)
+        decision = best_axis_split(region, engine, axis)
         # The full region of a >=2x2 grid is always splittable along some axis.
         assert decision is not None
 

@@ -1,40 +1,44 @@
 """Equivalence and regression tests for the split-statistics engines.
 
-The prefix-sum engine must be a drop-in replacement for the record-scan
-path: same ``SplitDecision`` for every region/axis/objective and the same
-final partition for every tree builder.  The property tests draw residuals
-as dyadic rationals (``k / 16``) so every intermediate sum is exactly
-representable in float64 and the two engines are *bit*-identical, not just
-close.
+Every tree build runs on :class:`PrefixSumEngine`; it must be a drop-in
+replacement for the :class:`RecordScanEngine` reference: same
+``SplitDecision`` for every region/axis/objective and the same final
+partition for every tree builder.  A builder calls the module-level
+``make_split_engine`` name, so substituting the reference engine there
+(:func:`record_scan_builds`) reruns the same build on it.  The property
+tests draw residuals as dyadic rationals (``k / 16``) so every
+intermediate sum is exactly representable in float64 and the two engines
+are *bit*-identical, not just close.
 """
+
+from contextlib import contextmanager, nullcontext
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import fair_kdtree, iterative
 from repro.core.fair_kdtree import FairKDTreePartitioner
+from repro.core.iterative import IterativeFairKDTreePartitioner
+from repro.core.multi_objective import MultiObjectiveFairKDTreePartitioner
 from repro.core.objective import available_objectives, make_scorer
 from repro.core.split import best_axis_split, split_neighborhood
-from repro.core.split_engine import (
-    DEFAULT_SPLIT_ENGINE,
-    SPLIT_ENGINES,
-    PrefixSumEngine,
-    RecordScanEngine,
-    make_split_engine,
-)
+from repro.core.split_engine import PrefixSumEngine, RecordScanEngine, make_split_engine
 from repro.datasets.dataset import SpatialDataset
 from repro.datasets.schema import DatasetSchema, FeatureSpec
-from repro.exceptions import ConfigurationError, SplitError
+from repro.exceptions import SplitError
+from repro.ml.base import Classifier
 from repro.spatial.grid import Grid
-from repro.spatial.kdtree import MedianKDTree
+from repro.spatial.kdtree import MedianKDTree, RegionKDTree, scan_median_split
 from repro.spatial.region import GridRegion
 
 _TINY_SCHEMA = DatasetSchema([FeatureSpec("f", "", -100, 100)])
 
 
 @st.composite
-def grid_with_records(draw):
+def grid_with_records(draw, min_records=0):
     """A grid plus random records whose residuals are dyadic rationals.
 
     Dyadic residuals make every residual sum exact in float64, so both
@@ -43,7 +47,7 @@ def grid_with_records(draw):
     rows = draw(st.integers(min_value=2, max_value=16))
     cols = draw(st.integers(min_value=2, max_value=16))
     grid = Grid(rows, cols)
-    n = draw(st.integers(min_value=0, max_value=150))
+    n = draw(st.integers(min_value=min_records, max_value=150))
     seed = draw(st.integers(min_value=0, max_value=2**16))
     rng = np.random.default_rng(seed)
     cell_rows = rng.integers(0, rows, n)
@@ -60,6 +64,52 @@ def subregion(draw, grid):
     col_start = draw(st.integers(min_value=0, max_value=grid.cols - 1))
     col_stop = draw(st.integers(min_value=col_start + 1, max_value=grid.cols))
     return GridRegion(grid, row_start, row_stop, col_start, col_stop)
+
+
+@contextmanager
+def record_scan_builds():
+    """Run every tree build inside the block on the record-scan reference."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (fair_kdtree, iterative):
+            patch.setattr(module, "make_split_engine", RecordScanEngine)
+        yield
+
+
+#: Both engines, under the ids the engine-parametrised tests carry.
+ENGINES = [
+    pytest.param(PrefixSumEngine, id="prefix_sum"),
+    pytest.param(RecordScanEngine, id="record_scan"),
+]
+
+#: A context for each engine a whole tree build can run on.
+BUILD_ENGINES = [
+    pytest.param(nullcontext, id="prefix_sum"),
+    pytest.param(record_scan_builds, id="record_scan"),
+]
+
+
+def _on_both_engines(build):
+    """``build()`` on the production engine, then on the reference."""
+    prefix = build()
+    with record_scan_builds():
+        scan = build()
+    return prefix, scan
+
+
+class DyadicClassifier(Classifier):
+    """Least-squares scores rounded to sixteenths.
+
+    Scores ``k / 16`` keep every residual ``s_u - y_u`` dyadic, so trained
+    builds (iterative, multi-objective) stay bit-comparable across engines;
+    the neighborhood one-hot columns make the scores move as the partition
+    refines.
+    """
+
+    def _fit(self, features, labels, sample_weight):
+        self._weights = np.linalg.lstsq(features, labels.astype(float), rcond=None)[0]
+
+    def _predict_proba(self, features):
+        return np.round(np.clip(features @ self._weights, 0.0, 1.0) * 16.0) / 16.0
 
 
 def _engines(grid, cell_rows, cell_cols, residuals):
@@ -93,8 +143,8 @@ class TestEngineEquivalence:
         scorer = make_scorer(objective)
         scan, prefix = _engines(grid, cell_rows, cell_cols, residuals)
         _assert_same_decision(
-            split_neighborhood(region, axis=axis, scorer=scorer, engine=scan),
-            split_neighborhood(region, axis=axis, scorer=scorer, engine=prefix),
+            split_neighborhood(region, scan, axis, scorer),
+            split_neighborhood(region, prefix, axis, scorer),
         )
 
     @settings(max_examples=60, deadline=None)
@@ -106,8 +156,8 @@ class TestEngineEquivalence:
         scorer = make_scorer(objective)
         scan, prefix = _engines(grid, cell_rows, cell_cols, residuals)
         _assert_same_decision(
-            best_axis_split(region, preferred_axis=axis, scorer=scorer, engine=scan),
-            best_axis_split(region, preferred_axis=axis, scorer=scorer, engine=prefix),
+            best_axis_split(region, scan, axis, scorer),
+            best_axis_split(region, prefix, axis, scorer),
         )
 
     @settings(max_examples=50, deadline=None)
@@ -130,24 +180,51 @@ class TestEngineEquivalence:
         """Whole-tree equivalence: same leaves in the same order."""
         grid, cell_rows, cell_cols, residuals = records
         dataset = _dataset_from_cells(grid, cell_rows, cell_cols)
-        partitions = []
-        for engine in SPLIT_ENGINES:
-            partitioner = FairKDTreePartitioner(
-                height, objective=objective, split_engine=engine
-            )
-            partitions.append(partitioner.build_from_residuals(dataset, residuals))
-        assert list(partitions[0].regions) == list(partitions[1].regions)
+        partitioner = FairKDTreePartitioner(height, objective=objective)
+        prefix, scan = _on_both_engines(
+            lambda: partitioner.build_from_residuals(dataset, residuals)
+        )
+        assert list(prefix.regions) == list(scan.regions)
+
+    @settings(max_examples=20, deadline=None)
+    @given(grid_with_records(min_records=8), st.integers(min_value=0, max_value=5),
+           st.sampled_from(available_objectives()))
+    def test_iterative_partitions_identical(self, records, height, objective):
+        """Per-level retraining on dyadic scores: same frontier on both engines."""
+        grid, cell_rows, cell_cols, _ = records
+        dataset = _dataset_from_cells(grid, cell_rows, cell_cols)
+        labels = np.random.default_rng(cell_rows.size).integers(0, 2, cell_rows.size)
+        partitioner = IterativeFairKDTreePartitioner(height, objective=objective)
+        prefix, scan = _on_both_engines(
+            lambda: partitioner.build(dataset, labels, DyadicClassifier).partition
+        )
+        assert list(prefix.regions) == list(scan.regions)
+
+    @settings(max_examples=20, deadline=None)
+    @given(grid_with_records(min_records=8), st.integers(min_value=0, max_value=6),
+           st.sampled_from([(0.5, 0.5), (0.25, 0.75)]))
+    def test_multi_objective_partitions_identical(self, records, height, alphas):
+        """Alpha-weighted dyadic residuals with Eq. 13 scoring: same leaves."""
+        grid, cell_rows, cell_cols, _ = records
+        dataset = _dataset_from_cells(grid, cell_rows, cell_cols)
+        rng = np.random.default_rng(cell_rows.size)
+        task_labels = [rng.integers(0, 2, cell_rows.size) for _ in alphas]
+        partitioner = MultiObjectiveFairKDTreePartitioner(height, alphas=alphas)
+        prefix, scan = _on_both_engines(
+            lambda: partitioner.build_multi(dataset, task_labels, DyadicClassifier).partition
+        )
+        assert list(prefix.regions) == list(scan.regions)
 
     @settings(max_examples=40, deadline=None)
     @given(grid_with_records(), st.integers(min_value=0, max_value=8))
     def test_median_kdtree_identical(self, records, height):
         """The prefix-count median matches the record-scan median exactly."""
         grid, cell_rows, cell_cols, _ = records
-        trees = [
-            MedianKDTree(grid, cell_rows, cell_cols, height, split_engine=engine)
-            for engine in SPLIT_ENGINES
-        ]
-        parts = [tree.leaf_partition() for tree in trees]
+        tree = MedianKDTree(grid, cell_rows, cell_cols, height)
+        reference = RegionKDTree(
+            grid, height, partial(scan_median_split, cell_rows, cell_cols)
+        )
+        parts = [tree.leaf_partition(), reference.leaf_partition()]
         assert list(parts[0].regions) == list(parts[1].regions)
 
     def test_equivalence_on_realistic_residuals(self, la_dataset):
@@ -155,12 +232,10 @@ class TestEngineEquivalence:
         rng = np.random.default_rng(17)
         residuals = rng.normal(scale=0.4, size=la_dataset.n_records)
         for height in (4, 6, 8):
-            parts = [
-                FairKDTreePartitioner(height, split_engine=engine).build_from_residuals(
-                    la_dataset, residuals
-                )
-                for engine in SPLIT_ENGINES
-            ]
+            partitioner = FairKDTreePartitioner(height)
+            parts = _on_both_engines(
+                lambda: partitioner.build_from_residuals(la_dataset, residuals)
+            )
             assert list(parts[0].regions) == list(parts[1].regions)
 
 
@@ -200,50 +275,50 @@ class TestEmptyRegionRegression:
         empty = np.array([], dtype=int)
         return empty, empty, np.array([], dtype=float)
 
-    @pytest.mark.parametrize("engine_kind", SPLIT_ENGINES)
+    @pytest.mark.parametrize("engine_kind", ENGINES)
     @pytest.mark.parametrize("axis", [0, 1])
     def test_all_empty_region_splits_centrally(self, grid, empty_records, engine_kind, axis):
-        engine = make_split_engine(engine_kind, grid, *empty_records)
+        engine = engine_kind(grid, *empty_records)
         region = GridRegion.full(grid)
-        decision = split_neighborhood(region, axis=axis, engine=engine)
+        decision = split_neighborhood(region, engine, axis=axis)
         assert decision is not None
         assert decision.index == (region.n_rows if axis == 0 else region.n_cols) // 2
         assert decision.score == 0.0
         assert decision.left_count == 0
         assert decision.right_count == 0
 
-    @pytest.mark.parametrize("engine_kind", SPLIT_ENGINES)
+    @pytest.mark.parametrize("engine_kind", ENGINES)
     def test_best_axis_split_on_empty_region(self, grid, empty_records, engine_kind):
         """best_axis_split succeeds on an all-empty region without SplitError."""
-        engine = make_split_engine(engine_kind, grid, *empty_records)
+        engine = engine_kind(grid, *empty_records)
         region = GridRegion(grid, 0, 4, 0, 4)
-        decision = best_axis_split(region, preferred_axis=0, engine=engine)
+        decision = best_axis_split(region, engine, preferred_axis=0)
         assert decision is not None
         assert decision.axis == 0
         assert decision.index == 2
         assert decision.left_count == decision.right_count == 0
 
-    @pytest.mark.parametrize("engine_kind", SPLIT_ENGINES)
+    @pytest.mark.parametrize("engine_kind", ENGINES)
     def test_empty_single_row_region_falls_back_to_columns(
         self, grid, empty_records, engine_kind
     ):
         """A 1 x N empty region cannot split on rows; columns are used."""
-        engine = make_split_engine(engine_kind, grid, *empty_records)
+        engine = engine_kind(grid, *empty_records)
         region = GridRegion(grid, 0, 1, 0, 6)
-        decision = best_axis_split(region, preferred_axis=0, engine=engine)
+        decision = best_axis_split(region, engine, preferred_axis=0)
         assert decision is not None
         assert decision.axis == 1
         assert decision.index == 3
 
-    @pytest.mark.parametrize("engine_kind", SPLIT_ENGINES)
+    @pytest.mark.parametrize("engine_kind", ENGINES)
     def test_region_empty_but_grid_populated(self, grid, engine_kind):
         """Records elsewhere on the grid do not leak into an empty region."""
         rows = np.array([7, 7, 7])
         cols = np.array([5, 5, 4])
         residuals = np.array([1.0, -2.0, 0.5])
-        engine = make_split_engine(engine_kind, grid, rows, cols, residuals)
+        engine = engine_kind(grid, rows, cols, residuals)
         region = GridRegion(grid, 0, 4, 0, 4)  # far from the records
-        decision = split_neighborhood(region, axis=0, engine=engine)
+        decision = split_neighborhood(region, engine, axis=0)
         assert decision is not None
         assert decision.index == 2
         assert decision.left_count == decision.right_count == 0
@@ -251,50 +326,29 @@ class TestEmptyRegionRegression:
     def test_empty_region_tree_covers_domain(self, grid, empty_records):
         """A fair KD-tree over an empty dataset still halves geometrically."""
         dataset = _dataset_from_cells(grid, empty_records[0], empty_records[1])
-        for engine in SPLIT_ENGINES:
-            partition = FairKDTreePartitioner(3, split_engine=engine).build_from_residuals(
-                dataset, empty_records[2]
-            )
+        for partition in _on_both_engines(
+            lambda: FairKDTreePartitioner(3).build_from_residuals(dataset, empty_records[2])
+        ):
             assert partition.is_complete
             assert len(partition) == 8
 
 
 class TestEngineValidation:
-    def test_make_split_engine_rejects_unknown_kind(self, small_grid):
-        empty = np.array([], dtype=int)
-        with pytest.raises(ConfigurationError):
-            make_split_engine("quantum", small_grid, empty, empty, empty.astype(float))
-
-    @pytest.mark.parametrize("engine_kind", SPLIT_ENGINES)
+    @pytest.mark.parametrize("engine_kind", ENGINES)
     def test_engines_reject_mismatched_arrays(self, small_grid, engine_kind):
         with pytest.raises(SplitError):
-            make_split_engine(
-                engine_kind,
-                small_grid,
-                np.array([0, 1]),
-                np.array([0]),
-                np.array([0.1]),
-            )
+            engine_kind(small_grid, np.array([0, 1]), np.array([0]), np.array([0.1]))
 
-    def test_partitioners_reject_unknown_engine(self):
-        with pytest.raises(ConfigurationError):
-            FairKDTreePartitioner(3, split_engine="bogus")
+    def test_default_engine_is_prefix_sum(self, small_grid):
+        empty = np.array([], dtype=int)
+        engine = make_split_engine(small_grid, empty, empty, empty.astype(float))
+        assert isinstance(engine, PrefixSumEngine)
 
-    def test_default_engine_is_prefix_sum(self):
-        assert DEFAULT_SPLIT_ENGINE == "prefix_sum"
-        assert FairKDTreePartitioner(2).split_engine == "prefix_sum"
-
-    def test_split_neighborhood_requires_arrays_or_engine(self, small_grid):
-        with pytest.raises(SplitError):
-            split_neighborhood(GridRegion.full(small_grid), axis=0)
-
-    @pytest.mark.parametrize("engine_kind", SPLIT_ENGINES)
+    @pytest.mark.parametrize("engine_kind", ENGINES)
     def test_engines_reject_regions_of_other_grids(self, small_grid, engine_kind):
         """A region from a different grid must not silently mis-index tables."""
         empty = np.array([], dtype=int)
-        engine = make_split_engine(
-            engine_kind, small_grid, empty, empty, empty.astype(float)
-        )
+        engine = engine_kind(small_grid, empty, empty, empty.astype(float))
         other = GridRegion.full(Grid(small_grid.rows * 2, small_grid.cols * 2))
         with pytest.raises(SplitError):
             engine.line_sums(other, axis=0)
@@ -302,7 +356,7 @@ class TestEngineValidation:
             engine.region_count(other)
 
 
-@pytest.mark.parametrize("engine_kind", SPLIT_ENGINES)
+@pytest.mark.parametrize("engine_kind", BUILD_ENGINES)
 @pytest.mark.parametrize("shape", [(1, 16), (16, 1)], ids=["one_row", "one_column"])
 def test_fair_kdtree_falls_back_to_the_cuttable_axis(engine_kind, shape):
     """On a grid one line thick, every level whose preferred axis cannot be
@@ -312,8 +366,9 @@ def test_fair_kdtree_falls_back_to_the_cuttable_axis(engine_kind, shape):
     cell_rows, cell_cols = np.divmod(np.repeat(np.arange(16), 3), grid.cols)
     residuals = np.random.default_rng(9).integers(-32, 33, cell_rows.size) / 16.0
     dataset = _dataset_from_cells(grid, cell_rows, cell_cols)
-    partitioner = FairKDTreePartitioner(4, split_engine=engine_kind)
-    partition = partitioner.build_from_residuals(dataset, residuals)
+    partitioner = FairKDTreePartitioner(4)
+    with engine_kind():
+        partition = partitioner.build_from_residuals(dataset, residuals)
 
     assert partition.is_complete
     assert len(partition) > 4

@@ -40,12 +40,6 @@ class TestBuilders:
         partitioner = default_context().partitioner(method, 4)
         assert isinstance(partitioner, cls)
 
-    @pytest.mark.parametrize("engine", ["prefix_sum", "record_scan"])
-    def test_context_partitioner_threads_split_engine(self, engine):
-        context = default_context(split_engine=engine)
-        for method in ("median_kdtree", "fair_kdtree", "iterative_fair_kdtree"):
-            assert context.partitioner(method, 4).split_engine == engine
-
     def test_context_partitioner_unknown_method_raises(self):
         with pytest.raises(ExperimentError):
             default_context().partitioner("quadtree", 4)
@@ -96,8 +90,3 @@ class TestContext:
         context = ExperimentContext()
         assert context.grid_rows == 32
         assert context.methods == PARTITIONERS.paper_methods()
-        assert context.split_engine == "prefix_sum"
-
-    def test_context_split_engine_override(self):
-        context = default_context(split_engine="record_scan")
-        assert context.split_engine == "record_scan"

@@ -67,7 +67,8 @@ class TestPaddedGrid:
     def test_locator_and_server_read_it_without_a_copy(self):
         partition = uniform_partition(Grid(8, 8), 2, 2)
         server = PartitionServer(partition)
-        assert server.padded_labels is partition.padded_labels
+        padded, covered = server.padded_snapshot
+        assert padded is partition.padded_labels and covered is True
         locator = DenseGridLocator(partition)
         assert np.shares_memory(locator._flat, partition.padded_labels)
         assert np.shares_memory(server._locator._flat, partition.padded_labels)

@@ -182,6 +182,7 @@ class _SharedWorker:
                  for r in partition.regions],
                 dtype=np.int64,
             ),
+            "covered": partition.is_complete,
         }])
 
     def range_query(self, query: BoundingBox):

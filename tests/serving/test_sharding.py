@@ -245,17 +245,47 @@ class TestDispatchPlans:
 
 class TestTileComposition:
     def test_tile_views_reassemble_the_grid(self, partition):
-        """``padded_labels`` is the partition's own grid until a tile swap,
+        """The published grid is the partition's own until a tile swap,
         then a fresh padded grid with the swap applied."""
         sharded = ShardedDeployment(partition, 3, 2)
-        assert sharded.padded_labels is partition.padded_labels
+        assert sharded.padded_snapshot[0] is partition.padded_labels
         r0, r1, c0, c1 = sharded.tile_window(1, 0)
         sharded.swap_shard(1, 0, np.zeros((r1 - r0, c1 - c0), dtype=np.int64))
         expected = partition.label_grid.copy()
         expected[r0:r1, c0:c1] = 0
-        assert sharded.padded_labels is not partition.padded_labels
-        assert not sharded.padded_labels.flags.writeable
-        np.testing.assert_array_equal(sharded.padded_labels, pad_labels(expected))
+        padded, _ = sharded.padded_snapshot
+        assert padded is not partition.padded_labels
+        assert not padded.flags.writeable
+        np.testing.assert_array_equal(padded, pad_labels(expected))
+
+    def test_unswapped_tiles_are_views_of_the_label_grid(self, partition):
+        """Construction copies no labels: every tile's version 1 shares
+        memory with the partition's read-only grid, and a swap and its
+        rollback stay bit-exact against that grid."""
+        sharded = ShardedDeployment(partition, 3, 2)
+        grid_labels = partition.label_grid
+        for shard in sharded._shards:
+            assert np.shares_memory(shard.labels, grid_labels)
+        assert sharded.describe()["index_bytes"] == grid_labels.nbytes
+
+        bounds = partition.grid.bounds
+        rng = np.random.default_rng(33)
+        xs = rng.uniform(bounds.min_x - 1, bounds.max_x + 1, 1500)
+        ys = rng.uniform(bounds.min_y - 1, bounds.max_y + 1, 1500)
+        before = sharded.locate_points(xs, ys)
+        r0, r1, c0, c1 = sharded.tile_window(1, 1)
+        swapped = sharded._shards[sharded._shard_index(1, 1)]
+        sharded.swap_shard(1, 1, np.zeros((r1 - r0, c1 - c0), dtype=np.int64))
+        assert not np.shares_memory(swapped.labels, grid_labels)
+        expected = grid_labels.copy()
+        expected[r0:r1, c0:c1] = 0
+        np.testing.assert_array_equal(sharded.padded_snapshot[0], pad_labels(expected))
+
+        sharded.rollback_shard(1, 1)
+        assert np.shares_memory(swapped.labels, grid_labels)
+        np.testing.assert_array_equal(sharded.padded_snapshot[0], partition.padded_labels)
+        np.testing.assert_array_equal(sharded.locate_points(xs, ys), before)
+        assert not grid_labels.flags.writeable
 
 
 class TestShardSwap:
@@ -340,7 +370,7 @@ class TestShardSwap:
         bounds = partition.grid.bounds
         xs = np.array([bounds.min_x + 0.1]); ys = np.array([bounds.min_y + 0.1])
         first = sharded.locate_points(xs, ys)
-        snapshot = sharded.padded_labels
+        snapshot, _ = sharded.padded_snapshot
         r0, r1, c0, c1 = sharded.tile_window(0, 0)
         sharded.swap_shard(0, 0, np.zeros((r1 - r0, c1 - c0), dtype=np.int64))
         assert int(sharded.locate_points(xs, ys)[0]) == 0

@@ -28,7 +28,8 @@ from repro.serving import (
 from repro.serving.server import PartitionServer
 from repro.serving.workers import fork_available
 from repro.spatial.grid import Grid
-from repro.spatial.partition import uniform_partition
+from repro.spatial.partition import Partition, uniform_partition
+from repro.spatial.region import GridRegion
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="worker pool needs the fork start method"
@@ -204,6 +205,46 @@ class TestHotSwap:
         assert regions.tobytes() == np.asarray(
             _oracle(tmp_path, "v1").locate_points(xs, ys), dtype="<i8"
         ).tobytes()
+
+
+class TestCoverage:
+    def test_located_matches_the_engine_on_uncovered_cells(self, tmp_path):
+        """Workers take completeness from the export descriptor, read by the
+        parent in the same snapshot as the grid: on an incomplete partition,
+        and after a tile swap that uncovers cells, a worker's ``located``
+        counter moves exactly as the engine's does."""
+        grid = Grid(8, 8)
+        holes = Partition(
+            grid,
+            [GridRegion(grid, 0, 4, 0, 8), GridRegion(grid, 4, 8, 0, 3)],
+            require_complete=False,
+        )
+        engine = ServingEngine()
+        engine.deploy("holes", save_partition_artifact(holes, tmp_path / "holes", {}))
+        engine.deploy("tiles", _bundle(tmp_path, "tiles", 2), shards=(2, 2))
+        rng = np.random.default_rng(12)
+        xs = rng.uniform(-0.2, 1.2, 3000)  # includes off-map points
+        ys = rng.uniform(-0.2, 1.2, 3000)
+
+        def located_by_both(pool, name):
+            before = engine.describe(name)["stats"]["located"]
+            regions = engine.locate_points(name, xs, ys)
+            by_engine = engine.describe(name)["stats"]["located"] - before
+            with _connect(pool) as conn:
+                before = conn.control({"op": "stats"})["located"]
+                conn.locate(name, xs, ys)
+                by_worker = conn.control({"op": "stats"})["located"] - before
+            assert by_worker == by_engine == int(np.count_nonzero(regions >= 0))
+            return by_engine
+
+        with WorkerPool(engine, port=0, workers=1).start() as pool:
+            on_map = int(np.count_nonzero((xs >= 0) & (xs <= 1) & (ys >= 0) & (ys <= 1)))
+            assert located_by_both(pool, "holes") < on_map
+            assert located_by_both(pool, "tiles") == on_map
+            r0, r1, c0, c1 = engine.server_for("tiles").tile_window(1, 0)
+            engine.swap_shard("tiles", 1, 0, np.full((r1 - r0, c1 - c0), -1))
+            pool.publish()
+            assert located_by_both(pool, "tiles") < on_map
 
 
 class TestCrashRecovery:

@@ -91,7 +91,7 @@ class TestComposedGrid:
     @pytest.mark.parametrize("reader", READER_NAMES)
     def test_compose_builds_a_fresh_read_only_copy(self, reader_objects, reader):
         source, objects = reader_objects
-        padded = objects[reader].padded_labels
+        padded, _ = objects[reader].padded_snapshot
         assert padded is not source.padded_labels
         assert not padded.flags.writeable
         assert_bit_equal(padded, source.padded_labels)

@@ -261,6 +261,7 @@ class ShmWorkerReader:
                 [(r.row_start, r.row_stop, r.col_start, r.col_stop) for r in partition.regions],
                 dtype=np.int64,
             ),
+            "covered": partition.is_complete,
         }])
 
     def locate_points(self, xs, ys, strict=False):
