@@ -30,8 +30,8 @@ from repro.api import (
     RunSpec,
     ServingClient,
     ServingEngine,
+    ServingHTTPServer,
     build_partition,
-    serve_engine,
 )
 
 
@@ -64,7 +64,7 @@ def main() -> None:
         engine = ServingEngine()
         engine.deploy("la", v1)
         engine.save_manifest(manifest)
-        server = serve_engine(
+        server = ServingHTTPServer(
             engine, port=0, admin=True, manifest_path=str(manifest)
         ).serve_background()
         host, port = server.server_address[:2]

@@ -57,7 +57,6 @@ from ..serving import (
     ServingEngine,
     ServingHTTPServer,
     ShardedDeployment,
-    serve_engine,
 )
 from .facade import (
     BuildResult,
@@ -97,7 +96,6 @@ __all__ = [
     "ShardedDeployment",
     "ServingHTTPServer",
     "ServingClient",
-    "serve_engine",
     "LocateRequest",
     "RangeRequest",
     "QueryResult",

@@ -51,6 +51,7 @@ the underlying rows to CSV.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -278,13 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable the mutating /v1/deploy and /v1/rollback endpoints "
         "(hot-swaps re-save the manifest); without it the service is "
         "strictly read-only",
-    )
-    transport.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="serve from a bounded pool of N worker threads instead of one "
-        "thread per connection",
     )
     transport.add_argument(
         "--wire",
@@ -668,24 +662,25 @@ def _run_query(args: argparse.Namespace) -> List[dict]:
 
 
 def _run_serve(args: argparse.Namespace) -> List[dict]:
-    """Serve the manifest's deployments as a threaded HTTP service.
+    """Serve the manifest's deployments as an HTTP service.
 
-    The process blocks until interrupted (Ctrl-C / SIGTERM); queries are
-    answered on worker threads, and the engine's per-deployment read/write
-    locks keep admin hot-swaps atomic under concurrent traffic.  With
-    ``--admin``, successful deploys and rollbacks re-save the manifest, so
-    a restarted service serves what was last deployed.
+    The process blocks until interrupted: Ctrl-C and SIGTERM both close
+    the server (live connections, worker processes and their shared
+    memory included) and return.  Each connection is answered on its own
+    thread, and the engine's per-deployment read/write locks keep admin
+    hot-swaps atomic under concurrent traffic.  With ``--admin``,
+    successful deploys and rollbacks re-save the manifest, so a restarted
+    service serves what was last deployed.
     """
-    from .serving import serve_engine
+    from .serving import ServingHTTPServer
 
     engine = _engine_for(args, require_manifest=True, allow_overrides=not args.admin)
     wire_enabled = args.wire == "binary" or args.workers > 0
-    server = serve_engine(
+    server = ServingHTTPServer(
         engine,
         host=args.host,
         port=args.port,
         admin=args.admin,
-        threads=args.threads,
         manifest_path=args.manifest if args.admin else None,
         wire_port=(
             (DEFAULT_WIRE_PORT if args.wire_port is None else args.wire_port)
@@ -694,41 +689,45 @@ def _run_serve(args: argparse.Namespace) -> List[dict]:
         ),
         workers=args.workers,
     )
-    for row in _deployment_rows(engine):
-        print(
-            f"serving {row['name']} v{row['version']} "
-            f"({row['n_regions']} neighborhoods, {row['backend']} backend)"
-        )
-    print(
-        f"listening on {server.url} "
-        + ("(admin endpoints enabled)" if args.admin else "(read-only)")
-        + (f", {args.threads} worker threads" if args.threads else "")
-    )
-    if wire_enabled:
-        wire_host, wire_port = server.wire_address
-        print(
-            f"binary wire protocol on {wire_host}:{wire_port} "
-            + (
-                f"({args.workers} shared-memory worker processes)"
-                if args.workers
-                else "(in-process)"
-            )
-        )
-    if args.admin and args.host not in ("127.0.0.1", "localhost", "::1"):
-        # The admin plane is unauthenticated by design (loopback / trusted
-        # networks); binding it wide open deserves a loud note.
-        print(
-            "warning: admin endpoints are unauthenticated — anyone who can "
-            f"reach {args.host}:{server.server_address[1]} can hot-swap "
-            "deployments and load server-side bundle paths",
-            file=sys.stderr,
-        )
+    # SIGTERM takes the Ctrl-C path: KeyboardInterrupt, then close().
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        server.serve_forever()
+        server.serve_background()
+        for row in _deployment_rows(engine):
+            print(
+                f"serving {row['name']} v{row['version']} "
+                f"({row['n_regions']} neighborhoods, {row['backend']} backend)"
+            )
+        print(
+            f"listening on {server.url} "
+            + ("(admin endpoints enabled)" if args.admin else "(read-only)")
+        )
+        if wire_enabled:
+            wire_host, wire_port = server.wire_address
+            print(
+                f"binary wire protocol on {wire_host}:{wire_port} "
+                + (
+                    f"({args.workers} shared-memory worker processes)"
+                    if args.workers
+                    else "(in-process)"
+                )
+            )
+        if args.admin and args.host not in ("127.0.0.1", "localhost", "::1"):
+            # The admin plane is unauthenticated by design (loopback /
+            # trusted networks); binding it wide open deserves a loud note.
+            print(
+                "warning: admin endpoints are unauthenticated — anyone who "
+                f"can reach {args.host}:{server.server_address[1]} can "
+                "hot-swap deployments and load server-side bundle paths",
+                file=sys.stderr,
+            )
+        while True:
+            signal.pause()
     except KeyboardInterrupt:
         print("shutting down")
     finally:
         server.close()
+        signal.signal(signal.SIGTERM, previous)
     if args.verbose:
         _print_serving_stats(engine)
     return []
@@ -914,8 +913,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     if args.experiment == "serve":
         if not args.manifest:
             parser.error("'serve' requires --manifest")
-        if args.threads is not None and args.threads < 1:
-            parser.error(f"--threads must be >= 1, got {args.threads}")
         if args.workers < 0:
             parser.error(f"--workers must be >= 0, got {args.workers}")
         if args.wire == "off" and args.workers > 0:
@@ -935,14 +932,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
                 "admin hot-swaps re-save the manifest, which keeps the "
                 "config it was created with"
             )
-    elif args.admin or args.threads is not None \
+    elif args.admin \
             or args.wire is not None or args.wire_port is not None \
             or args.workers != 0 \
             or args.host != "127.0.0.1" or args.port != DEFAULT_HTTP_PORT:
         # Silently ignoring a transport flag would let `query --port N`
         # run in-process while the user believes they hit the service.
         parser.error(
-            "--host/--port/--admin/--threads/--wire/--wire-port/--workers "
+            "--host/--port/--admin/--wire/--wire-port/--workers "
             "apply to the 'serve' verb only"
         )
     if args.experiment == "query":

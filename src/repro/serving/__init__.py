@@ -11,7 +11,7 @@ Its unit of work is "answer queries against stored partitions", not
   (:class:`LocateRequest` / :class:`RangeRequest` / :class:`QueryResult`),
   JSON-round-trippable so any transport can front the engine.
 * :mod:`~repro.serving.http` / :mod:`~repro.serving.client` — the first
-  such transport: :class:`ServingHTTPServer`, a stdlib-only threaded HTTP
+  such transport: :class:`ServingHTTPServer`, a stdlib-only HTTP
   service speaking the protocol as JSON (CLI verb ``serve``), and
   :class:`ServingClient`, its connection-reusing, batching, retrying
   typed client (``transport="auto"`` negotiates the binary wire upgrade
@@ -24,6 +24,9 @@ Its unit of work is "answer queries against stored partitions", not
   persistent sockets (:class:`WireServer` / :class:`WireConnection`),
   raw little-endian float64/int64 on the hot path, JSON frames for the
   control plane, a hello on connect that must name ``binary``.
+* :mod:`~repro.serving.listener` — the one accept loop every server
+  runs: bind, a thread per connection, and a close that drops live
+  connections.
 * :mod:`~repro.serving.workers` — ``serve --workers N``:
   :class:`WorkerPool` forks wire workers off one shared listening
   socket, all answering from read-only shared-memory label grids;
@@ -50,7 +53,7 @@ from .cache import ArtifactCache
 from .client import ServingClient
 from .codecs import BinaryCodec, Codec, JsonB64Codec, codec_names, resolve_codec
 from .engine import ServingEngine
-from .http import ServingHTTPServer, serve_engine
+from .http import ServingHTTPServer
 from .locks import ReadWriteLock
 from .protocol import (
     LATEST,
@@ -88,7 +91,6 @@ __all__ = [
     "resolve_codec",
     "ServingHTTPServer",
     "ServingClient",
-    "serve_engine",
     "WireServer",
     "WireConnection",
     "DEFAULT_WIRE_PORT",

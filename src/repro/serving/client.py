@@ -79,13 +79,6 @@ _DENSE_CODEC = JsonB64Codec()
 _BINARY_CODEC = BinaryCodec()
 
 
-#: The typed exception a server-side JSON error body maps back to.  Both
-#: transports carry the same ``{"type", "message"}`` error body, so the
-#: mapping lives once in :mod:`repro.serving.wire`; this name remains as
-#: the historical import point.
-_exception_for = error_to_exception
-
-
 class _HTTPConnection:
     """One persistent HTTP/1.1 client connection, dialled on demand.
 
@@ -332,7 +325,7 @@ class ServingClient:
                 f"{raw[:200]!r}"
             ) from exc
         if isinstance(data, dict) and "error" in data:
-            raise _exception_for(data["error"])
+            raise error_to_exception(data["error"])
         if status != 200:
             raise TransportError(
                 f"HTTP {status} from {self.url}{path} without an error body"

@@ -33,8 +33,8 @@ what is serving.  :class:`ServingEngine` is that front:
   is how the CLI's ``deploy`` / ``deployments`` / ``query`` verbs share an
   engine across processes.
 
-The engine is **thread-safe**: each deployment carries a
-writer-preferring :class:`ReadWriteLock`, so a :meth:`deploy` or
+The engine is **thread-safe**: each deployment carries a writer-preferring
+:class:`~repro.serving.locks.ReadWriteLock`, so a :meth:`deploy` or
 :meth:`rollback` pointer swap is atomic with respect to in-flight
 :meth:`locate` / :meth:`range_query` calls — a query resolves its version
 and grabs the server reference under the read lock, then answers from
@@ -62,14 +62,12 @@ from ..spatial.partition import Partition
 from ..io.artifacts import bundle_fingerprint
 from ..validation import check_version, did_you_mean
 from .cache import ArtifactCache
-# Re-exported: ReadWriteLock lived here through PR 5 and
-# `repro.serving.engine.ReadWriteLock` stays importable.
-from .locks import ReadWriteLock, new_lock, new_rwlock
+from .locks import new_lock, new_rwlock
 from .protocol import LATEST, LocateRequest, QueryResult, RangeRequest
 from .server import PartitionServer
 from .sharding import ShardedDeployment
 
-__all__ = ["ServingEngine", "ReadWriteLock", "MANIFEST_FORMAT_VERSION"]
+__all__ = ["ServingEngine", "MANIFEST_FORMAT_VERSION"]
 
 #: Newest format version of the deployment-manifest JSON written by
 #: :meth:`ServingEngine.save_manifest` (same bump policy as artifact

@@ -2,8 +2,8 @@
 
 PR 4's typed protocol made the engine transport-agnostic; this module is
 the first transport.  :class:`ServingHTTPServer` fronts a
-:class:`~repro.serving.engine.ServingEngine` with a stdlib-only threaded
-HTTP server (no framework, no extra dependency) speaking JSON over the
+:class:`~repro.serving.engine.ServingEngine` with a stdlib-only HTTP
+server (no framework, no extra dependency) speaking JSON over the
 protocol objects — every request body is parsed into a
 :class:`~repro.serving.protocol.LocateRequest` /
 :class:`~repro.serving.protocol.RangeRequest` and every response is a
@@ -87,11 +87,14 @@ Errors cross the wire as ``{"error": {"type": <exception class>,
 exception classes, so network callers catch exactly what in-process
 callers catch.
 
-Concurrency: requests are handled on worker threads (a bounded pool when
-``threads`` is given, one thread per connection otherwise); the engine's
-per-deployment read/write locks make hot-swaps atomic under that
-parallelism.  Every accepted connection runs with ``TCP_NODELAY``, like
-the wire plane's sockets and the client's dialled ones.  A response is
+Concurrency: the server runs the accept loop of
+:mod:`repro.serving.listener`, the one the wire plane runs too, so each
+connection is served on its own thread; the engine's per-deployment
+read/write locks make hot-swaps atomic under that parallelism.
+:meth:`ServingHTTPServer.close` shuts the listener and then every live
+connection, so no keep-alive client is answered after it returns.
+Every accepted connection runs with ``TCP_NODELAY``, like the wire
+plane's sockets and the client's dialled ones.  A response is
 buffered whole and leaves in one ``sendall``, so Nagle's algorithm has
 nothing to hold back; the option stays for the one exchange that writes
 twice (the ``100 Continue`` interim answer, then the response), where
@@ -121,12 +124,10 @@ import io
 import json
 import logging
 import socket
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from email.utils import formatdate
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from typing import Any, BinaryIO, Dict, List, Optional, Tuple, Union
 
 from ..exceptions import (
@@ -137,6 +138,7 @@ from ..exceptions import (
 )
 from .codecs import BINARY_CONTENT_TYPE, BinaryCodec, JsonB64Codec, serve_locate
 from .engine import ServingEngine
+from .listener import Listener
 from .protocol import (
     PROTOCOL_VERSION,
     LocateRequest,
@@ -149,7 +151,6 @@ from .workers import WorkerPool
 
 __all__ = [
     "ServingHTTPServer",
-    "serve_engine",
     "DEFAULT_PORT",
 ]
 
@@ -318,18 +319,19 @@ def _json_object(raw: bytes) -> Dict[str, Any]:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """One request: route, parse through the protocol, answer JSON.
+    """One connection's requests: route, parse through the protocol, answer JSON.
 
+    Constructed per accepted connection by the listener's accept loop, as
+    ``_Handler(conn, addr, server=...)``, on that connection's own thread.
     ``protocol_version`` is HTTP/1.1, so keep-alive connection reuse works
     (every response carries an explicit ``Content-Length``) — that is what
     makes the client's persistent connections worth having.  ``timeout``
-    bounds how long an *idle* keep-alive connection may hold its worker:
-    without it, N idle persistent clients would permanently starve a
-    ``threads=N`` bounded pool.  A timed-out connection is simply closed;
+    bounds how long an *idle* keep-alive connection may hold its thread.
+    A timed-out connection is simply closed;
     :class:`~repro.serving.client.ServingClient` redials transparently.
     ``disable_nagle_algorithm`` sets ``TCP_NODELAY`` on the accepted
-    socket in ``setup()``, so both threading modes get it (the module
-    docstring's "Concurrency" paragraph says why).
+    socket in ``setup()`` (the module docstring's "Concurrency" paragraph
+    says why).
     """
 
     protocol_version = "HTTP/1.1"
@@ -701,8 +703,8 @@ class _Handler(BaseHTTPRequestHandler):
     }
 
 
-class ServingHTTPServer(ThreadingHTTPServer):
-    """A threaded HTTP front over one :class:`ServingEngine`.
+class ServingHTTPServer:
+    """An HTTP front over one :class:`ServingEngine`.
 
     Parameters
     ----------
@@ -716,12 +718,6 @@ class ServingHTTPServer(ThreadingHTTPServer):
     admin:
         Enable the mutating endpoints (``/v1/deploy``, ``/v1/rollback``,
         ``/v1/swap-shard``, ``/v1/rollback-shard``).
-    threads:
-        ``None`` (default) spawns one daemon thread per connection, like
-        :class:`http.server.ThreadingHTTPServer`; a positive integer
-        serves from a bounded pool of that many workers instead, which is
-        the knob for a box that must not run an unbounded thread count
-        under heavy traffic.
     manifest_path:
         When given, every successful admin mutation re-saves the engine's
         deployment manifest there, so hot-swaps survive a restart.
@@ -738,13 +734,10 @@ class ServingHTTPServer(ThreadingHTTPServer):
         wire listener (on an ephemeral port when ``wire_port`` is
         ``None``).  Admin mutations republish to the pool automatically.
 
-    Use :meth:`serve_background` in tests (returns once the socket is
-    accepting), :meth:`serve_forever` in a real process, and :meth:`close`
-    (or the context manager) to shut down either.
+    Construction binds the socket; :meth:`serve_background` starts the
+    accept loop (it returns at once), and :meth:`close` (or the context
+    manager) stops it and drops every live connection.
     """
-
-    allow_reuse_address = True
-    daemon_threads = True
 
     def __init__(
         self,
@@ -752,28 +745,18 @@ class ServingHTTPServer(ThreadingHTTPServer):
         host: str = "127.0.0.1",
         port: int = 0,
         admin: bool = False,
-        threads: Optional[int] = None,
         manifest_path: Optional[str] = None,
         wire_port: Optional[int] = None,
         workers: int = 0,
     ) -> None:
-        if threads is not None and threads < 1:
-            raise ConfigurationError(f"threads must be >= 1, got {threads}")
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
         self.engine = engine
         self.admin = bool(admin)
         self.manifest_path = manifest_path
-        self._pool = (
-            ThreadPoolExecutor(threads, thread_name_prefix="repro-serve")
-            if threads is not None
-            else None
-        )
-        self._serve_thread: Optional[threading.Thread] = None
-        self._started_serving = False
-        self._wire: Optional[Union[WireServer, WorkerPool]] = None
         self.workers = int(workers)
-        super().__init__((host, port), _Handler)
+        self._wire: Optional[Union[WireServer, WorkerPool]] = None
+        self._listener = Listener(host, port, "repro-http")
         try:
             if workers > 0:
                 self._wire = WorkerPool(
@@ -784,34 +767,19 @@ class ServingHTTPServer(ThreadingHTTPServer):
                     engine, host=host, port=wire_port
                 ).serve_background()
         except BaseException:  # repro: ignore[exception-discipline] -- resource guard, not a handler: the bound HTTP socket must not leak whatever (KeyboardInterrupt included) aborts wire-plane construction; always re-raised
-            # The HTTP socket is already bound; a half-constructed server
-            # must not leak it.
-            self.server_close()
+            self._listener.close()
             raise
-
-    # -- request fan-out ------------------------------------------------------
-
-    def process_request(self, request: socket.socket, client_address: Tuple) -> None:
-        """Hand the connection to a worker.
-
-        Bounded-pool mode submits the stdlib's own per-connection routine
-        (:meth:`~socketserver.ThreadingMixIn.process_request_thread`) to
-        the executor; otherwise :class:`ThreadingHTTPServer` spawns its
-        usual daemon thread per connection.
-        """
-        if self._pool is not None:
-            self._pool.submit(self.process_request_thread, request, client_address)
-        else:
-            super().process_request(request, client_address)
-
-    def handle_error(self, request: socket.socket, client_address: Tuple) -> None:
-        logger.debug("error handling connection from %s", client_address, exc_info=True)
 
     # -- lifecycle ------------------------------------------------------------
 
     @property
+    def server_address(self) -> Tuple[str, int]:
+        """``(host, port)`` of the HTTP listener."""
+        return self._listener.address
+
+    @property
     def url(self) -> str:
-        host, port = self.server_address[:2]
+        host, port = self.server_address
         return f"http://{host}:{port}"
 
     @property
@@ -853,78 +821,19 @@ class ServingHTTPServer(ThreadingHTTPServer):
             self._wire.publish()
 
     def serve_background(self) -> "ServingHTTPServer":
-        """Run :meth:`serve_forever` on a daemon thread and return."""
-        if self._serve_thread is not None:
-            raise ServingError("server is already running in the background")
-        # Mark before the thread starts: a close() racing this call must
-        # see the flag and issue shutdown(), or the serve loop would keep
-        # polling a closed socket.
-        self._started_serving = True
-        self._serve_thread = threading.Thread(
-            # Tight poll interval: background servers are the test/benchmark
-            # mode, and shutdown() waits out one poll cycle.
-            target=lambda: self.serve_forever(poll_interval=0.02),
-            name="repro-serve-accept",
-            daemon=True,
-        )
-        self._serve_thread.start()
+        """Start the accept loop on a daemon thread and return."""
+        self._listener.serve_background(functools.partial(_Handler, server=self))
         return self
 
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
-        self._started_serving = True
-        super().serve_forever(poll_interval=poll_interval)
-
     def close(self) -> None:
-        """Stop accepting, drain the worker pool, release the socket.
-
-        Safe in every lifecycle state: ``shutdown()`` is only issued once
-        ``serve_forever`` has run (calling it on a server that never
-        served would wait forever on an event only the serve loop sets).
-        """
-        if self._started_serving:
-            self.shutdown()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=5.0)
-            self._serve_thread = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
+        """Stop accepting, drop live connections, shut the wire plane down."""
+        self._listener.close()
         if self._wire is not None:
             self._wire.close()
             self._wire = None
-        self.server_close()
 
     def __enter__(self) -> "ServingHTTPServer":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-
-def serve_engine(
-    engine: ServingEngine,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    admin: bool = False,
-    threads: Optional[int] = None,
-    manifest_path: Optional[str] = None,
-    wire_port: Optional[int] = None,
-    workers: int = 0,
-) -> ServingHTTPServer:
-    """Construct a :class:`ServingHTTPServer` (not yet serving).
-
-    Thin convenience for the CLI and examples::
-
-        server = serve_engine(engine, port=8350, admin=True, workers=2)
-        print("listening on", server.url, "wire on", server.wire_address)
-        server.serve_forever()          # or server.serve_background()
-    """
-    return ServingHTTPServer(
-        engine,
-        host=host,
-        port=port,
-        admin=admin,
-        threads=threads,
-        manifest_path=manifest_path,
-        wire_port=wire_port,
-        workers=workers,
-    )

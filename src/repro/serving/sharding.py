@@ -367,7 +367,10 @@ class ShardedDeployment:
                 f"tile labels must be integer region indices, got dtype "
                 f"{labels.dtype}"
             )
-        tile = np.ascontiguousarray(labels, dtype=np.int64)
+        # A copy, frozen: the tile history must not change when the
+        # caller later writes into the array it passed.
+        tile = np.array(labels, dtype=np.int64, order="C")
+        tile.flags.writeable = False
         if tile.size:
             lo, hi = int(tile.min()), int(tile.max())
             if lo < -1 or hi >= len(self._partition):

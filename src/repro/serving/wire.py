@@ -38,11 +38,11 @@ like the HTTP layer's oversized-body handling.  A connection that ends
 mid-frame raises :class:`~repro.exceptions.TransportError` ("truncated
 frame"); a connection that ends cleanly between frames is just EOF.
 
-:func:`accept_loop` is the one server loop: it accepts on a listening
-socket and serves each connection on its own thread through
-``serve_connection``.  :class:`WireServer` (the in-process front,
-sharing the caller's engine) runs it on a background thread, and each
-forked worker of :mod:`repro.serving.workers` on its main thread.
+:func:`serve_connection` serves one connection, under the accept loop
+of :mod:`repro.serving.listener` that the HTTP front shares too.
+:class:`WireServer` (the in-process front, sharing the caller's engine)
+runs that loop on a background thread, and each forked worker of
+:mod:`repro.serving.workers` on its main thread.
 :class:`WireConnection` is the client side
 :class:`~repro.serving.client.ServingClient` builds its binary transport
 on.
@@ -54,8 +54,7 @@ import json
 import logging
 import socket
 import struct
-import threading
-from typing import Any, Dict, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -67,14 +66,13 @@ from ..exceptions import (
     TransportError,
 )
 from .codecs import BinaryCodec, Codec, resolve_codec, serve_locate
-from .locks import new_lock
+from .listener import Listener
 from .protocol import PROTOCOL_VERSION, Envelope
 
 __all__ = [
     "WireServer",
     "WireConnection",
     "serve_connection",
-    "accept_loop",
     "send_frame",
     "recv_frame",
     "error_to_exception",
@@ -395,58 +393,8 @@ def _try_send_error(sock: socket.socket, exc: BaseException) -> bool:
     return True
 
 
-def accept_loop(
-    listener: socket.socket,
-    engine: Any,
-    info: Dict[str, Any],
-    live: Set[socket.socket],
-    live_lock: Any,
-) -> None:
-    """Accept on ``listener`` until it closes; a thread per connection.
-
-    The wire plane's one accept loop: :class:`WireServer` runs it on a
-    background thread over the caller's engine, and each forked worker
-    of :mod:`repro.serving.workers` on its main thread over its
-    shared-memory snapshot.  Each connection is :func:`serve_connection`
-    on a daemon thread, and sits in ``live`` (guarded by ``live_lock``)
-    from its accept until its socket is closed, so an owner that has
-    shut the listener and then waited for this loop to return finds
-    every connection it still has to drop there.  Returns when
-    ``accept`` fails, i.e. once the listener is shut down or closed.
-    """
-    while True:
-        try:
-            conn, _ = listener.accept()
-        except OSError:
-            return
-        with live_lock:
-            live.add(conn)
-        threading.Thread(
-            target=_serve_one, args=(conn, engine, info, live, live_lock),
-            name="repro-wire-conn", daemon=True,
-        ).start()
-
-
-def _serve_one(
-    conn: socket.socket,
-    engine: Any,
-    info: Dict[str, Any],
-    live: Set[socket.socket],
-    live_lock: Any,
-) -> None:
-    try:
-        serve_connection(conn, engine, info)
-    finally:
-        with live_lock:
-            live.discard(conn)
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
-
-
 class WireServer:
-    """The in-process wire front: :func:`accept_loop` on a background thread.
+    """The in-process wire front: the shared accept loop on a background thread.
 
     The zero-worker sibling of the multiprocess pool in
     :mod:`repro.serving.workers`: same loop, same framing, same
@@ -470,63 +418,26 @@ class WireServer:
         self.engine = engine
         self._info = dict(info or {})
         self._info.setdefault("mode", "in-process")
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(128)
-        self._accept_thread: Optional[threading.Thread] = None
-        self._conn_lock = new_lock("wire.server.connections")
-        self._connections: Set[socket.socket] = set()  # guarded-by(writes): self._conn_lock
+        self._listener = Listener(host, port, "repro-wire")
 
     @property
     def host(self) -> str:
-        return self._listener.getsockname()[0]
+        return self._listener.address[0]
 
     @property
     def port(self) -> int:
-        return self._listener.getsockname()[1]
+        return self._listener.address[1]
 
     def serve_background(self) -> "WireServer":
         """Start the accept loop on a daemon thread and return."""
-        if self._accept_thread is not None:
-            raise ServingError("wire server is already running")
-        self._accept_thread = threading.Thread(
-            target=accept_loop,
-            args=(
-                self._listener, self.engine, self._info,
-                self._connections, self._conn_lock,
-            ),
-            name="repro-wire-accept", daemon=True,
+        self._listener.serve_background(
+            lambda conn, _: serve_connection(conn, self.engine, self._info)
         )
-        self._accept_thread.start()
         return self
 
     def close(self) -> None:
         """Stop accepting, drop live connections, release the socket."""
-        try:
-            # shutdown() wakes an accept() blocked in another thread;
-            # close() alone leaves it blocked until the join timeout.
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
-        if self._accept_thread is not None:
-            # Once the loop has returned, every connection it accepted is
-            # in the live set or already closed by its own thread.
-            self._accept_thread.join(timeout=5.0)
-            self._accept_thread = None
-        with self._conn_lock:
-            connections = list(self._connections)
-        for conn in connections:
-            try:
-                # Wakes the connection's thread out of its blocked recv;
-                # that thread then closes the socket.
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+        self._listener.close()
 
     def __enter__(self) -> "WireServer":
         return self

@@ -49,7 +49,7 @@ import logging
 import multiprocessing
 import multiprocessing.connection
 import os
-import socket
+import signal
 import threading
 from multiprocessing import shared_memory
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -61,9 +61,10 @@ from ..spatial import queries
 from ..spatial.geometry import BoundingBox
 from ..spatial.grid import Grid, padded_shape
 from .backends import read_padded
+from .listener import Listener
 from .locks import new_lock
 from .protocol import LATEST, QueryResult, RangeRequest
-from .wire import accept_loop
+from .wire import serve_connection
 
 __all__ = ["WorkerPool", "WorkerState", "fork_available"]
 
@@ -342,14 +343,20 @@ def _control_loop(
 
 
 def _worker_main(
-    listener: socket.socket,
+    listener: Listener,
     control: "multiprocessing.connection.Connection",
     parent_end: "multiprocessing.connection.Connection",
     exports: List[Dict[str, Any]],
     strict_default: bool,
     worker_index: int,
 ) -> None:
-    """A forked worker: attach shared state, then the wire's accept loop."""
+    """A forked worker: attach shared state, then the accept loop.
+
+    SIGTERM takes its default action again: a parent that routes it to
+    its own shutdown path does not hand that path to a worker forked
+    after it did.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         parent_end.close()  # our inherited copy of the parent's pipe end
     except OSError:  # pragma: no cover - close is best-effort
@@ -361,9 +368,7 @@ def _worker_main(
         name="repro-worker-control", daemon=True,
     ).start()
     info = {"mode": "worker", "worker": worker_index, "pid": os.getpid()}
-    accept_loop(
-        listener, state, info, set(), new_lock("workers.worker.connections")
-    )
+    listener.accept_loop(lambda conn, _: serve_connection(conn, state, info))
     os._exit(0)  # listener closed under us: the pool is shutting down
 
 
@@ -433,10 +438,7 @@ class WorkerPool:
         self.engine = engine
         self.workers = int(workers)
         self._ctx = multiprocessing.get_context("fork")
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(128)
+        self._listener = Listener(host, port, "repro-wire")
         self._lock = new_lock("workers.pool")
         self._exports: Dict[str, _Export] = {}  # guarded-by: self._lock
         self._retired: List[shared_memory.SharedMemory] = []  # guarded-by: self._lock
@@ -447,11 +449,11 @@ class WorkerPool:
 
     @property
     def host(self) -> str:
-        return self._listener.getsockname()[0]
+        return self._listener.address[0]
 
     @property
     def port(self) -> int:
-        return self._listener.getsockname()[1]
+        return self._listener.address[1]
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -671,10 +673,7 @@ class WorkerPool:
                 conn.close()
             except OSError:  # pragma: no cover - close is best-effort
                 pass
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
+        self._listener.close()
         with self._lock:
             exports = list(self._exports.values())
             self._exports.clear()

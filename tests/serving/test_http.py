@@ -32,7 +32,6 @@ from repro.serving import (
     ServingHTTPServer,
     WireConnection,
     WireServer,
-    serve_engine,
 )
 from repro.serving.codecs import BINARY_CONTENT_TYPE, BinaryCodec, JsonB64Codec
 from repro.serving.http import MAX_BODY_BYTES, _Handler
@@ -148,9 +147,9 @@ class TestErrorMapping:
         assert payload["error"]["type"] == "ConfigurationError"
 
     def test_unknown_error_type_degrades_to_serving_error(self, server):
-        from repro.serving.client import _exception_for
+        from repro.serving.wire import error_to_exception
 
-        exc = _exception_for({"type": "NoSuchError", "message": "boom"})
+        exc = error_to_exception({"type": "NoSuchError", "message": "boom"})
         assert isinstance(exc, ServingError) and "boom" in str(exc)
 
     def test_connection_refused_raises_transport_error(self):
@@ -187,7 +186,7 @@ class TestAdmin:
         engine = ServingEngine()
         engine.deploy("la", _bundle(tmp_path, "v1", 2))
         manifest = tmp_path / "m.json"
-        server = serve_engine(
+        server = ServingHTTPServer(
             engine, port=0, admin=True, manifest_path=str(manifest)
         ).serve_background()
         try:
@@ -208,7 +207,7 @@ class TestAdmin:
         # write fails even when running as root (chmod would not).
         (tmp_path / "blocker").write_text("not a directory")
         doomed = tmp_path / "blocker" / "m.json"
-        server = serve_engine(
+        server = ServingHTTPServer(
             engine, port=0, admin=True, manifest_path=str(doomed)
         ).serve_background()
         try:
@@ -771,8 +770,7 @@ class TestSocketOptions:
     first, a ~40 ms floor under every such request.
     """
 
-    @pytest.mark.parametrize("threads", [None, 2])
-    def test_accepted_http_socket_sets_nodelay(self, engine, monkeypatch, threads):
+    def test_accepted_http_socket_sets_nodelay(self, engine, monkeypatch):
         seen = []
         original_setup = _Handler.setup
 
@@ -781,9 +779,7 @@ class TestSocketOptions:
             seen.append(_nodelay(handler.connection))
 
         monkeypatch.setattr(_Handler, "setup", probed_setup)
-        with ServingHTTPServer(
-            engine, port=0, threads=threads
-        ).serve_background() as server:
+        with ServingHTTPServer(engine, port=0).serve_background() as server:
             with _client(server) as client:
                 client.healthz()
         assert seen and all(seen)
@@ -799,8 +795,9 @@ class TestSocketOptions:
             try:
                 # The hello handshake completed, so serve_connection has
                 # already configured the accepted socket.
-                with server._conn_lock:
-                    accepted = [_nodelay(sock) for sock in server._connections]
+                listener = server._listener
+                with listener._lock:
+                    accepted = [_nodelay(sock) for sock in listener._live]
             finally:
                 connection.close()
         assert accepted and all(accepted)
@@ -1219,22 +1216,6 @@ class TestClientResilience:
 
 
 class TestServerLifecycle:
-    def test_threads_must_be_positive(self, engine):
-        with pytest.raises(ConfigurationError, match="threads"):
-            ServingHTTPServer(engine, port=0, threads=0)
-
-    def test_bounded_pool_serves_concurrent_clients(self, engine):
-        import concurrent.futures
-
-        with ServingHTTPServer(engine, port=0, threads=2).serve_background() as server:
-            def hit(_):
-                with _client(server) as client:
-                    return client.locate_points("la", [0.5], [0.5])[0]
-
-            with concurrent.futures.ThreadPoolExecutor(8) as pool:
-                results = list(pool.map(hit, range(16)))
-        assert len(set(results)) == 1
-
     def test_serve_background_twice_rejected(self, engine):
         server = ServingHTTPServer(engine, port=0).serve_background()
         try:
@@ -1248,10 +1229,70 @@ class TestServerLifecycle:
         assert server.url == f"http://{host}:{port}"
 
     def test_close_before_serving_does_not_hang(self, engine):
-        # shutdown() deadlocks if serve_forever never ran; close() must
-        # guard against that so `with serve_engine(...)` is exception-safe.
-        with serve_engine(engine, port=0):
+        # A server that never started its accept loop has nothing to
+        # join, so `with ServingHTTPServer(...)` is exception-safe.
+        with ServingHTTPServer(engine, port=0):
             pass  # never started serving; __exit__ closes
+
+    def test_close_tears_down_live_keep_alive_connections(self, engine):
+        """After close() returns, a keep-alive client is no longer answered
+        on the connection it already holds, and no handler thread lives on
+        blocked in a read of it."""
+        threads_before = set(threading.enumerate())
+        server = ServingHTTPServer(engine, port=0).serve_background()
+        client = _client(server, timeout=20.0, backoff=0.0)
+        assert client.healthz()["status"] == "ok"
+        server.close()
+        started = time.monotonic()
+        with pytest.raises(TransportError):
+            client.healthz()
+        # Raised because the server dropped the connection, not because
+        # the client's 20 s read timeout ran out.
+        assert time.monotonic() - started < 10.0
+        client.close()
+        deadline = time.monotonic() + 10.0
+        while set(threading.enumerate()) - threads_before:
+            assert time.monotonic() < deadline, (
+                f"threads outlived close(): {set(threading.enumerate()) - threads_before}"
+            )
+            time.sleep(0.02)
+
+    def test_a_connection_reset_mid_body_does_not_stop_the_loop(
+        self, server, monkeypatch
+    ):
+        """A handler that raises (its peer reset the connection while the
+        body was still arriving) ends that connection only: the next
+        client is answered, and no exception escapes a thread."""
+        raised, escaped = [], []
+        original_handle = _Handler.handle
+
+        def spied_handle(handler):
+            try:
+                original_handle(handler)
+            except OSError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(_Handler, "handle", spied_handle)
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+        host, port = server.server_address
+        raw = socket.create_connection((host, port), timeout=5.0)
+        raw.sendall(
+            b"POST /v1/locate HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/json\r\nContent-Length: 1000\r\n\r\n"
+            b'{"deployment": "la", "xs": [0.5'
+        )
+        time.sleep(0.2)  # the handler is now blocked reading the body
+        # Linger 0: close() resets the connection instead of ending it.
+        raw.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        raw.close()
+        deadline = time.monotonic() + 10.0
+        while not raised:
+            assert time.monotonic() < deadline, "the handler never saw the reset"
+            time.sleep(0.02)
+        with _client(server) as client:
+            assert client.locate_points("la", [0.5], [0.5])[0] >= 0
+        assert not escaped
 
     def test_client_default_port_matches_cli_serve_default(self):
         from repro.cli import build_parser

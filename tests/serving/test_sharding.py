@@ -363,6 +363,24 @@ class TestShardSwap:
         # A failed swap must leave the tile untouched.
         assert sharded.shard_versions() == [[1, 1], [1, 1]]
 
+    def test_swap_keeps_a_frozen_copy_of_the_callers_tile(self, partition):
+        """Writing into the array passed to swap_shard changes nothing the
+        tile serves, also once another tile's swap recomposes the grid."""
+        sharded = ShardedDeployment(partition, 2, 2)
+        bounds = partition.grid.bounds
+        xs = np.array([bounds.min_x + 0.1]); ys = np.array([bounds.min_y + 0.1])
+        r0, r1, c0, c1 = sharded.tile_window(0, 0)
+        tile = np.zeros((r1 - r0, c1 - c0), dtype=np.int64)
+        sharded.swap_shard(0, 0, tile)
+        assert int(sharded.locate_points(xs, ys)[0]) == 0
+        tile[:] = 3
+        r0, r1, c0, c1 = sharded.tile_window(1, 1)
+        sharded.swap_shard(1, 1, np.zeros((r1 - r0, c1 - c0), dtype=np.int64))
+        assert int(sharded.locate_points(xs, ys)[0]) == 0
+        stored = sharded._shards[sharded._shard_index(0, 0)].labels
+        assert not np.shares_memory(stored, tile)
+        assert not stored.flags.writeable
+
     def test_swap_visible_to_fused_plan_built_before_swap(self, partition):
         """The padded grid is rebuilt copy-on-write on swap, not patched:
         an exported snapshot taken before the swap keeps the old labels."""

@@ -1,10 +1,18 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.api import RunSpec
 from repro.cli import (
     BUILD_METHODS,
@@ -170,20 +178,16 @@ class TestParser:
     def test_serve_defaults_and_flags(self):
         args = build_parser().parse_args(["serve", "--manifest", "m.json"])
         assert args.host == "127.0.0.1" and args.port == 8350
-        assert not args.admin and args.threads is None
+        assert not args.admin and args.workers == 0
         args = build_parser().parse_args(
             ["serve", "--manifest", "m.json", "--host", "0.0.0.0",
-             "--port", "0", "--admin", "--threads", "4"]
+             "--port", "0", "--admin", "--workers", "4"]
         )
-        assert args.admin and args.threads == 4 and args.port == 0
+        assert args.admin and args.workers == 4 and args.port == 0
 
     def test_serve_requires_manifest(self, capsys):
         with pytest.raises(SystemExit):
             run(["serve"])
-
-    def test_serve_rejects_bad_threads(self, capsys):
-        with pytest.raises(SystemExit):
-            run(["serve", "--manifest", "m.json", "--threads", "0"])
 
     def test_serve_admin_rejects_config_overrides(self, capsys):
         # Admin hot-swaps re-save the manifest, so per-invocation config
@@ -196,7 +200,7 @@ class TestParser:
         with pytest.raises(SystemExit):
             run(["deployments", "--manifest", "m.json", "--admin"])
         with pytest.raises(SystemExit):
-            run(["deployments", "--manifest", "m.json", "--threads", "2"])
+            run(["deployments", "--manifest", "m.json", "--workers", "2"])
         # --host/--port silently ignored would mislead (`query --port N`
         # runs in-process, not against the service) — rejected too.
         with pytest.raises(SystemExit):
@@ -563,3 +567,52 @@ class TestRun:
         assert "one letter per neighborhood" in output
         assert target.exists()
         assert "statistical_parity" in target.read_text().splitlines()[0]
+
+
+class TestServeProcess:
+    """``repro serve`` as a process, the way an operator stops it."""
+
+    def test_sigterm_closes_the_service_like_ctrl_c(self, tmp_path):
+        from repro.io.artifacts import save_partition_artifact
+        from repro.serving import ServingEngine
+        from repro.serving.workers import fork_available
+        from repro.spatial.grid import Grid
+        from repro.spatial.partition import uniform_partition
+
+        if not fork_available():
+            pytest.skip("worker pool needs the fork start method")
+        bundle = save_partition_artifact(
+            uniform_partition(Grid(8, 8), 2, 2), tmp_path / "v1", {"name": "v1"}
+        )
+        engine = ServingEngine()
+        engine.deploy("la", bundle)
+        manifest = tmp_path / "deployments.json"
+        engine.save_manifest(manifest)
+        src = Path(repro.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1"}
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--manifest", str(manifest),
+             "--port", "0", "--workers", "2", "--wire-port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            # The wire line is the last one printed once the service is up.
+            started = b""
+            deadline = time.monotonic() + 60.0
+            while b"binary wire protocol on" not in started:
+                remaining = deadline - time.monotonic()
+                assert remaining > 0, f"service did not start: {started!r}"
+                readable, _, _ = select.select([process.stdout], [], [], remaining)
+                chunk = os.read(process.stdout.fileno(), 4096) if readable else b""
+                assert chunk, f"service exited early: {started!r}"
+                started += chunk
+            process.send_signal(signal.SIGTERM)
+            out, err = process.communicate(timeout=60.0)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        out = (started + out).decode()
+        assert process.returncode == 0, (out, err.decode())
+        assert "shutting down" in out
+        assert b"leaked shared_memory" not in err, err.decode()
