@@ -4,9 +4,10 @@ The algorithm proceeds in three steps:
 
 1. treat the whole map as a single neighborhood, train the classifier once,
    and obtain per-record confidence scores;
-2. recursively split the map (depth-first, alternating axes) choosing each
-   split index to minimise the fairness objective (Eq. 9) computed from the
-   residuals ``s_u - y_u`` of step 1;
+2. grow a KD-tree over the map level by level (alternating axes,
+   :func:`~repro.spatial.kdtree.grow_tree`), choosing each split index to
+   minimise the fairness objective (Eq. 9) computed from the residuals
+   ``s_u - y_u`` of step 1;
 3. the leaf set becomes the new neighborhoods; callers re-assign the
    neighborhood feature and retrain (handled by
    :class:`~repro.core.pipeline.RedistrictingPipeline`).
@@ -14,7 +15,8 @@ The algorithm proceeds in three steps:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from functools import partial
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from ..datasets.dataset import SpatialDataset
 from ..exceptions import ConfigurationError
 from ..ml.model_selection import ModelFactory
 from ..registry import register_partitioner
-from ..spatial.kdtree import KDNode
+from ..spatial.kdtree import KDNode, NodeChooser, grow_tree
 from ..spatial.partition import Partition
 from ..spatial.region import GridRegion
 from .base import (
@@ -56,27 +58,15 @@ class FairKDTreePartitioner(SpatialPartitioner):
         neighborhoods.
     objective:
         Split objective name (see :func:`repro.core.objective.available_objectives`).
-    min_records_per_leaf:
-        Optional lower bound on the number of training records per leaf; a
-        split producing a smaller side is rejected (the node stays a leaf).
-        The paper does not bound leaf sizes, so the default is 0.
     """
 
     name = "fair_kdtree"
 
-    def __init__(
-        self,
-        height: int,
-        objective: str = "balance",
-        min_records_per_leaf: int = 0,
-    ) -> None:
+    def __init__(self, height: int, objective: str = "balance") -> None:
         if height < 0:
             raise ConfigurationError(f"height must be non-negative, got {height}")
-        if min_records_per_leaf < 0:
-            raise ConfigurationError("min_records_per_leaf must be non-negative")
         self._height = int(height)
         self._scorer: SplitScorer = make_scorer(objective)
-        self._min_records = int(min_records_per_leaf)
         self._root: Optional[KDNode] = None
 
     @property
@@ -115,39 +105,33 @@ class FairKDTreePartitioner(SpatialPartitioner):
     def build_from_residuals(
         self, dataset: SpatialDataset, residuals: np.ndarray
     ) -> Partition:
-        """Run the recursive splitting given precomputed residuals.
+        """Grow the tree (Step 2) given precomputed residuals."""
+        self._root = grow_fair_tree(dataset, residuals, self._height, self._scorer)
+        return Partition(dataset.grid, [leaf.region for leaf in self._root.leaves()])
 
-        Exposed separately so the multi-objective variant (which aggregates
-        residuals across tasks) can reuse the identical tree construction.
-        """
-        residuals = np.asarray(residuals, dtype=float)
-        if residuals.shape != (dataset.n_records,):
-            raise ConfigurationError("residuals must match the dataset's record count")
-        engine = make_split_engine(
-            dataset.grid, dataset.cell_rows, dataset.cell_cols, residuals
-        )
-        self._root = self._build_node(GridRegion.full(dataset.grid), engine, depth=0)
-        regions = [leaf.region for leaf in self._root.leaves()]
-        return Partition(dataset.grid, regions)
 
-    def _build_node(self, region: GridRegion, engine: SplitEngine, depth: int) -> KDNode:
-        node = KDNode(region=region, depth=depth)
-        if depth >= self._height:
-            return node
-        decision = best_axis_split(region, engine, depth % 2, self._scorer)
-        if decision is None:
-            return node
-        if self._min_records and min(decision.left_count, decision.right_count) < self._min_records:
-            return node
-        node.axis = decision.axis
-        node.split_index = decision.index
-        node.metadata["objective_score"] = decision.score
-        node.left = self._build_node(decision.left, engine, depth + 1)
-        node.right = self._build_node(decision.right, engine, depth + 1)
-        return node
+def grow_fair_tree(
+    dataset: SpatialDataset, residuals: np.ndarray, height: int, scorer: SplitScorer
+) -> KDNode:
+    """Algorithm 1's tree over ``residuals``: every split by Algorithm 2.
 
-    def leaf_regions(self) -> List[GridRegion]:
-        """Regions of the last constructed tree's leaves."""
-        if self._root is None:
-            return []
-        return [leaf.region for leaf in self._root.leaves()]
+    One split engine serves the whole build.  The multi-objective variant
+    grows its tree here too, with its aggregated residuals and Eq. 13
+    scorer.
+    """
+    residuals = np.asarray(residuals, dtype=float)
+    if residuals.shape != (dataset.n_records,):
+        raise ConfigurationError("residuals must match the dataset's record count")
+    engine = make_split_engine(dataset.grid, dataset.cell_rows, dataset.cell_cols, residuals)
+
+    def for_level(depth: int, leaves: List[GridRegion]) -> NodeChooser:
+        return partial(_split_choice, engine, depth % 2, scorer)
+
+    return grow_tree(GridRegion.full(dataset.grid), height, for_level)
+
+
+def _split_choice(
+    engine: SplitEngine, axis: int, scorer: SplitScorer, region: GridRegion
+) -> Optional[Tuple[int, int, float]]:
+    decision = best_axis_split(region, engine, axis, scorer)
+    return None if decision is None else (decision.axis, decision.index, decision.score)

@@ -10,7 +10,8 @@ cost is one extra model training per level (Theorem 4).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from functools import partial
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from ..datasets.dataset import SpatialDataset
 from ..exceptions import ConfigurationError
 from ..ml.model_selection import ModelFactory
 from ..registry import register_partitioner
+from ..spatial.kdtree import NodeChooser, grow_tree
 from ..spatial.partition import Partition
 from ..spatial.region import GridRegion
 from .base import (
@@ -28,7 +30,7 @@ from .base import (
 )
 from .objective import SplitScorer, make_scorer
 from .split import best_axis_split
-from .split_engine import make_split_engine
+from .split_engine import SplitEngine, make_split_engine
 
 
 @register_partitioner(
@@ -51,8 +53,6 @@ class IterativeFairKDTreePartitioner(SpatialPartitioner):
         neighborhoods).
     objective:
         Split objective name; the paper uses the balance objective (Eq. 9).
-    min_records_per_leaf:
-        Optional minimum training records per side for a split to be accepted.
 
     The residuals are refreshed at every level, so the split engine rebuilds
     its tables once per level and serves the whole frontier from them.
@@ -60,19 +60,11 @@ class IterativeFairKDTreePartitioner(SpatialPartitioner):
 
     name = "iterative_fair_kdtree"
 
-    def __init__(
-        self,
-        height: int,
-        objective: str = "balance",
-        min_records_per_leaf: int = 0,
-    ) -> None:
+    def __init__(self, height: int, objective: str = "balance") -> None:
         if height < 0:
             raise ConfigurationError(f"height must be non-negative, got {height}")
-        if min_records_per_leaf < 0:
-            raise ConfigurationError("min_records_per_leaf must be non-negative")
         self._height = int(height)
         self._scorer: SplitScorer = make_scorer(objective)
-        self._min_records = int(min_records_per_leaf)
         self._n_trainings = 0
 
     @property
@@ -92,37 +84,21 @@ class IterativeFairKDTreePartitioner(SpatialPartitioner):
     ) -> PartitionerOutput:
         labels = np.asarray(labels, dtype=int)
         grid = dataset.grid
-        frontier: List[GridRegion] = [GridRegion.full(grid)]
         self._n_trainings = 0
         convergence: List[Dict[str, Any]] = []
 
-        for level in range(self._height):
-            partition = Partition(grid, frontier)
-            current = dataset.with_partition(partition)
+        def for_level(depth: int, leaves: List[GridRegion]) -> NodeChooser:
+            # Retrain on this level's partition; its residuals drive the splits.
+            current = dataset.with_partition(Partition(grid, leaves))
             scores, model, _ = train_scores_on_dataset(current, labels, model_factory)
             self._n_trainings += 1
             convergence.append(convergence_of(model))
             residuals = scores - labels.astype(float)
             engine = make_split_engine(grid, dataset.cell_rows, dataset.cell_cols, residuals)
+            return partial(_split_choice, engine, depth % 2, self._scorer)
 
-            axis = level % 2
-            next_frontier: List[GridRegion] = []
-            any_split = False
-            for region in frontier:
-                decision = best_axis_split(region, engine, axis, self._scorer)
-                reject = decision is not None and self._min_records and (
-                    min(decision.left_count, decision.right_count) < self._min_records
-                )
-                if decision is None or reject:
-                    next_frontier.append(region)
-                    continue
-                next_frontier.extend([decision.left, decision.right])
-                any_split = True
-            frontier = next_frontier
-            if not any_split:
-                break
-
-        final_partition = Partition(grid, frontier)
+        root = grow_tree(GridRegion.full(grid), self._height, for_level)
+        final_partition = Partition(grid, [leaf.region for leaf in root.leaves()])
         metadata: Dict[str, Any] = {
             "method": self.name,
             "height": self._height,
@@ -134,3 +110,10 @@ class IterativeFairKDTreePartitioner(SpatialPartitioner):
             for key in convergence[0]:
                 metadata[key] = [level[key] for level in convergence]
         return PartitionerOutput(partition=final_partition, metadata=metadata)
+
+
+def _split_choice(
+    engine: SplitEngine, axis: int, scorer: SplitScorer, region: GridRegion
+) -> Optional[Tuple[int, int, float]]:
+    decision = best_axis_split(region, engine, axis, scorer)
+    return None if decision is None else (decision.axis, decision.index, decision.score)

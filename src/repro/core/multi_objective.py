@@ -18,9 +18,10 @@ from ..datasets.dataset import SpatialDataset
 from ..exceptions import ConfigurationError
 from ..ml.model_selection import ModelFactory
 from ..registry import register_partitioner
+from ..spatial.partition import Partition
 from .base import PartitionerOutput, SpatialPartitioner, train_scores_on_dataset
-from .fair_kdtree import FairKDTreePartitioner
-from .objective import make_scorer
+from .fair_kdtree import grow_fair_tree
+from .objective import SplitScorer, make_scorer
 
 
 @register_partitioner(
@@ -69,7 +70,7 @@ class MultiObjectiveFairKDTreePartitioner(SpatialPartitioner):
         self._alphas = alphas
         # Eq. 13 multiplies each side's aggregated residual by the side's
         # cardinality, so the scorer is cardinality-weighted.
-        self._scorer = make_scorer(objective, cardinality_weighted=True)
+        self._scorer: SplitScorer = make_scorer(objective, cardinality_weighted=True)
         self._objective_name = objective
 
     @property
@@ -121,9 +122,8 @@ class MultiObjectiveFairKDTreePartitioner(SpatialPartitioner):
             trainings += 1
             aggregated += alpha * (scores - labels.astype(float))
 
-        tree = FairKDTreePartitioner(height=self._height, objective=self._objective_name)
-        tree._scorer = self._scorer  # reuse the identical recursion with Eq. 13 scoring
-        partition = tree.build_from_residuals(dataset, aggregated)
+        root = grow_fair_tree(dataset, aggregated, self._height, self._scorer)
+        partition = Partition(dataset.grid, [leaf.region for leaf in root.leaves()])
         return PartitionerOutput(
             partition=partition,
             metadata={

@@ -9,8 +9,9 @@ of the best split.
 The per-line aggregates that drive the scoring come from a split engine
 (:mod:`repro.core.split_engine`).  Tree builders construct one
 :class:`~repro.core.split_engine.PrefixSumEngine` per build, which
-amortises all record scanning into a single binning pass, and pass it down
-the recursion; tests pass the reference
+amortises all record scanning into a single binning pass, and ask it about
+every node of the tree (the iterative variant builds one per level); tests
+pass the reference
 :class:`~repro.core.split_engine.RecordScanEngine` the same way.
 """
 
@@ -55,8 +56,8 @@ def split_neighborhood(
         The neighborhood to split.
     engine:
         Split engine built over **all** records of the build (records outside
-        the region are ignored); tree builders pass one engine down the
-        whole recursion so records are binned once per build.
+        the region are ignored); tree builders ask one engine about every
+        node they split, so records are binned once per engine.
     axis:
         0 to split on rows, 1 to split on columns (the paper's transpose).
     scorer:

@@ -44,8 +44,8 @@ class SplitEngine(ABC):
     """Provider of per-line split statistics for one tree build.
 
     An engine is constructed once per tree (it captures the record
-    coordinates and residuals of the build) and is then threaded down the
-    recursion, answering line-sum queries for every node.  The reference
+    coordinates and residuals of the build) and then answers the line-sum
+    queries of every node the tree grower offers its chooser.  The reference
     :class:`RecordScanEngine` stands in for :class:`PrefixSumEngine`
     through this interface.
     """

@@ -520,6 +520,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, routes: Dict[str, Any], with_body: bool = False) -> None:
         handler = routes.get(self.path)
         body: Any = None
+        reading = True
         try:
             if with_body and handler is not None:
                 # Read the body before *any* routing or permission decision:
@@ -540,13 +541,18 @@ class _Handler(BaseHTTPRequestHandler):
                 # legal), must still be consumed, or its bytes would
                 # prefix the next request.
                 self._drain_body()
+            reading = False
             if handler is None:
                 raise ServingError(
                     f"unknown endpoint {self.path!r}; "
                     f"known: {', '.join(sorted(routes))}"
                 )
             handler(self, body) if with_body else handler(self)
-        except Exception as exc:  # repro: ignore[exception-discipline] -- dispatch boundary: every failure, expected or not, must become a JSON error response instead of a dropped connection
+        except Exception as exc:  # repro: ignore[exception-discipline] -- dispatch boundary: every failure, expected or not, must become a JSON error response instead of a dropped connection, save a body read whose peer is gone
+            if reading and isinstance(exc, OSError):
+                # The peer reset or stalled mid-body: nobody is left to
+                # answer, so the listener ends the connection unanswered.
+                raise
             status = _status_for(exc)
             if status == 500:
                 logger.exception("unhandled error serving %s", self.path)

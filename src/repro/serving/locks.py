@@ -4,8 +4,7 @@
 (PR 5's concurrent engine); it moved here when
 :mod:`repro.serving.sharding` grew per-tile hot-swap and needed the same
 primitive — the engine imports sharding, so the lock had to live below
-both.  :mod:`repro.serving.engine` re-exports it unchanged, and
-``repro.serving.ReadWriteLock`` remains the public name.
+both.  ``repro.serving.ReadWriteLock`` remains the public name.
 
 This module is also the instrumentation seam of the runtime concurrency
 sanitizer (:mod:`repro.analysis.sanitizer`).  Serving code constructs its

@@ -12,8 +12,9 @@ on the map.  This package provides:
   of cells (the unit that KD-tree style algorithms split).
 * :class:`~repro.spatial.partition.Partition` — a disjoint cover of the grid
   by regions, i.e. a set of neighborhoods.
-* :class:`~repro.spatial.kdtree.MedianKDTree` — the standard median-split
-  KD-tree used as the paper's main baseline.
+* :func:`~repro.spatial.kdtree.grow_tree` — the one level-by-level grower
+  behind every KD-tree, and :class:`~repro.spatial.kdtree.MedianKDTree`,
+  the standard median-split KD-tree used as the paper's main baseline.
 * :mod:`~repro.spatial.queries` — point-location and range queries over
   partitions.
 """
@@ -22,7 +23,7 @@ from .geometry import BoundingBox, Point
 from .grid import Grid, GridCell, counts_per_cell, sums_per_cell
 from .region import CumulativeGrid, GridRegion
 from .partition import Partition, single_region_partition, uniform_partition
-from .kdtree import KDNode, MedianKDTree, RegionKDTree
+from .kdtree import KDNode, MedianKDTree, grow_tree
 from .queries import PartitionLocator, neighbors_of, range_query, region_containing_cell
 
 __all__ = [
@@ -39,7 +40,7 @@ __all__ = [
     "uniform_partition",
     "KDNode",
     "MedianKDTree",
-    "RegionKDTree",
+    "grow_tree",
     "PartitionLocator",
     "neighbors_of",
     "range_query",

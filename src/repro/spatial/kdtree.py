@@ -1,10 +1,11 @@
-"""Median-split KD-tree over grid regions.
+"""KD-trees over grid regions: the one tree grower and the median baseline.
 
-This is the "Median KD-tree" baseline of the paper: the classic KD-tree
-construction that splits each node at the data median along alternating axes,
-adapted to the discrete base grid (a split index is a row/column boundary of
-the region, so the resulting leaves are rectangular cell blocks that cover the
-whole domain).
+:func:`grow_tree` grows every KD-tree of the paper level by level; the
+fair builders in :mod:`repro.core` and :class:`MedianKDTree` (the paper's
+"Median KD-tree" baseline, split at the data median along alternating
+axes) differ only in the chooser they pass it.  A split index is a
+row/column boundary of the region, so the leaves are rectangular cell
+blocks that cover the whole domain.
 """
 
 from __future__ import annotations
@@ -65,83 +66,76 @@ class KDNode:
         return total
 
 
+#: ``choose_split(region, axis)``: a region-local split index along
+#: ``axis``, or ``None`` when the region should not split there.
 SplitChooser = Callable[[GridRegion, int], Optional[int]]
 
+#: ``choose(region)``: ``(axis, split_index, score or None)``, or ``None``
+#: to keep the region a leaf for good.
+NodeChooser = Callable[[GridRegion], Optional[Tuple[int, int, Optional[float]]]]
 
-class RegionKDTree:
-    """Generic KD-tree construction over grid regions.
+#: ``chooser_for_level(depth, leaves)``: the node chooser of one tree level,
+#: given every current leaf region, left to right.
+LevelChooser = Callable[[int, List[GridRegion]], NodeChooser]
 
-    The split point for each node is delegated to a ``choose_split`` callable
-    (region, axis) -> region-local index or ``None`` when the node should stay
-    a leaf.  :class:`MedianKDTree` and the fair variants in
-    :mod:`repro.core` build on this class, so tree mechanics (axis
-    alternation, height control, leaf collection) live in exactly one place.
+
+def grow_tree(root_region: GridRegion, height: int, chooser_for_level: LevelChooser) -> KDNode:
+    """Grow a KD-tree over grid regions one level at a time; return its root.
+
+    At each depth ``d < height``, ``chooser_for_level(d, leaves)`` is called
+    once and its ``choose`` is offered each leaf made at the level before.
+    A split records ``axis``, ``split_index`` and (when scored)
+    ``metadata["objective_score"]`` on the node.  A declined leaf is final,
+    and growth stops at the first level that splits nothing.
+    """
+    if height < 0:
+        raise ValueError(f"height must be non-negative, got {height}")
+    root = KDNode(region=root_region, depth=0)
+    leaves = [root]
+    for depth in range(height):
+        choose = chooser_for_level(depth, [leaf.region for leaf in leaves])
+        grown: List[KDNode] = []
+        for node in leaves:
+            # Only the leaves made at the level before are still open.
+            choice = choose(node.region) if node.depth == depth else None
+            if choice is None:
+                grown.append(node)
+                continue
+            node.axis, node.split_index, score = choice
+            if score is not None:
+                node.metadata["objective_score"] = score
+            left, right = node.region.split(node.axis, node.split_index)
+            node.left = KDNode(region=left, depth=depth + 1)
+            node.right = KDNode(region=right, depth=depth + 1)
+            grown += (node.left, node.right)
+        if len(grown) == len(leaves):
+            break
+        leaves = grown
+    return root
+
+
+def alternating_axes(choose_split: SplitChooser) -> LevelChooser:
+    """The classic KD-tree's level chooser over ``choose_split``.
+
+    Level ``d`` prefers axis ``d % 2``; a region that cannot be split along
+    it (a single row or column remains) is split along the other axis, so
+    the tree keeps refining dense areas as long as any split is possible.
     """
 
-    def __init__(self, grid: Grid, max_height: int, choose_split: SplitChooser) -> None:
-        if max_height < 0:
-            raise ValueError(f"max_height must be non-negative, got {max_height}")
-        self._grid = grid
-        self._max_height = int(max_height)
-        self._choose_split = choose_split
-        self._root: Optional[KDNode] = None
+    def for_level(depth: int, leaves: List[GridRegion]) -> NodeChooser:
+        def choose(region: GridRegion) -> Optional[Tuple[int, int, None]]:
+            for axis in (depth % 2, 1 - depth % 2):
+                index = choose_split(region, axis) if region.can_split(axis) else None
+                if index is not None:
+                    return axis, index, None
+            return None
 
-    @property
-    def grid(self) -> Grid:
-        return self._grid
+        return choose
 
-    @property
-    def max_height(self) -> int:
-        return self._max_height
-
-    @property
-    def root(self) -> Optional[KDNode]:
-        return self._root
-
-    def build(self) -> KDNode:
-        """Construct the tree (depth-first) and return its root."""
-        self._root = self._build_node(GridRegion.full(self._grid), depth=0)
-        return self._root
-
-    def _build_node(self, region: GridRegion, depth: int) -> KDNode:
-        node = KDNode(region=region, depth=depth)
-        if depth >= self._max_height:
-            return node
-        axis, split_index = self._resolve_split(region, depth % 2)
-        if split_index is None:
-            return node
-        node.axis = axis
-        node.split_index = split_index
-        left_region, right_region = region.split(axis, split_index)
-        node.left = self._build_node(left_region, depth + 1)
-        node.right = self._build_node(right_region, depth + 1)
-        return node
-
-    def _resolve_split(self, region: GridRegion, axis: int) -> Tuple[int, Optional[int]]:
-        """Pick the axis and split index for ``region``.
-
-        Tries the preferred axis first; when the region cannot be split along
-        it (a single row or column remains) the other axis is tried, so the
-        tree keeps refining dense areas as long as any split is possible.
-        """
-        for candidate_axis in (axis, 1 - axis):
-            if not region.can_split(candidate_axis):
-                continue
-            index = self._choose_split(region, candidate_axis)
-            if index is not None:
-                return candidate_axis, index
-        return axis, None
-
-    def leaf_partition(self) -> Partition:
-        """Return the partition induced by the tree's leaves."""
-        if self._root is None:
-            self.build()
-        assert self._root is not None
-        regions = [leaf.region for leaf in self._root.leaves()]
-        return Partition(self._grid, regions)
+    return for_level
 
 
-class MedianKDTree(RegionKDTree):
+class MedianKDTree:
     """Standard KD-tree that splits each region at the data median.
 
     Parameters
@@ -167,12 +161,31 @@ class MedianKDTree(RegionKDTree):
         cell_cols: Sequence[int],
         max_height: int,
     ) -> None:
+        if max_height < 0:
+            raise ValueError(f"max_height must be non-negative, got {max_height}")
         cell_rows = np.asarray(cell_rows, dtype=int)
         cell_cols = np.asarray(cell_cols, dtype=int)
         if cell_rows.shape != cell_cols.shape:
             raise SplitError("cell_rows and cell_cols must have the same shape")
+        self._grid = grid
+        self._max_height = int(max_height)
         self._count_table = CumulativeGrid(grid, counts_per_cell(grid, cell_rows, cell_cols))
-        super().__init__(grid, max_height, self._median_split)
+        self._root: Optional[KDNode] = None
+
+    @property
+    def root(self) -> Optional[KDNode]:
+        return self._root
+
+    def build(self) -> KDNode:
+        """Grow the tree and return its root."""
+        chooser = alternating_axes(self._median_split)
+        self._root = grow_tree(GridRegion.full(self._grid), self._max_height, chooser)
+        return self._root
+
+    def leaf_partition(self) -> Partition:
+        """Return the partition induced by the tree's leaves."""
+        root = self._root or self.build()
+        return Partition(self._grid, [leaf.region for leaf in root.leaves()])
 
     def _median_split(self, region: GridRegion, axis: int) -> Optional[int]:
         """Region-local index of the data median along ``axis``.
@@ -210,8 +223,8 @@ def scan_median_split(
 ) -> Optional[int]:
     """Reference median split: scan the record coordinates of ``region``.
 
-    The record-scan path :class:`MedianKDTree` is tested against; pass it to
-    :class:`RegionKDTree` with the coordinates bound, e.g.
+    The record-scan path :class:`MedianKDTree` is tested against; grow a
+    tree on it with :func:`alternating_axes` over the coordinates bound, e.g.
     ``functools.partial(scan_median_split, cell_rows, cell_cols)``.
     """
     mask = region.member_mask(cell_rows, cell_cols)

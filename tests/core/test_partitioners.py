@@ -84,7 +84,7 @@ class TestFairKDTree:
         partitioner = FairKDTreePartitioner(height=3)
         partitioner.build(la_dataset, la_labels, fast_logistic_factory)
         assert partitioner.root is not None
-        assert len(partitioner.leaf_regions()) >= 1
+        assert len(partitioner.root.leaves()) >= 1
 
     def test_build_from_residuals_deterministic(self, la_dataset):
         rng = np.random.default_rng(0)
@@ -117,13 +117,6 @@ class TestFairKDTree:
             residuals[mid_high.member_mask(la_dataset.cell_rows, la_dataset.cell_cols)].sum()
         )
         assert achieved <= abs(mid_low_sum - mid_high_sum) + 1e-9
-
-    def test_min_records_per_leaf_enforced(self, la_dataset, la_labels, fast_logistic_factory):
-        partitioner = FairKDTreePartitioner(height=6, min_records_per_leaf=30)
-        output = partitioner.build(la_dataset, la_labels, fast_logistic_factory)
-        sizes = output.partition.region_sizes(la_dataset.cell_rows, la_dataset.cell_cols)
-        assert sizes.min() >= 0  # leaves may be empty of *test* data but splits respected
-        assert output.n_neighborhoods <= la_dataset.n_records // 30 + 1
 
     def test_invalid_objective_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -31,7 +31,7 @@ from repro.datasets.schema import DatasetSchema, FeatureSpec
 from repro.exceptions import SplitError
 from repro.ml.base import Classifier
 from repro.spatial.grid import Grid
-from repro.spatial.kdtree import MedianKDTree, RegionKDTree, scan_median_split
+from repro.spatial.kdtree import MedianKDTree, alternating_axes, grow_tree, scan_median_split
 from repro.spatial.region import GridRegion
 
 _TINY_SCHEMA = DatasetSchema([FeatureSpec("f", "", -100, 100)])
@@ -221,11 +221,11 @@ class TestEngineEquivalence:
         """The prefix-count median matches the record-scan median exactly."""
         grid, cell_rows, cell_cols, _ = records
         tree = MedianKDTree(grid, cell_rows, cell_cols, height)
-        reference = RegionKDTree(
-            grid, height, partial(scan_median_split, cell_rows, cell_cols)
+        reference = grow_tree(
+            GridRegion.full(grid), height,
+            alternating_axes(partial(scan_median_split, cell_rows, cell_cols)),
         )
-        parts = [tree.leaf_partition(), reference.leaf_partition()]
-        assert list(parts[0].regions) == list(parts[1].regions)
+        assert list(tree.leaf_partition().regions) == [leaf.region for leaf in reference.leaves()]
 
     def test_equivalence_on_realistic_residuals(self, la_dataset):
         """Engines agree on a real dataset with arbitrary float residuals."""

@@ -5,6 +5,7 @@ import email.utils
 import http.client
 import io
 import json
+import logging
 import re
 import socket
 import struct
@@ -1258,11 +1259,12 @@ class TestServerLifecycle:
             time.sleep(0.02)
 
     def test_a_connection_reset_mid_body_does_not_stop_the_loop(
-        self, server, monkeypatch
+        self, server, monkeypatch, caplog
     ):
         """A handler that raises (its peer reset the connection while the
         body was still arriving) ends that connection only: the next
-        client is answered, and no exception escapes a thread."""
+        client is answered, no exception escapes a thread, and the lost
+        peer is not logged as a server error (it is not answered 500)."""
         raised, escaped = [], []
         original_handle = _Handler.handle
 
@@ -1293,6 +1295,7 @@ class TestServerLifecycle:
         with _client(server) as client:
             assert client.locate_points("la", [0.5], [0.5])[0] >= 0
         assert not escaped
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
 
     def test_client_default_port_matches_cli_serve_default(self):
         from repro.cli import build_parser

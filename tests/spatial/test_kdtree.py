@@ -1,10 +1,11 @@
-"""Unit tests for the median KD-tree and the shared tree mechanics."""
+"""Unit tests for the median KD-tree and the one tree grower."""
 
 import numpy as np
 import pytest
 
 from repro.spatial.grid import Grid
-from repro.spatial.kdtree import KDNode, MedianKDTree, RegionKDTree
+from repro.spatial.kdtree import KDNode, MedianKDTree, alternating_axes, grow_tree
+from repro.spatial.partition import Partition
 from repro.spatial.region import GridRegion
 
 
@@ -106,34 +107,54 @@ class TestKDNode:
         assert node.leaves() == [node]
 
 
-class TestRegionKDTree:
-    def test_custom_chooser_controls_splits(self, grid):
-        def always_middle(region, axis):
-            extent = region.n_rows if axis == 0 else region.n_cols
-            return extent // 2 if extent > 1 else None
+def _middle(region, axis):
+    extent = region.n_rows if axis == 0 else region.n_cols
+    return extent // 2 if extent > 1 else None
 
-        tree = RegionKDTree(grid, max_height=3, choose_split=always_middle)
-        partition = tree.leaf_partition()
-        assert len(partition) == 8
-        assert partition.is_complete
+
+class TestGrowTree:
+    def test_custom_chooser_controls_splits(self, grid):
+        root = grow_tree(GridRegion.full(grid), 3, alternating_axes(_middle))
+        assert len(root.leaves()) == 8
+        assert Partition(grid, [leaf.region for leaf in root.leaves()]).is_complete
 
     def test_chooser_returning_none_stops_growth(self, grid):
-        tree = RegionKDTree(grid, max_height=5, choose_split=lambda region, axis: None)
-        partition = tree.leaf_partition()
-        assert len(partition) == 1
+        root = grow_tree(GridRegion.full(grid), 5, alternating_axes(lambda region, axis: None))
+        assert root.is_leaf
 
     def test_axis_fallback_on_single_row_region(self):
         # A 1 x 8 grid can never split on rows; the tree must fall back to columns.
         grid = Grid(1, 8)
-
-        def middle(region, axis):
-            extent = region.n_rows if axis == 0 else region.n_cols
-            return extent // 2 if extent > 1 else None
-
-        tree = RegionKDTree(grid, max_height=2, choose_split=middle)
-        partition = tree.leaf_partition()
-        assert len(partition) == 4
+        root = grow_tree(GridRegion.full(grid), 2, alternating_axes(_middle))
+        assert len(root.leaves()) == 4
+        assert root.axis == 1
 
     def test_invalid_height_raises(self, grid):
         with pytest.raises(ValueError):
-            RegionKDTree(grid, max_height=-2, choose_split=lambda r, a: None)
+            grow_tree(GridRegion.full(grid), -2, alternating_axes(lambda r, a: None))
+
+    def test_declined_leaf_is_never_offered_again(self, grid):
+        """One level call per depth, each offered only the leaves made at the
+        level before; growth stops at the first level that splits nothing."""
+        calls = []
+
+        def for_level(depth, leaves):
+            offered = []
+            calls.append((depth, len(leaves), offered))
+
+            def choose(region):
+                offered.append(region)
+                # Split only the leftmost leaf of each level.
+                if region.row_start == 0 and region.col_start == 0 and depth < 2:
+                    return depth % 2, 1, float(depth)
+                return None
+
+            return choose
+
+        root = grow_tree(GridRegion.full(grid), 6, for_level)
+        assert [(depth, n_leaves, len(offered)) for depth, n_leaves, offered in calls] == [
+            (0, 1, 1), (1, 2, 2), (2, 3, 2),
+        ]
+        assert root.metadata == {"objective_score": 0.0}
+        assert root.left.metadata == {"objective_score": 1.0}
+        assert len(root.leaves()) == 3
