@@ -98,18 +98,6 @@ def _assigned_names(stmt: ast.stmt) -> List[Tuple[str, ast.expr]]:
     return pairs
 
 
-def _self_attr_target(stmt: ast.stmt) -> Optional[str]:
-    if isinstance(stmt, ast.Assign):
-        for target in stmt.targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                return target.attr
-    return None
-
-
 def _mismatch(
     value: Optional[ArrayValue], contract: ArrayContract
 ) -> Optional[str]:

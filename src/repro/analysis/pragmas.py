@@ -156,6 +156,3 @@ class PragmaIndex:
 
     def ignored_rules(self, line: int) -> Tuple[str, ...]:
         return self.ignores.get(line, ())
-
-    def is_suppressed(self, line: int, rule: str) -> bool:
-        return rule in self.ignores.get(line, ())

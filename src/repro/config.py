@@ -8,7 +8,7 @@ mutable state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Tuple
 
 from .exceptions import ConfigurationError
@@ -67,9 +67,6 @@ class DatasetConfig:
             raise ConfigurationError(f"n_records must be positive, got {self.n_records}")
         if not self.city:
             raise ConfigurationError("city must be a non-empty string")
-
-    def with_seed(self, seed: int) -> "DatasetConfig":
-        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)

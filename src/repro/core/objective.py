@@ -119,15 +119,6 @@ def available_objectives() -> Tuple[str, ...]:
     return tuple(_OBJECTIVES)
 
 
-def describe_objective(name: str) -> str:
-    """One-line description of an objective."""
-    if name not in _OBJECTIVES:
-        raise ConfigurationError(
-            f"unknown objective {name!r}; available: {available_objectives()}"
-        )
-    return _OBJECTIVES[name]
-
-
 def make_scorer(name: str = "balance", cardinality_weighted: bool = False) -> SplitScorer:
     """Validate ``name`` and build the corresponding :class:`SplitScorer`."""
     if name not in _OBJECTIVES:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Sequence
 
 
@@ -18,9 +18,6 @@ class EvaluationMetrics:
     auc: float
     n_records: int
     n_neighborhoods: int
-
-    def as_dict(self) -> Dict[str, float]:
-        return {key: float(value) for key, value in asdict(self).items()}
 
 
 @dataclass(frozen=True)
@@ -57,16 +54,3 @@ class MethodComparison:
 def comparisons_to_rows(comparisons: Sequence[MethodComparison]) -> List[Dict[str, Any]]:
     """Flatten comparisons into a list of table rows."""
     return [comparison.row() for comparison in comparisons]
-
-
-def best_method_per_height(
-    comparisons: Sequence[MethodComparison], metric: str = "ence_test"
-) -> Dict[int, str]:
-    """The method achieving the lowest ``metric`` at each height."""
-    best: Dict[int, MethodComparison] = {}
-    for comparison in comparisons:
-        row = comparison.row()
-        height = int(row["height"])
-        if height not in best or row[metric] < best[height].row()[metric]:
-            best[height] = comparison
-    return {height: comparison.method for height, comparison in best.items()}

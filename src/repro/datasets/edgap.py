@@ -26,11 +26,11 @@ dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from ..config import DatasetConfig, GridConfig
+from ..config import DatasetConfig
 from ..exceptions import DatasetError
 from ..rng import as_generator
 from ..spatial.geometry import BoundingBox
@@ -271,14 +271,3 @@ def load_edgap_city(config: DatasetConfig) -> SpatialDataset:
     model = city_model(config.city)
     grid = Grid(config.grid.rows, config.grid.cols, BoundingBox.unit())
     return generate_city(model, grid, n_records=config.n_records, seed=config.seed)
-
-
-def default_config(city: str, grid: GridConfig | None = None, seed: int = 7) -> DatasetConfig:
-    """A :class:`DatasetConfig` with the paper-matching record count for ``city``."""
-    model = city_model(city)
-    return DatasetConfig(
-        city=model.name,
-        n_records=model.n_records,
-        grid=grid or GridConfig(),
-        seed=seed,
-    )

@@ -42,11 +42,6 @@ class LabelTask:
             )
         return binary_labels_from_threshold(dataset.column(self.outcome_column), self.threshold)
 
-    def positive_rate(self, dataset: SpatialDataset) -> float:
-        """Fraction of positive labels in ``dataset`` (useful for sanity checks)."""
-        labels = self.labels(dataset)
-        return float(labels.mean()) if labels.size else 0.0
-
 
 def act_task(threshold: float = PAPER_ACT_THRESHOLD) -> LabelTask:
     """The paper's primary task: average ACT score >= ``threshold``."""

@@ -60,11 +60,6 @@ class DatasetSchema:
         """Names of features that may be used for training (non-outcome)."""
         return tuple(spec.name for spec in self._features if not spec.is_outcome)
 
-    @property
-    def outcome_names(self) -> Tuple[str, ...]:
-        """Names of outcome variables (used only to derive labels)."""
-        return tuple(spec.name for spec in self._features if spec.is_outcome)
-
     def __len__(self) -> int:
         return len(self._features)
 

@@ -68,10 +68,6 @@ class TrainTestSplit:
     test_indices: np.ndarray
 
     @property
-    def n_train(self) -> int:
-        return self.train.n_records
-
-    @property
     def n_test(self) -> int:
         return self.test.n_records
 

@@ -63,19 +63,6 @@ class ZipcodePartition:
             raise PartitionError("rows and cols must have the same shape")
         return self._labels[rows, cols]
 
-    def zone_sizes(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-        """Number of records per zone."""
-        assignment = self.assign(rows, cols)
-        sizes = np.zeros(self._n_zones, dtype=int)
-        np.add.at(sizes, assignment, 1)
-        return sizes
-
-    def top_zones(self, rows: Sequence[int], cols: Sequence[int], k: int = 10) -> List[int]:
-        """Indices of the ``k`` most populated zones, most populated first."""
-        sizes = self.zone_sizes(rows, cols)
-        order = np.argsort(sizes)[::-1]
-        return [int(z) for z in order[: min(k, self._n_zones)]]
-
 
 def synthetic_zipcode_partition(
     grid: Grid,

@@ -9,7 +9,7 @@ ECE of the ten most populated zip codes, which deviate substantially.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..api.facade import model_factory_for
 from ..datasets.labels import LabelTask, act_task
@@ -27,11 +27,6 @@ class DisparityExperimentResult:
     def rows(self, city: str) -> List[dict]:
         """Per-neighborhood rows (rank, ratio, ECE) for one city."""
         return audit_rows(self.audits[city])
-
-    def overall_calibration(self, city: str) -> Tuple[float, float]:
-        """(train ratio, test ratio) overall calibration for one city."""
-        audit = self.audits[city]
-        return audit.overall_train.ratio, audit.overall_test.ratio
 
     def render(self) -> str:
         """Text rendering of the full figure (both cities)."""

@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.results import MethodComparison
 from ..datasets.labels import LabelTask, act_task
-from ..registry import PARTITIONERS
 from .reporting import format_series
 from .runner import ExperimentContext, default_context
 
@@ -37,23 +36,6 @@ class EnceSweepResult:
             metrics = comparison.test if split == "test" else comparison.train
             result.setdefault(comparison.method, {})[comparison.height] = metrics.ence
         return result
-
-    def improvement_over_median(self, city: str, model: str, height: int) -> Dict[str, float]:
-        """Relative ENCE improvement of each method over the median KD-tree.
-
-        The reference method is the first entry of the registry's paper
-        roster (the fairness-blind median KD-tree baseline).
-        """
-        reference = PARTITIONERS.paper_methods()[0]
-        panel = self.series(city, model)
-        baseline = panel.get(reference, {}).get(height)
-        if baseline is None or baseline == 0:
-            return {}
-        return {
-            method: (baseline - values[height]) / baseline
-            for method, values in panel.items()
-            if height in values and method != reference
-        }
 
     def render(self, split: str = "test") -> str:
         """Text rendering of every (city, model) panel."""

@@ -30,15 +30,6 @@ class TimingResult:
     seconds: Dict[str, float]
     model_trainings: Dict[str, int]
 
-    @property
-    def speedup_of_fair_over_iterative(self) -> float:
-        """How many times faster the single-shot variant is (>= 1 expected)."""
-        fair = self.seconds.get("fair_kdtree", 0.0)
-        iterative = self.seconds.get("iterative_fair_kdtree", 0.0)
-        if fair <= 0:
-            return float("inf")
-        return iterative / fair
-
     def render(self) -> str:
         rows = [
             {

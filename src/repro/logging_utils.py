@@ -4,25 +4,8 @@ from __future__ import annotations
 
 import logging
 import sys
-import time
-from contextlib import contextmanager
-from typing import Iterator
 
 _LIBRARY_LOGGER_NAME = "repro"
-
-
-def get_logger(name: str | None = None) -> logging.Logger:
-    """Return a child of the library logger.
-
-    Parameters
-    ----------
-    name:
-        Optional suffix, e.g. ``"experiments.ence"`` yields the logger
-        ``repro.experiments.ence``.
-    """
-    if name:
-        return logging.getLogger(f"{_LIBRARY_LOGGER_NAME}.{name}")
-    return logging.getLogger(_LIBRARY_LOGGER_NAME)
 
 
 def configure_logging(level: int = logging.INFO, stream=None) -> logging.Logger:
@@ -38,13 +21,3 @@ def configure_logging(level: int = logging.INFO, stream=None) -> logging.Logger:
         handler.setFormatter(formatter)
         logger.addHandler(handler)
     return logger
-
-
-@contextmanager
-def log_duration(message: str, logger: logging.Logger | None = None) -> Iterator[None]:
-    """Log ``message`` together with the wall-clock time of the block."""
-    logger = logger or get_logger()
-    start = time.perf_counter()
-    yield
-    elapsed = time.perf_counter() - start
-    logger.info("%s (%.3fs)", message, elapsed)

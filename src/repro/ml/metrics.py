@@ -91,9 +91,3 @@ def roc_auc_score(y_true: np.ndarray, scores: np.ndarray) -> float:
     n_neg = negatives.size
     auc = (positive_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return float(auc)
-
-
-def brier_score(y_true: np.ndarray, scores: np.ndarray) -> float:
-    """Mean squared error between scores and labels (lower is better)."""
-    y_true, scores = _validate_pair(y_true, scores)
-    return float(np.mean((scores - y_true) ** 2))

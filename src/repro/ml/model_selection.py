@@ -1,4 +1,4 @@
-"""Model factories and cross-validation helpers.
+"""Model factories.
 
 Every partitioner in :mod:`repro.core` needs to train fresh classifiers
 (sometimes several times), so models are created through a
@@ -7,18 +7,12 @@ Every partitioner in :mod:`repro.core` needs to train fresh classifiers
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, List, Tuple
-
-import numpy as np
+from typing import Callable
 
 from ..config import ModelConfig
-from ..exceptions import EvaluationError
 from ..registry import MODELS
-from ..rng import SeedLike, as_generator
 from .base import Classifier
 from .logistic import LogisticRegressionClassifier  # noqa: F401 - triggers registration
-from .metrics import accuracy_score
 from .naive_bayes import GaussianNaiveBayesClassifier  # noqa: F401 - triggers registration
 from .tree import DecisionTreeClassifier  # noqa: F401 - triggers registration
 
@@ -49,54 +43,3 @@ def factory_for(config: ModelConfig) -> ModelFactory:
         return make_classifier(config)
 
     return _factory
-
-
-def k_fold_indices(
-    n_records: int, n_folds: int, seed: SeedLike = None
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(train_indices, validation_indices)`` for shuffled k-fold CV."""
-    if n_folds < 2:
-        raise EvaluationError("n_folds must be >= 2")
-    if n_folds > n_records:
-        raise EvaluationError("n_folds cannot exceed the number of records")
-    rng = as_generator(seed)
-    permutation = rng.permutation(n_records)
-    folds = np.array_split(permutation, n_folds)
-    for index in range(n_folds):
-        validation = np.sort(folds[index])
-        train = np.sort(np.concatenate([folds[j] for j in range(n_folds) if j != index]))
-        yield train, validation
-
-
-@dataclass(frozen=True)
-class CrossValidationResult:
-    """Per-fold and aggregate accuracy of a cross-validation run."""
-
-    fold_scores: Tuple[float, ...]
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.fold_scores))
-
-    @property
-    def std(self) -> float:
-        return float(np.std(self.fold_scores))
-
-
-def cross_validate(
-    factory: ModelFactory,
-    features: np.ndarray,
-    labels: np.ndarray,
-    n_folds: int = 5,
-    seed: SeedLike = None,
-) -> CrossValidationResult:
-    """Shuffled k-fold cross-validation measuring accuracy."""
-    features = np.asarray(features, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    scores: List[float] = []
-    for train_idx, validation_idx in k_fold_indices(labels.shape[0], n_folds, seed):
-        model = factory()
-        model.fit(features[train_idx], labels[train_idx])
-        predictions = model.predict(features[validation_idx])
-        scores.append(accuracy_score(labels[validation_idx], predictions))
-    return CrossValidationResult(fold_scores=tuple(scores))

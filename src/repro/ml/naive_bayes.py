@@ -87,17 +87,3 @@ class GaussianNaiveBayesClassifier(Classifier):
         max_jll = jll.max(axis=1, keepdims=True)
         log_norm = max_jll + np.log(np.exp(jll - max_jll).sum(axis=1, keepdims=True))
         return np.exp(jll[:, 1] - log_norm.ravel())
-
-    @property
-    def class_priors(self) -> np.ndarray:
-        """Fitted class priors ``P(y=0), P(y=1)``."""
-        if self._class_log_prior is None:
-            raise TrainingError("model has not been fitted")
-        return np.exp(self._class_log_prior)
-
-    @property
-    def feature_means(self) -> np.ndarray:
-        """Fitted per-class feature means, shape ``(2, n_features)``."""
-        if self._means is None:
-            raise TrainingError("model has not been fitted")
-        return self._means.copy()

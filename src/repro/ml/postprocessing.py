@@ -127,10 +127,3 @@ class HistogramBinningCalibrator:
 
     def fit_transform(self, scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
         return self.fit(scores, labels).transform(scores)
-
-    @property
-    def bin_rates(self) -> np.ndarray:
-        """Per-bin positive rates learnt at fit time."""
-        if self._bin_rates is None:
-            raise NotFittedError("HistogramBinningCalibrator has not been fitted")
-        return self._bin_rates.copy()

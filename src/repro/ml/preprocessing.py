@@ -42,18 +42,6 @@ class StandardScaler:
     def fit_transform(self, matrix: np.ndarray) -> np.ndarray:
         return self.fit(matrix).transform(matrix)
 
-    @property
-    def mean_(self) -> np.ndarray:
-        if self._mean is None:
-            raise NotFittedError("StandardScaler has not been fitted")
-        return self._mean
-
-    @property
-    def scale_(self) -> np.ndarray:
-        if self._scale is None:
-            raise NotFittedError("StandardScaler has not been fitted")
-        return self._scale
-
 
 class OneHotEncoder:
     """One-hot encoding for a single integer-valued categorical column."""
@@ -140,14 +128,6 @@ class FeaturePipeline:
 
     def fit_transform(self, matrix: np.ndarray) -> np.ndarray:
         return self.fit(matrix).transform(matrix)
-
-    @property
-    def n_output_features(self) -> int:
-        if not self._fitted:
-            raise NotFittedError("FeaturePipeline has not been fitted")
-        n_numeric = self._scaler.mean_.shape[0]
-        n_categorical = 0 if self._encoder is None else self._encoder.categories_.shape[0]
-        return n_numeric + n_categorical
 
     def output_feature_names(self, input_names: Sequence[str]) -> Tuple[str, ...]:
         """Names of the transformed columns, mirroring :meth:`transform`'s layout."""

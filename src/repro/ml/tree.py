@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -87,16 +87,11 @@ class DecisionTreeClassifier(Classifier):
         self._min_impurity_decrease = float(min_impurity_decrease)
         self._max_candidate_thresholds = int(max_candidate_thresholds)
         self._root: Optional[_TreeNode] = None
-        self._importances: Optional[np.ndarray] = None
 
     # -- training -----------------------------------------------------------------
 
     def _fit(self, features: np.ndarray, labels: np.ndarray, sample_weight: np.ndarray) -> None:
-        self._importances = np.zeros(features.shape[1], dtype=float)
         self._root = self._grow(features, labels, sample_weight, depth=0)
-        total = self._importances.sum()
-        if total > 0:
-            self._importances /= total
 
     def _grow(
         self,
@@ -118,8 +113,7 @@ class DecisionTreeClassifier(Classifier):
         best = self._best_split(features, labels, weights, total_weight, positive_weight)
         if best is None:
             return node
-        feature, threshold, gain = best
-        self._importances[feature] += gain * total_weight
+        feature, threshold = best
 
         mask = features[:, feature] <= threshold
         node.feature = feature
@@ -145,10 +139,10 @@ class DecisionTreeClassifier(Classifier):
         weights: np.ndarray,
         total_weight: float,
         positive_weight: float,
-    ) -> Optional[Tuple[int, float, float]]:
+    ) -> Optional[Tuple[int, float]]:
         parent_impurity = _weighted_gini(positive_weight, total_weight)
         best_gain = self._min_impurity_decrease
-        best: Optional[Tuple[int, float, float]] = None
+        best: Optional[Tuple[int, float]] = None
         positive_mask = labels == 1
 
         for feature in range(features.shape[1]):
@@ -172,7 +166,7 @@ class DecisionTreeClassifier(Classifier):
                 gain = parent_impurity - impurity
                 if gain > best_gain:
                     best_gain = gain
-                    best = (feature, float(threshold), float(gain))
+                    best = (feature, float(threshold))
         return best
 
     # -- inference -------------------------------------------------------------------
@@ -199,13 +193,6 @@ class DecisionTreeClassifier(Classifier):
 
     # -- introspection -------------------------------------------------------------------
 
-    @property
-    def feature_importances(self) -> np.ndarray:
-        """Normalised total Gini gain attributed to each feature."""
-        if self._importances is None:
-            raise TrainingError("model has not been fitted")
-        return self._importances.copy()
-
     def depth(self) -> int:
         """Actual depth of the fitted tree."""
         if self._root is None:
@@ -219,15 +206,3 @@ class DecisionTreeClassifier(Classifier):
             return 1 + max(left, right)
 
         return _depth(self._root)
-
-    def n_leaves(self) -> int:
-        """Number of leaves in the fitted tree."""
-        if self._root is None:
-            raise TrainingError("model has not been fitted")
-
-        def _count(node: _TreeNode) -> int:
-            if node.is_leaf:
-                return 1
-            return _count(node.left) + _count(node.right)  # type: ignore[arg-type]
-
-        return _count(self._root)

@@ -8,7 +8,7 @@ centralises the conversion so behaviour is reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -32,27 +32,3 @@ def as_generator(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(int(seed))
-
-
-def spawn(seed: SeedLike, index: int) -> np.random.Generator:
-    """Derive an independent child generator from ``seed`` and ``index``.
-
-    Used when one experiment needs several decorrelated streams (for example
-    one per city or per classifier) that must not depend on the order in
-    which they are consumed.
-    """
-    if index < 0:
-        raise ValueError(f"index must be non-negative, got {index}")
-    base = DEFAULT_SEED if seed is None else seed
-    if isinstance(base, np.random.Generator):
-        # Sample a stable integer from the generator's bit stream.
-        base = int(base.integers(0, 2**31 - 1))
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(base), spawn_key=(index,)))
-
-
-def check_probability(value: float, name: str = "probability") -> float:
-    """Validate that ``value`` lies in [0, 1] and return it as ``float``."""
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
-    return value

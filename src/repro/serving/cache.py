@@ -71,10 +71,6 @@ class ArtifactCache:
         self._evictions = 0  # guarded-by: self._mutex
         self._reloads = 0  # guarded-by: self._mutex
 
-    @property
-    def max_entries(self) -> int:
-        return self._config.cache_entries
-
     def _key(self, path: str | Path) -> str:
         return str(Path(path).resolve())
 

@@ -14,6 +14,11 @@ A connection ends the way the stdlib's ``socketserver`` ends one:
 ``shutdown(SHUT_WR)``, then ``close``, so an answer written just before
 (a refusal sent while the request body sits unread) reaches the peer
 ahead of the FIN rather than being cut off by a reset.
+
+An accept that fails for want of a file descriptor leaves the connection
+in the backlog, so retrying at once would spin a CPU until a descriptor
+frees; the loop waits :data:`ACCEPT_RETRY_DELAY` first, as asyncio's
+accept loop does.
 """
 
 from __future__ import annotations
@@ -31,6 +36,12 @@ __all__ = ["Listener"]
 
 logger = logging.getLogger(__name__)
 
+#: Seconds the accept loop waits before retrying an accept that failed
+#: because the process or the system ran out of file descriptors.
+ACCEPT_RETRY_DELAY = 0.1
+
+_OUT_OF_DESCRIPTORS = (errno.EMFILE, errno.ENFILE)
+
 
 class Listener:
     """A bound, listening TCP socket and the one accept loop over it.
@@ -44,6 +55,7 @@ class Listener:
         self._sock = socket.create_server((host, port), backlog=128)
         self._name = name
         self._thread: Optional[threading.Thread] = None
+        self._closed = threading.Event()
         self._lock = new_lock("listener.connections")
         self._live: Set[socket.socket] = set()  # guarded-by: self._lock
 
@@ -70,6 +82,9 @@ class Listener:
                 # A failed accept (the peer gave up, no descriptor left)
                 # costs that one connection, not the service.
                 logger.debug("accept failed on %s: %s", self._name, exc)
+                if exc.errno in _OUT_OF_DESCRIPTORS and self._closed.wait(
+                        ACCEPT_RETRY_DELAY):
+                    return  # closed during the pause
                 continue
             with self._lock:
                 self._live.add(conn)
@@ -109,6 +124,7 @@ class Listener:
 
     def close(self) -> None:
         """Stop accepting, then drop every live connection.  Idempotent."""
+        self._closed.set()
         try:
             # shutdown() wakes an accept() blocked in another thread;
             # close() alone leaves it blocked until the join timeout.

@@ -420,11 +420,6 @@ class QueryResult(_JsonValue):
             ) from exc
         object.__setattr__(self, "regions", regions)
 
-    @property
-    def n_located(self) -> int:
-        """How many entries name a real region (``>= 0``)."""
-        return sum(1 for region in self.regions if region >= 0)
-
     def __len__(self) -> int:
         return len(self.regions)
 

@@ -6,8 +6,8 @@ on the map.  This package provides:
 * :class:`~repro.spatial.geometry.Point` and
   :class:`~repro.spatial.geometry.BoundingBox` — continuous-space primitives
   used to place individuals on the map and to convert coordinates to cells.
-* :class:`~repro.spatial.grid.Grid` — the base grid, with cell ids and
-  coordinate <-> cell mapping.
+* :class:`~repro.spatial.grid.Grid` — the base grid and its coordinate ->
+  cell mapping.
 * :class:`~repro.spatial.region.GridRegion` — a contiguous rectangular block
   of cells (the unit that KD-tree style algorithms split).
 * :class:`~repro.spatial.partition.Partition` — a disjoint cover of the grid

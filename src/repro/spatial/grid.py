@@ -106,18 +106,7 @@ class Grid:
     def __repr__(self) -> str:
         return f"Grid({self._rows}x{self._cols}, bounds={self._bounds})"
 
-    # -- cell id mapping -------------------------------------------------------
-
-    def cell_id(self, row: int, col: int) -> int:
-        """Flattened (row-major) identifier of cell ``(row, col)``."""
-        self._check_cell(row, col)
-        return row * self._cols + col
-
-    def cell_from_id(self, cell_id: int) -> GridCell:
-        """Inverse of :meth:`cell_id`."""
-        if not 0 <= cell_id < self.n_cells:
-            raise GridError(f"cell id {cell_id} outside [0, {self.n_cells})")
-        return GridCell(cell_id // self._cols, cell_id % self._cols)
+    # -- cell checks -----------------------------------------------------------
 
     def _check_cell(self, row: int, col: int) -> None:
         if not (0 <= row < self._rows and 0 <= col < self._cols):
@@ -243,10 +232,6 @@ class Grid:
         min_x = self._bounds.min_x + col * self.cell_width
         min_y = self._bounds.min_y + row * self.cell_height
         return BoundingBox(min_x, min_y, min_x + self.cell_width, min_y + self.cell_height)
-
-    def cell_center(self, row: int, col: int) -> Point:
-        """Centre point of cell ``(row, col)``."""
-        return self.cell_bounds(row, col).center
 
     # -- iteration ------------------------------------------------------------
 

@@ -52,11 +52,6 @@ class PartitionLocator:
         """Vectorised neighborhood lookup for grid-cell coordinates."""
         return self._partition.assign(rows, cols)
 
-    def locate_coordinates(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Vectorised neighborhood lookup for continuous coordinates."""
-        rows, cols = self._grid.locate_many(xs, ys)
-        return self._partition.assign(rows, cols)
-
 
 def range_query(partition: Partition, query: BoundingBox) -> List[int]:
     """Indices of all neighborhoods whose extent intersects ``query``.

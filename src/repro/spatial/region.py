@@ -85,12 +85,6 @@ class GridRegion:
 
     # -- membership ------------------------------------------------------------
 
-    def contains_cell(self, row: int, col: int) -> bool:
-        """True when grid cell ``(row, col)`` lies inside the region."""
-        return (
-            self.row_start <= row < self.row_stop and self.col_start <= col < self.col_stop
-        )
-
     def member_mask(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Boolean mask of records whose cells fall inside the region."""
         rows = np.asarray(rows, dtype=int)
@@ -222,14 +216,6 @@ class CumulativeGrid:
     def _check_region(self, region: GridRegion) -> None:
         if region.grid is not self._grid and region.grid != self._grid:
             raise GridError("region belongs to a different grid than this table")
-
-    def region_sum(self, region: GridRegion) -> float:
-        """Total of the statistic inside ``region`` (four table entries)."""
-        self._check_region(region)
-        t = self._table
-        r0, r1 = region.row_start, region.row_stop
-        c0, c1 = region.col_start, region.col_stop
-        return float(t[r1, c1] - t[r0, c1] - t[r1, c0] + t[r0, c0])
 
     def line_sums(self, region: GridRegion, axis: int) -> np.ndarray:
         """Per-line totals of the statistic inside ``region`` along ``axis``.

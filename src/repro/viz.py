@@ -2,14 +2,12 @@
 
 Plotting libraries are not available offline, so this module renders maps as
 text: a partition becomes a character grid (one letter per neighborhood), and
-a metric surface (population, calibration error) becomes a shaded ASCII
-heatmap.  These renderings are used by the examples and are handy when
-inspecting a re-districted map in CI logs.
+a 2-D matrix of values becomes a shaded ASCII heatmap.  These renderings
+are used by the examples and are handy when inspecting a re-districted map
+in CI logs.
 """
 
 from __future__ import annotations
-
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -75,32 +73,3 @@ def render_heatmap_ascii(
     if legend:
         rendering += f"\n[min={low:.4g} max={high:.4g}; darker = larger]"
     return rendering
-
-
-def partition_metric_surface(
-    partition: Partition, metric_by_region: Mapping[int, float] | Sequence[float]
-) -> np.ndarray:
-    """Expand a per-neighborhood metric into a per-cell matrix.
-
-    Useful input for :func:`render_heatmap_ascii`: every grid cell takes the
-    value of the neighborhood containing it.
-    """
-    if isinstance(metric_by_region, Mapping):
-        lookup = dict(metric_by_region)
-    else:
-        lookup = {index: float(value) for index, value in enumerate(metric_by_region)}
-    grid = partition.grid
-    surface = np.full(grid.shape, np.nan)
-    for index, region in enumerate(partition.regions):
-        value = lookup.get(index)
-        if value is None:
-            continue
-        surface[region.row_start:region.row_stop, region.col_start:region.col_stop] = value
-    return surface
-
-
-def render_neighborhood_sizes(partition: Partition, rows: np.ndarray, cols: np.ndarray) -> str:
-    """Convenience: ASCII heatmap of the population of each neighborhood."""
-    sizes = partition.region_sizes(rows, cols)
-    surface = partition_metric_surface(partition, sizes.astype(float))
-    return render_heatmap_ascii(surface)

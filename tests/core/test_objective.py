@@ -6,7 +6,6 @@ import pytest
 from repro.core.objective import (
     SplitScorer,
     available_objectives,
-    describe_objective,
     make_scorer,
 )
 from repro.exceptions import ConfigurationError
@@ -16,14 +15,9 @@ class TestRegistry:
     def test_available_objectives(self):
         assert set(available_objectives()) == {"balance", "total", "count_balance"}
 
-    def test_describe_known_objective(self):
-        assert "Eq. 9" in describe_objective("balance")
-
     def test_unknown_objective_raises(self):
         with pytest.raises(ConfigurationError):
             make_scorer("does_not_exist")
-        with pytest.raises(ConfigurationError):
-            describe_objective("does_not_exist")
 
 
 class TestBalanceObjective:

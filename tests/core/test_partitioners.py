@@ -14,7 +14,7 @@ from repro.core.iterative import IterativeFairKDTreePartitioner
 from repro.core.median_kdtree import MedianKDTreePartitioner
 from repro.core.multi_objective import MultiObjectiveFairKDTreePartitioner
 from repro.datasets.labels import act_task, employment_task
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, EvaluationError, TrainingError
 from repro.fairness.ence import weighted_linear_ence
 
 
@@ -55,6 +55,17 @@ class TestPartitionerContract:
     def test_negative_height_rejected(self, make):
         with pytest.raises(ConfigurationError):
             make(-1)
+
+    def test_height_and_repr_expose_configuration(self, make):
+        partitioner = make(5)
+        assert partitioner.height == 5
+        assert repr(partitioner) == f"{type(partitioner).__name__}(name={partitioner.name!r})"
+
+
+@pytest.mark.parametrize("make", ALL_PARTITIONERS[1:3], ids=PARTITIONER_IDS[1:3])
+def test_label_count_must_match_records(make, la_dataset, la_labels, fast_logistic_factory):
+    with pytest.raises(TrainingError, match="record count"):
+        make(2).build(la_dataset, la_labels[:-1], fast_logistic_factory)
 
 
 class TestFairKDTree:
@@ -185,6 +196,22 @@ class TestMultiObjective:
         with pytest.raises(ConfigurationError):
             MultiObjectiveFairKDTreePartitioner(height=3, alphas=())
 
+    def test_negative_height_rejected(self):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            MultiObjectiveFairKDTreePartitioner(height=-1)
+
+    def test_height_exposed(self):
+        assert MultiObjectiveFairKDTreePartitioner(height=6).height == 6
+
+    def test_label_vector_of_wrong_length_rejected(
+        self, la_dataset, la_labels, fast_logistic_factory
+    ):
+        partitioner = MultiObjectiveFairKDTreePartitioner(height=3, alphas=(0.5, 0.5))
+        with pytest.raises(ConfigurationError, match="record count"):
+            partitioner.build_multi(
+                la_dataset, [la_labels, la_labels[:-1]], fast_logistic_factory
+            )
+
     def test_task_count_must_match_alphas(self, la_dataset, la_labels, fast_logistic_factory):
         partitioner = MultiObjectiveFairKDTreePartitioner(height=3, alphas=(0.5, 0.5))
         with pytest.raises(ConfigurationError):
@@ -220,6 +247,14 @@ class TestGridReweighting:
 
     def test_block_counts_capped_at_grid(self):
         assert grid_blocks_for_height(10, 16, 16) == (16, 16)
+
+    def test_label_count_must_match_records(self, la_dataset, la_labels, fast_logistic_factory):
+        with pytest.raises(EvaluationError, match="same length"):
+            GridReweightingPartitioner(2).build(la_dataset, la_labels[:-1], fast_logistic_factory)
+
+    def test_negative_height_rejected_by_block_counts(self):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            grid_blocks_for_height(-1, 16, 16)
 
     def test_neighborhood_count_close_to_two_power_height(
         self, la_dataset, la_labels, fast_logistic_factory

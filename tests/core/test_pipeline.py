@@ -10,7 +10,6 @@ from repro.core.pipeline import RedistrictingPipeline
 from repro.core.results import (
     EvaluationMetrics,
     MethodComparison,
-    best_method_per_height,
     comparisons_to_rows,
 )
 from repro.datasets.labels import act_task
@@ -106,14 +105,6 @@ class TestResultContainers:
             n_neighborhoods=8,
         )
 
-    def test_as_dict_roundtrip(self):
-        metrics = self._metrics(0.1)
-        payload = metrics.as_dict()
-        assert payload["ence"] == pytest.approx(0.1)
-        assert set(payload) == {
-            "accuracy", "miscalibration", "ece", "ence", "auc", "n_records", "n_neighborhoods"
-        }
-
     def test_comparison_row_and_flattening(self):
         comparison = MethodComparison(
             method="fair_kdtree",
@@ -127,25 +118,3 @@ class TestResultContainers:
         rows = comparisons_to_rows([comparison])
         assert rows[0]["method"] == "fair_kdtree"
         assert rows[0]["ence_test"] == pytest.approx(0.03)
-
-    def test_best_method_per_height(self):
-        def comparison(method, height, ence):
-            return MethodComparison(
-                method=method,
-                city="c",
-                model="m",
-                height=height,
-                train=self._metrics(ence),
-                test=self._metrics(ence),
-                build_seconds=0.0,
-            )
-
-        comparisons = [
-            comparison("median_kdtree", 4, 0.10),
-            comparison("fair_kdtree", 4, 0.05),
-            comparison("median_kdtree", 6, 0.20),
-            comparison("fair_kdtree", 6, 0.25),
-        ]
-        best = best_method_per_height(comparisons)
-        assert best[4] == "fair_kdtree"
-        assert best[6] == "median_kdtree"

@@ -245,7 +245,7 @@ def _dataset_from_cells(grid, cell_rows, cell_cols):
     xs = np.empty(n)
     ys = np.empty(n)
     for i, (r, c) in enumerate(zip(cell_rows, cell_cols)):
-        center = grid.cell_center(int(r), int(c))
+        center = grid.cell_bounds(int(r), int(c)).center
         xs[i], ys[i] = center.x, center.y
     rng = np.random.default_rng(3)
     return SpatialDataset(
@@ -354,6 +354,12 @@ class TestEngineValidation:
             engine.line_sums(other, axis=0)
         with pytest.raises(SplitError):
             engine.region_count(other)
+
+    @pytest.mark.parametrize("engine_kind", ENGINES)
+    def test_engines_reject_an_axis_other_than_rows_or_columns(self, small_grid, engine_kind):
+        engine = engine_kind(small_grid, np.array([0]), np.array([0]), np.array([0.5]))
+        with pytest.raises(SplitError, match="axis must be 0 or 1"):
+            engine.line_sums(GridRegion.full(small_grid), axis=2)
 
 
 @pytest.mark.parametrize("engine_kind", BUILD_ENGINES)

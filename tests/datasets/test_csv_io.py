@@ -30,6 +30,12 @@ class TestLoadCsv:
         assert report.skipped_rows == 0
         assert dataset.name == "schools"
 
+    def test_empty_file_has_no_header_row(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(DatasetError, match="no header row"):
+            load_csv_dataset(path)
+
     def test_coordinates_rescaled_to_unit_square(self, tmp_path):
         path = write_csv(
             tmp_path / "schools.csv",

@@ -7,7 +7,8 @@ from repro.datasets.dataset import SpatialDataset
 from repro.datasets.schema import DatasetSchema, FeatureSpec
 from repro.exceptions import DatasetError
 from repro.spatial.grid import Grid
-from repro.spatial.partition import uniform_partition
+from repro.spatial.partition import Partition, uniform_partition
+from repro.spatial.region import GridRegion
 
 
 @pytest.fixture()
@@ -58,6 +59,10 @@ class TestConstruction:
         with pytest.raises(DatasetError):
             SpatialDataset(tiny_schema, np.zeros((5, 2)), np.zeros(5), np.zeros(5), grid)
 
+    def test_one_dimensional_features_raise(self, tiny_schema):
+        with pytest.raises(DatasetError, match="2-D"):
+            SpatialDataset(tiny_schema, np.zeros(5), np.zeros(5), np.zeros(5), Grid(4, 4))
+
     def test_wrong_coordinate_length_raises(self, tiny_schema):
         grid = Grid(4, 4)
         with pytest.raises(DatasetError):
@@ -107,6 +112,13 @@ class TestNeighborhoodRewriting:
         assert updated.n_records == tiny_dataset.n_records
         # Original dataset untouched.
         assert tiny_dataset.n_neighborhoods == 1
+
+    def test_with_partition_leaving_records_uncovered_raises(self, tiny_dataset):
+        grid = tiny_dataset.grid
+        top_half = Partition(grid, [GridRegion(grid, 0, 2, 0, 4)], require_complete=False)
+        assert np.any(tiny_dataset.cell_rows >= 2)
+        with pytest.raises(DatasetError, match="does not cover"):
+            tiny_dataset.with_partition(top_half)
 
     def test_with_partition_wrong_grid_raises(self, tiny_dataset):
         foreign = uniform_partition(Grid(8, 8), 2, 2)

@@ -5,8 +5,9 @@ import pytest
 
 from repro.config import DatasetConfig, GridConfig
 from repro.datasets.edgap import (
+    CityModel,
+    PopulationCluster,
     city_model,
-    default_config,
     generate_city,
     list_cities,
     load_edgap_city,
@@ -31,10 +32,17 @@ class TestCityRegistry:
     def test_lookup_case_insensitive(self):
         assert city_model("Los_Angeles").name == "los_angeles"
 
-    def test_default_config_matches_city(self):
-        config = default_config("houston")
-        assert config.n_records == 966
-        assert config.city == "houston"
+
+class TestCityModelValidation:
+    CLUSTER = PopulationCluster(0.5, 0.5, 0.1, 1.0, affluence=0.0)
+
+    def test_city_without_records_raises(self):
+        with pytest.raises(DatasetError, match="at least one record"):
+            CityModel(name="empty", n_records=0, clusters=(self.CLUSTER,), base_seed=1)
+
+    def test_city_without_clusters_raises(self):
+        with pytest.raises(DatasetError, match="population cluster"):
+            CityModel(name="barren", n_records=10, clusters=(), base_seed=1)
 
 
 class TestGeneration:
@@ -52,7 +60,7 @@ class TestGeneration:
 
     def test_different_seed_changes_data(self):
         base = DatasetConfig(city="houston", n_records=100, grid=GridConfig(8, 8), seed=3)
-        other = base.with_seed(4)
+        other = DatasetConfig(city="houston", n_records=100, grid=GridConfig(8, 8), seed=4)
         a = load_edgap_city(base)
         b = load_edgap_city(other)
         assert not np.allclose(a.features, b.features)

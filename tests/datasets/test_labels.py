@@ -50,16 +50,12 @@ class TestLabelTasks:
             assert set(np.unique(labels)) <= {0, 1}
             assert 0.02 < labels.mean() < 0.98
 
-    def test_positive_rate_matches_mean(self, la_dataset):
-        task = act_task()
-        assert task.positive_rate(la_dataset) == pytest.approx(task.labels(la_dataset).mean())
-
     def test_unknown_column_raises(self, la_dataset):
         task = LabelTask(name="bogus", outcome_column="missing_column", threshold=1.0)
         with pytest.raises(DatasetError):
             task.labels(la_dataset)
 
     def test_custom_threshold_changes_positive_rate(self, la_dataset):
-        lenient = act_task(threshold=15.0).positive_rate(la_dataset)
-        strict = act_task(threshold=28.0).positive_rate(la_dataset)
+        lenient = act_task(threshold=15.0).labels(la_dataset).mean()
+        strict = act_task(threshold=28.0).labels(la_dataset).mean()
         assert lenient > strict

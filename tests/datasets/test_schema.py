@@ -56,7 +56,6 @@ class TestDatasetSchema:
             ]
         )
         assert schema.training_names == ("a",)
-        assert schema.outcome_names == ("outcome",)
 
     def test_spec_lookup(self):
         spec = EDGAP_SCHEMA.spec("median_income")
@@ -78,7 +77,8 @@ class TestEdgapSchema:
         assert set(EDGAP_SCHEMA.names) == expected
 
     def test_outcomes_are_act_and_employment(self):
-        assert set(EDGAP_SCHEMA.outcome_names) == {"average_act", "family_employment_rate"}
+        outcomes = set(EDGAP_SCHEMA.names) - set(EDGAP_SCHEMA.training_names)
+        assert outcomes == {"average_act", "family_employment_rate"}
 
     def test_training_features_exclude_outcomes(self):
         assert "average_act" not in EDGAP_SCHEMA.training_names

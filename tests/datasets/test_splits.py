@@ -60,7 +60,7 @@ class TestSplitIndices:
 class TestSplitDataset:
     def test_split_sizes(self, la_dataset, la_labels):
         split = split_dataset(la_dataset, la_labels, test_fraction=0.3, seed=5)
-        assert split.n_train + split.n_test == la_dataset.n_records
+        assert split.train.n_records + split.n_test == la_dataset.n_records
         assert split.n_test == split.test_labels.shape[0]
 
     def test_labels_aligned_with_subsets(self, la_dataset, la_labels):
@@ -78,4 +78,4 @@ class TestSplitDataset:
 
     def test_unstratified_split_supported(self, la_dataset, la_labels):
         split = split_dataset(la_dataset, la_labels, test_fraction=0.3, seed=5, stratify=False)
-        assert split.n_train + split.n_test == la_dataset.n_records
+        assert split.train.n_records + split.n_test == la_dataset.n_records

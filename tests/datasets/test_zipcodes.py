@@ -66,24 +66,14 @@ class TestZipcodeAssignment:
         expected = zones.label_grid[rows, cols]
         np.testing.assert_array_equal(zones.assign(rows, cols), expected)
 
-    def test_zone_sizes_sum(self):
-        grid = Grid(8, 8)
-        zones = synthetic_zipcode_partition(grid, n_zones=5, seed=4)
-        rng = np.random.default_rng(0)
-        rows = rng.integers(0, 8, 60)
-        cols = rng.integers(0, 8, 60)
-        assert zones.zone_sizes(rows, cols).sum() == 60
+    def test_mismatched_coordinate_shapes_raise(self):
+        zones = synthetic_zipcode_partition(Grid(4, 4), n_zones=3, seed=1)
+        with pytest.raises(PartitionError, match="same shape"):
+            zones.assign(np.array([0, 1]), np.array([0]))
 
-    def test_top_zones_ordered_by_population(self):
-        grid = Grid(8, 8)
-        zones = synthetic_zipcode_partition(grid, n_zones=5, seed=4)
-        rng = np.random.default_rng(1)
-        rows = rng.integers(0, 8, 200)
-        cols = rng.integers(0, 8, 200)
-        top = zones.top_zones(rows, cols, k=3)
-        sizes = zones.zone_sizes(rows, cols)
-        assert len(top) == 3
-        assert sizes[top[0]] >= sizes[top[1]] >= sizes[top[2]]
+    def test_grid_is_the_construction_grid(self):
+        grid = Grid(5, 7)
+        assert synthetic_zipcode_partition(grid, n_zones=3, seed=1).grid == grid
 
     def test_label_grid_readonly(self):
         zones = synthetic_zipcode_partition(Grid(6, 6), n_zones=4, seed=2)

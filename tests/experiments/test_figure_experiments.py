@@ -54,12 +54,6 @@ class TestEnceSweep:
             assert panel["fair_kdtree"][height] < panel["median_kdtree"][height]
             assert panel["iterative_fair_kdtree"][height] < panel["median_kdtree"][height]
 
-    def test_improvement_helper(self, ence_result):
-        improvements = ence_result.improvement_over_median(
-            "los_angeles", "logistic_regression", 5
-        )
-        assert improvements["fair_kdtree"] > 0.0
-
     def test_render_mentions_every_method(self, ence_result):
         text = ence_result.render()
         assert "fair_kdtree" in text and "median_kdtree" in text
@@ -106,7 +100,8 @@ class TestDisparity:
         assert set(disparity_result.audits) == {"los_angeles"}
 
     def test_overall_calibration_close_to_one(self, disparity_result):
-        train_ratio, test_ratio = disparity_result.overall_calibration("los_angeles")
+        audit = disparity_result.audits["los_angeles"]
+        train_ratio, test_ratio = audit.overall_train.ratio, audit.overall_test.ratio
         assert 0.7 < train_ratio < 1.3
         assert 0.5 < test_ratio < 1.6
 
@@ -180,7 +175,6 @@ class TestTiming:
     def test_iterative_slower_than_single_shot(self):
         result = run_timing_experiment(small_context(), height=5)
         assert result.seconds["iterative_fair_kdtree"] > result.seconds["fair_kdtree"]
-        assert result.speedup_of_fair_over_iterative > 1.0
 
     def test_training_counts_match_theory(self):
         result = run_timing_experiment(small_context(), height=5)

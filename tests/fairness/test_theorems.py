@@ -106,6 +106,12 @@ class TestRefinementHelpers:
         refined = refine_partition_once(assignment, seed=0)
         np.testing.assert_array_equal(refined, assignment)
 
+    def test_theorem2_rejects_assignments_of_different_length(self):
+        scores = np.full(6, 0.5)
+        labels = np.array([0, 1, 0, 1, 0, 1])
+        with pytest.raises(EvaluationError, match="same length"):
+            verify_theorem2(scores, labels, np.zeros(6, dtype=int), np.zeros(5, dtype=int))
+
     def test_random_assignment_range(self):
         assignment = random_assignment(50, 4, seed=1)
         assert assignment.shape == (50,)

@@ -59,6 +59,14 @@ class TestBasicQuantities:
         with pytest.raises(EvaluationError):
             expected_score(np.array([]))
 
+    def test_empty_labels_raise(self):
+        with pytest.raises(EvaluationError, match="at least one record"):
+            observed_positive_fraction(np.array([]))
+
+    def test_empty_scores_and_labels_raise(self):
+        with pytest.raises(EvaluationError, match="at least one record"):
+            miscalibration(np.array([]), np.array([]))
+
 
 class TestReliabilityBins:
     def test_bin_count_and_population(self, calibrated_data):

@@ -67,6 +67,11 @@ class TestPermutationImportance:
         with pytest.raises(EvaluationError):
             permutation_importance(model, features, labels, n_repeats=0)
 
+    def test_one_dimensional_features_raise(self, signal_and_noise_problem):
+        model, features, labels = signal_and_noise_problem
+        with pytest.raises(EvaluationError, match="2-D"):
+            permutation_importance(model, features[:, 0], labels)
+
     def test_label_mismatch_raises(self, signal_and_noise_problem):
         model, features, labels = signal_and_noise_problem
         with pytest.raises(EvaluationError):

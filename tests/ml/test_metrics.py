@@ -6,7 +6,6 @@ import pytest
 from repro.exceptions import EvaluationError
 from repro.ml.metrics import (
     accuracy_score,
-    brier_score,
     confusion_matrix,
     f1_score,
     precision_score,
@@ -105,14 +104,3 @@ class TestRocAuc:
         assert roc_auc_score(labels, scores) == pytest.approx(
             roc_auc_score(labels, squashed), abs=1e-12
         )
-
-
-class TestBrier:
-    def test_perfect_scores(self):
-        assert brier_score([0, 1], [0.0, 1.0]) == 0.0
-
-    def test_worst_scores(self):
-        assert brier_score([0, 1], [1.0, 0.0]) == 1.0
-
-    def test_uniform_scores(self):
-        assert brier_score([0, 1, 0, 1], [0.5] * 4) == pytest.approx(0.25)

@@ -1,17 +1,8 @@
-"""Unit tests for model factories and cross-validation."""
-
-import numpy as np
-import pytest
+"""Unit tests for model factories."""
 
 from repro.config import ModelConfig
-from repro.exceptions import EvaluationError
 from repro.ml.logistic import LogisticRegressionClassifier
-from repro.ml.model_selection import (
-    cross_validate,
-    factory_for,
-    k_fold_indices,
-    make_classifier,
-)
+from repro.ml.model_selection import factory_for, make_classifier
 from repro.ml.naive_bayes import GaussianNaiveBayesClassifier
 from repro.ml.tree import DecisionTreeClassifier
 
@@ -37,39 +28,3 @@ class TestMakeClassifier:
         model = make_classifier(config)
         assert model._max_depth == 3
         assert model._min_samples_leaf == 9
-
-
-class TestKFold:
-    def test_folds_partition_data(self):
-        n = 53
-        seen = []
-        for train, validation in k_fold_indices(n, 5, seed=1):
-            assert set(train).isdisjoint(set(validation))
-            assert len(train) + len(validation) == n
-            seen.extend(validation.tolist())
-        assert sorted(seen) == list(range(n))
-
-    def test_invalid_fold_counts_raise(self):
-        with pytest.raises(EvaluationError):
-            list(k_fold_indices(10, 1))
-        with pytest.raises(EvaluationError):
-            list(k_fold_indices(3, 5))
-
-    def test_deterministic_for_seed(self):
-        a = [v.tolist() for _, v in k_fold_indices(20, 4, seed=3)]
-        b = [v.tolist() for _, v in k_fold_indices(20, 4, seed=3)]
-        assert a == b
-
-
-class TestCrossValidate:
-    def test_reasonable_accuracy_on_separable_data(self):
-        rng = np.random.default_rng(0)
-        n = 200
-        signal = rng.normal(size=n)
-        features = np.column_stack([signal, rng.normal(size=n)])
-        labels = (signal > 0).astype(int)
-        factory = factory_for(ModelConfig(kind="logistic_regression", max_iter=150))
-        result = cross_validate(factory, features, labels, n_folds=4, seed=2)
-        assert len(result.fold_scores) == 4
-        assert result.mean > 0.8
-        assert result.std >= 0.0

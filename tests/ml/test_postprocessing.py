@@ -63,6 +63,14 @@ class TestPlattCalibrator:
         with pytest.raises(EvaluationError):
             PlattCalibrator().fit(np.array([1.5]), np.array([1]))
 
+    def test_empty_scores_raise(self):
+        with pytest.raises(EvaluationError, match="at least one score"):
+            PlattCalibrator().fit(np.array([]), np.array([], dtype=int))
+
+    def test_coefficients_before_fit_raise(self):
+        with pytest.raises(NotFittedError):
+            PlattCalibrator().coefficients
+
 
 class TestHistogramBinning:
     def test_reduces_miscalibration(self, overconfident_scores):
@@ -80,8 +88,8 @@ class TestHistogramBinning:
     def test_bin_rates_are_probabilities(self, overconfident_scores):
         scores, labels = overconfident_scores
         calibrator = HistogramBinningCalibrator(n_bins=10).fit(scores, labels)
-        rates = calibrator.bin_rates
-        assert rates.shape == (10,)
+        rates = calibrator.transform(np.linspace(0.0, 1.0, 101))
+        assert np.unique(rates).size <= 10
         assert rates.min() >= 0.0 and rates.max() <= 1.0
 
     def test_empty_bins_fall_back_to_overall_rate(self):
@@ -102,6 +110,10 @@ class TestHistogramBinning:
     def test_label_shape_mismatch_raises(self):
         with pytest.raises(EvaluationError):
             HistogramBinningCalibrator().fit(np.array([0.5, 0.6]), np.array([1]))
+
+    def test_empty_scores_raise(self):
+        with pytest.raises(EvaluationError, match="at least one score"):
+            HistogramBinningCalibrator().fit(np.array([]), np.array([], dtype=int))
 
 
 class TestCombinedWithSpatialFairness:

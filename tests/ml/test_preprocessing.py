@@ -58,6 +58,14 @@ class TestOneHotEncoder:
         with pytest.raises(NotFittedError):
             OneHotEncoder().transform(np.array([1]))
 
+    def test_categories_before_fit_raise(self):
+        with pytest.raises(NotFittedError):
+            OneHotEncoder().categories_
+
+    def test_categories_are_sorted_unique_values(self):
+        encoder = OneHotEncoder().fit(np.array([3, 1, 3, 2, 1]))
+        np.testing.assert_array_equal(encoder.categories_, [1, 2, 3])
+
     def test_single_category(self):
         encoded = OneHotEncoder().fit_transform(np.zeros(5, dtype=int))
         assert encoded.shape == (5, 1)
@@ -76,7 +84,6 @@ class TestFeaturePipeline:
         pipeline = FeaturePipeline(categorical_index=3)
         transformed = pipeline.fit_transform(matrix)
         assert transformed.shape == (50, 3 + 4)
-        assert pipeline.n_output_features == 7
 
     def test_numeric_only_pipeline(self, matrix):
         pipeline = FeaturePipeline(categorical_index=None)
@@ -107,6 +114,14 @@ class TestFeaturePipeline:
     def test_transform_before_fit_raises(self, matrix):
         with pytest.raises(NotFittedError):
             FeaturePipeline(categorical_index=3).transform(matrix)
+
+    def test_output_feature_names_before_fit_raise(self):
+        with pytest.raises(NotFittedError):
+            FeaturePipeline(categorical_index=3).output_feature_names(["a", "b", "c", "d"])
+
+    def test_non_2d_matrix_raises(self, matrix):
+        with pytest.raises(TrainingError, match="2-D"):
+            FeaturePipeline(categorical_index=3).fit(matrix[:, 0])
 
     def test_invalid_categorical_index_raises(self, matrix):
         with pytest.raises(TrainingError):

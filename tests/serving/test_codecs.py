@@ -11,6 +11,7 @@ and the servers' rejection tests do not fight.
 
 import base64
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -235,3 +236,64 @@ class TestB64Helpers:
         values = np.array([1.5, np.nan, -np.inf])
         decoded = decode_b64_array(encode_b64_array(values, "<f8"), "<f8", "xs_b64")
         assert decoded.tobytes() == values.astype("<f8").tobytes()
+
+
+class TestDenseDecodeValidation:
+    """Malformed dense locate requests fail as typed configuration errors."""
+
+    @staticmethod
+    def _fields(**overrides):
+        one = encode_b64_array(np.array([0.5]), "<f8")
+        return {"deployment": "d", "xs_b64": one, "ys_b64": one, **overrides}
+
+    def test_b64_field_must_be_a_string(self):
+        with pytest.raises(ConfigurationError, match="base64 string"):
+            decode_b64_array([0.5], "<f8", "xs_b64")
+
+    def test_b64_field_must_hold_whole_items(self):
+        text = base64.b64encode(b"\x00" * 12).decode("ascii")
+        with pytest.raises(ConfigurationError, match="not a multiple"):
+            decode_b64_array(text, "<f8", "xs_b64")
+
+    def test_empty_deployment_rejected(self):
+        with pytest.raises(ConfigurationError, match="non-empty"):
+            JsonB64Codec.decode_request_fields(self._fields(deployment=""))
+
+    def test_non_bool_strict_rejected(self):
+        with pytest.raises(ConfigurationError, match="strict"):
+            JsonB64Codec.decode_request_fields(self._fields(strict="yes"))
+
+    def test_wrong_kind_rejected(self):
+        with pytest.raises(ConfigurationError, match="expected 'locate'"):
+            JsonB64Codec.decode_request_fields(self._fields(kind="range"))
+
+    @pytest.mark.parametrize("payload", [b"{not json", b"\xff", b"[1, 2]"])
+    def test_payload_must_be_a_json_object(self, payload):
+        with pytest.raises(ConfigurationError, match="payload"):
+            JsonB64Codec().decode_request(payload)
+
+    def test_binary_name_longer_than_its_field_rejected(self):
+        with pytest.raises(ConfigurationError, match="65535-byte"):
+            BinaryCodec().encode_request("d" * 0x10000, np.array([0.5]), np.array([0.5]))
+
+    def test_binary_non_bool_strict_rejected(self):
+        with pytest.raises(ConfigurationError, match="strict"):
+            BinaryCodec().encode_request("d", np.array([0.5]), np.array([0.5]), strict="yes")
+
+    def test_binary_unpaired_coordinates_rejected(self):
+        with pytest.raises(ConfigurationError, match="paired"):
+            BinaryCodec().encode_request("d", np.array([0.5, 0.6]), np.array([0.5]))
+
+    def test_binary_name_must_be_utf8(self):
+        payload = bytearray(BinaryCodec().encode_request("dd", np.array([0.5]), np.array([0.5])))
+        name_at = payload.index(b"dd")
+        payload[name_at:name_at + 2] = b"\xff\xfe"
+        with pytest.raises(ConfigurationError, match="not UTF-8"):
+            BinaryCodec().decode_request(bytes(payload))
+
+    def test_binary_negative_version_code_rejected(self):
+        payload = BinaryCodec().encode_request("d", np.array([0.5]), np.array([0.5]))
+        name_len, strict_code, _, n = struct.unpack_from("<HBqI", payload)
+        forged = struct.pack("<HBqI", name_len, strict_code, -2, n) + payload[15:]
+        with pytest.raises(ConfigurationError, match="version code -2"):
+            BinaryCodec().decode_request(forged)

@@ -157,7 +157,6 @@ class TestTypedQueries:
         result = engine.locate(request)
         assert result.kind == "locate" and result.version == 1
         assert result.regions[0] >= 0 and result.regions[1] == -1
-        assert result.n_located == 1
 
     def test_locate_request_pinned_version(self, bundles):
         engine = ServingEngine()
@@ -447,7 +446,7 @@ class TestManifest:
         restored = ServingEngine.from_manifest(
             manifest, config_overrides={"strict": True}
         )
-        assert restored.cache.max_entries == 3                 # kept
+        assert restored.config.cache_entries == 3              # kept
         with pytest.raises(GridError):                         # overridden
             restored.locate_points("la", np.array([5.0]), np.array([0.5]))
 

@@ -120,6 +120,14 @@ class TestLocateRequest:
                 '{"kind": "locate", "deployment": "la", "xs": ["abc"], "ys": [0.5]}'
             )
 
+    def test_nested_coordinates_rejected(self):
+        with pytest.raises(ConfigurationError, match="flat sequences"):
+            LocateRequest(deployment="la", xs=((0.0, 1.0),), ys=((0.0, 1.0),))
+
+    def test_non_bool_strict_rejected(self):
+        with pytest.raises(ConfigurationError, match="strict"):
+            LocateRequest(deployment="la", xs=(0.0,), ys=(0.0,), strict="yes")
+
     def test_string_coordinates_rejected_not_iterated(self):
         with pytest.raises(ConfigurationError, match="not strings"):
             LocateRequest(deployment="la", xs="123", ys=(1.0, 2.0, 3.0))
@@ -278,9 +286,8 @@ class TestQueryResult:
         assert result.regions == tuple(int(region) for region in regions)
         assert all(type(region) is int for region in result.regions)
 
-    def test_n_located_counts_real_regions(self):
+    def test_len_counts_every_entry(self):
         result = QueryResult(deployment="la", version=1, kind="locate", regions=(3, -1, 0))
-        assert result.n_located == 2
         assert len(result) == 3
 
     def test_bad_kind_rejected(self):
@@ -421,3 +428,31 @@ class TestEnvelope:
         request = LocateRequest(deployment="la", xs=(0.0,), ys=(0.0,))
         with pytest.raises(ConfigurationError, match="requires a RangeRequest"):
             Envelope(op="range", payload=request)
+
+    def test_unknown_op_rejected(self):
+        from repro.serving import Envelope
+
+        request = LocateRequest(deployment="la", xs=(0.0,), ys=(0.0,))
+        with pytest.raises(ConfigurationError, match="Envelope.op"):
+            Envelope(op="ingest", payload=request)
+
+    @pytest.mark.parametrize("version", [0, True, "1"])
+    def test_constructed_with_malformed_version_rejected(self, version):
+        from repro.serving import Envelope
+
+        request = LocateRequest(deployment="la", xs=(0.0,), ys=(0.0,))
+        with pytest.raises(ConfigurationError, match="positive integer"):
+            Envelope(op="locate", payload=request, version=version)
+
+    def test_constructed_with_future_version_rejected(self):
+        from repro.serving import PROTOCOL_VERSION, Envelope
+
+        request = LocateRequest(deployment="la", xs=(0.0,), ys=(0.0,))
+        with pytest.raises(ConfigurationError, match="not supported"):
+            Envelope(op="locate", payload=request, version=PROTOCOL_VERSION + 1)
+
+    def test_from_dict_is_parse(self):
+        from repro.serving import Envelope
+
+        for request in self._requests():
+            assert Envelope.from_dict(request.to_dict()) == Envelope.parse(request.to_dict())

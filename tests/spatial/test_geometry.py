@@ -1,35 +1,12 @@
 """Unit tests for continuous-space geometry primitives."""
 
-import math
-
 import pytest
 
 from repro.exceptions import GeometryError
-from repro.spatial.geometry import BoundingBox, Point, convex_area
+from repro.spatial.geometry import BoundingBox, Point
 
 
 class TestPoint:
-    def test_distance_to_is_euclidean(self):
-        assert Point(0, 0).distance_to(Point(3, 4)) == pytest.approx(5.0)
-
-    def test_distance_is_symmetric(self):
-        a, b = Point(1.5, -2.0), Point(-0.5, 4.0)
-        assert a.distance_to(b) == pytest.approx(b.distance_to(a))
-
-    def test_distance_to_self_is_zero(self):
-        p = Point(2.2, 3.3)
-        assert p.distance_to(p) == 0.0
-
-    def test_manhattan_distance(self):
-        assert Point(0, 0).manhattan_distance_to(Point(3, 4)) == pytest.approx(7.0)
-
-    def test_manhattan_at_least_euclidean(self):
-        a, b = Point(0.3, 0.9), Point(0.8, 0.1)
-        assert a.manhattan_distance_to(b) >= a.distance_to(b)
-
-    def test_translated(self):
-        assert Point(1, 2).translated(0.5, -1.0) == Point(1.5, 1.0)
-
     def test_as_tuple(self):
         assert Point(1.25, 2.5).as_tuple() == (1.25, 2.5)
 
@@ -51,87 +28,29 @@ class TestBoundingBox:
     def test_unit_square_measures(self):
         box = BoundingBox.unit()
         assert box.area == pytest.approx(1.0)
-        assert box.perimeter == pytest.approx(4.0)
         assert box.center == Point(0.5, 0.5)
-
-    def test_from_points(self):
-        box = BoundingBox.from_points([Point(0.2, 0.8), Point(0.6, 0.1), Point(0.4, 0.5)])
-        assert (box.min_x, box.min_y, box.max_x, box.max_y) == (0.2, 0.1, 0.6, 0.8)
-
-    def test_from_points_empty_raises(self):
-        with pytest.raises(GeometryError):
-            BoundingBox.from_points([])
 
     def test_contains_point_boundary_inclusive(self):
         box = BoundingBox.unit()
         assert box.contains_point(Point(0.0, 1.0))
         assert not box.contains_point(Point(1.0001, 0.5))
 
-    def test_contains_box(self):
-        outer = BoundingBox(0, 0, 2, 2)
-        inner = BoundingBox(0.5, 0.5, 1.5, 1.5)
-        assert outer.contains_box(inner)
-        assert not inner.contains_box(outer)
-
-    def test_intersects_and_intersection(self):
+    def test_overlapping_boxes_intersect(self):
         a = BoundingBox(0, 0, 1, 1)
         b = BoundingBox(0.5, 0.5, 2, 2)
-        assert a.intersects(b)
-        overlap = a.intersection(b)
-        assert overlap == BoundingBox(0.5, 0.5, 1, 1)
+        assert a.intersects(b) and b.intersects(a)
 
     def test_disjoint_boxes(self):
         a = BoundingBox(0, 0, 1, 1)
         b = BoundingBox(2, 2, 3, 3)
         assert not a.intersects(b)
-        assert a.intersection(b) is None
 
     def test_touching_boxes_intersect(self):
         a = BoundingBox(0, 0, 1, 1)
         b = BoundingBox(1, 0, 2, 1)
         assert a.intersects(b)
-        assert a.intersection(b).area == 0.0
 
     def test_union_encloses_both(self):
         a = BoundingBox(0, 0, 1, 1)
         b = BoundingBox(2, 2, 3, 3)
-        union = a.union(b)
-        assert union.contains_box(a) and union.contains_box(b)
-
-    def test_split_horizontal(self):
-        bottom, top = BoundingBox.unit().split_horizontal(0.25)
-        assert bottom.height == pytest.approx(0.25)
-        assert top.height == pytest.approx(0.75)
-        assert bottom.area + top.area == pytest.approx(1.0)
-
-    def test_split_vertical(self):
-        left, right = BoundingBox.unit().split_vertical(0.7)
-        assert left.width == pytest.approx(0.7)
-        assert right.width == pytest.approx(0.3)
-
-    def test_split_outside_range_raises(self):
-        with pytest.raises(GeometryError):
-            BoundingBox.unit().split_vertical(1.5)
-        with pytest.raises(GeometryError):
-            BoundingBox.unit().split_horizontal(-0.1)
-
-    def test_corners_order(self):
-        corners = list(BoundingBox(0, 0, 2, 1).corners())
-        assert corners == [Point(0, 0), Point(2, 0), Point(2, 1), Point(0, 1)]
-
-
-class TestConvexArea:
-    def test_unit_square_area(self):
-        corners = list(BoundingBox.unit().corners())
-        assert convex_area(corners) == pytest.approx(1.0)
-
-    def test_triangle_area(self):
-        triangle = [Point(0, 0), Point(1, 0), Point(0, 1)]
-        assert convex_area(triangle) == pytest.approx(0.5)
-
-    def test_orientation_independent(self):
-        triangle = [Point(0, 0), Point(1, 0), Point(0, 1)]
-        assert convex_area(list(reversed(triangle))) == pytest.approx(0.5)
-
-    def test_degenerate_polygon_is_zero(self):
-        assert convex_area([Point(0, 0), Point(1, 1)]) == 0.0
+        assert a.union(b) == BoundingBox(0, 0, 3, 3)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import GridError
 from repro.spatial.geometry import BoundingBox, Point
-from repro.spatial.grid import Grid, GridCell, counts_per_cell
+from repro.spatial.grid import Grid, GridCell, counts_per_cell, sums_per_cell
 
 
 class TestGridConstruction:
@@ -46,27 +46,6 @@ class TestGridConstruction:
         assert Grid(4, 4) == Grid(4, 4)
         assert Grid(4, 4) != Grid(4, 5)
         assert len({Grid(4, 4), Grid(4, 4)}) == 1
-
-
-class TestCellIds:
-    def test_roundtrip(self):
-        grid = Grid(6, 7)
-        for row in range(6):
-            for col in range(7):
-                cell_id = grid.cell_id(row, col)
-                assert grid.cell_from_id(cell_id) == GridCell(row, col)
-
-    def test_cell_ids_are_unique(self):
-        grid = Grid(5, 9)
-        ids = {grid.cell_id(c.row, c.col) for c in grid.cells()}
-        assert len(ids) == grid.n_cells
-
-    def test_out_of_range_raises(self):
-        grid = Grid(3, 3)
-        with pytest.raises(GridError):
-            grid.cell_id(3, 0)
-        with pytest.raises(GridError):
-            grid.cell_from_id(9)
 
 
 class TestLocate:
@@ -183,12 +162,12 @@ class TestCellGeometry:
         total_area = sum(grid.cell_bounds(c.row, c.col).area for c in grid.cells())
         assert total_area == pytest.approx(grid.bounds.area)
 
-    def test_cell_center_inside_cell(self):
-        grid = Grid(5, 3)
-        for cell in grid.cells():
-            assert grid.cell_bounds(cell.row, cell.col).contains_point(
-                grid.cell_center(cell.row, cell.col)
-            )
+    def test_out_of_range_cell_raises(self):
+        grid = Grid(3, 3)
+        with pytest.raises(GridError):
+            grid.cell_bounds(3, 0)
+        with pytest.raises(GridError):
+            grid.cell_bounds(0, -1)
 
     def test_row_slice_bounds(self):
         grid = Grid(4, 4)
@@ -225,3 +204,35 @@ class TestCountsPerCell:
         grid = Grid(2, 2)
         with pytest.raises(GridError):
             counts_per_cell(grid, np.array([0, 1]), np.array([0]))
+
+
+class TestSumsPerCell:
+    def test_matches_per_cell_brute_force(self):
+        grid = Grid(3, 4)
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 3, size=50)
+        cols = rng.integers(0, 4, size=50)
+        values = rng.integers(-8, 9, size=50) / 4.0  # dyadic: sums exact
+        sums = sums_per_cell(grid, rows, cols, values)
+        assert sums.shape == grid.shape
+        for row in range(3):
+            for col in range(4):
+                assert sums[row, col] == values[(rows == row) & (cols == col)].sum()
+
+    def test_unit_values_reproduce_counts(self):
+        grid = Grid(4, 4)
+        rows = np.array([0, 0, 1, 3, 3, 3])
+        cols = np.array([0, 1, 1, 3, 3, 0])
+        np.testing.assert_array_equal(
+            sums_per_cell(grid, rows, cols, np.ones(6)), counts_per_cell(grid, rows, cols)
+        )
+
+    def test_values_shape_mismatch_raises(self):
+        grid = Grid(2, 2)
+        with pytest.raises(GridError, match="same shape"):
+            sums_per_cell(grid, np.array([0, 1]), np.array([0, 1]), np.ones(3))
+
+    def test_out_of_range_raises(self):
+        grid = Grid(2, 2)
+        with pytest.raises(GridError):
+            sums_per_cell(grid, np.array([0]), np.array([2]), np.ones(1))

@@ -52,7 +52,22 @@ class TestPartitionInvariants:
             Partition(grid, [GridRegion.full(other)])
 
 
+    def test_iteration_and_indexing_follow_region_order(self, grid):
+        regions = halves(grid)
+        partition = Partition(grid, regions)
+        assert list(partition) == regions
+        assert partition[0] == regions[0] and partition[1] == regions[1]
+
+    def test_repr_names_region_count_and_grid(self, grid):
+        assert repr(Partition(grid, halves(grid))) == "Partition(2 regions over 8x8 grid)"
+
+
 class TestAssignment:
+    def test_mismatched_coordinate_shapes_raise(self, grid):
+        partition = Partition(grid, halves(grid))
+        with pytest.raises(PartitionError, match="same shape"):
+            partition.assign(np.array([0, 1]), np.array([0]))
+
     def test_assign_maps_cells_to_regions(self, grid):
         partition = Partition(grid, halves(grid))
         rows = np.array([0, 3, 4, 7])

@@ -30,7 +30,7 @@ class TestPartitionLocator:
     def test_locate_point_matches_partition(self, quarters):
         locator = PartitionLocator(quarters)
         index = locator.locate_point(Point(0.1, 0.1))
-        assert quarters.regions[index].contains_cell(0, 0)
+        assert quarters.regions[index].member_mask([0], [0])[0]
 
     def test_locate_point_uncovered_raises(self, grid):
         partial = Partition(grid, [GridRegion(grid, 0, 4, 0, 8)], require_complete=False)
@@ -43,13 +43,6 @@ class TestPartitionLocator:
         result = locator.locate_cells([0, 7], [0, 7])
         assert result.shape == (2,)
         assert result[0] != result[1]
-
-    def test_locate_coordinates(self, quarters):
-        locator = PartitionLocator(quarters)
-        xs = np.array([0.1, 0.9])
-        ys = np.array([0.1, 0.9])
-        result = locator.locate_coordinates(xs, ys)
-        assert len(set(result.tolist())) == 2
 
 
 class TestRangeQuery:
@@ -89,7 +82,7 @@ class TestRangeQuery:
 class TestRegionContainingCell:
     def test_found(self, quarters):
         region = region_containing_cell(quarters, 0, 0)
-        assert region.contains_cell(0, 0)
+        assert region.member_mask([0], [0])[0]
 
     def test_uncovered_cell_raises(self, grid):
         partial = Partition(grid, [GridRegion(grid, 0, 4, 0, 8)], require_complete=False)
@@ -140,11 +133,11 @@ class TestLocatePointScalarPath:
         rng = np.random.default_rng(11)
         xs = rng.uniform(0, 1, 200)
         ys = rng.uniform(0, 1, 200)
-        vectorised = locator.locate_coordinates(xs, ys)
+        vectorised = locator.locate_cells(*quarters.grid.locate_many(xs, ys))
         for x, y, expected in zip(xs, ys, vectorised):
             assert locator.locate_point(Point(x, y)) == int(expected)
 
     def test_map_max_corner_locates(self, quarters):
         locator = PartitionLocator(quarters)
         index = locator.locate_point(Point(1.0, 1.0))
-        assert quarters.regions[index].contains_cell(7, 7)
+        assert quarters.regions[index].member_mask([7], [7])[0]

@@ -196,4 +196,5 @@ class TestNaNBoxes:
             BoundingBox(*coords)
 
     def test_infinite_coordinates_still_build(self):
-        assert BoundingBox(-INF, -INF, INF, INF).contains_box(BoundingBox.unit())
+        box = BoundingBox(-INF, -INF, INF, INF)
+        assert box.intersects(BoundingBox.unit()) and box.width == INF

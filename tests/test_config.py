@@ -52,12 +52,6 @@ class TestDatasetConfig:
         assert config.city == "los_angeles"
         assert config.n_records == 1153
 
-    def test_with_seed_returns_new_config(self):
-        config = DatasetConfig()
-        other = config.with_seed(99)
-        assert other.seed == 99
-        assert config.seed != 99
-
     def test_invalid_values_raise(self):
         with pytest.raises(ConfigurationError):
             DatasetConfig(n_records=0)

@@ -3,10 +3,9 @@
 import logging
 
 import numpy as np
-import pytest
 
-from repro.logging_utils import configure_logging, get_logger, log_duration
-from repro.rng import DEFAULT_SEED, as_generator, check_probability, spawn
+from repro.logging_utils import configure_logging
+from repro.rng import DEFAULT_SEED, as_generator
 
 
 class TestAsGenerator:
@@ -30,49 +29,9 @@ class TestAsGenerator:
         assert not np.allclose(a, b)
 
 
-class TestSpawn:
-    def test_children_are_independent_and_reproducible(self):
-        a = spawn(10, 0).normal(size=3)
-        b = spawn(10, 1).normal(size=3)
-        assert not np.allclose(a, b)
-        np.testing.assert_allclose(spawn(10, 0).normal(size=3), a)
-
-    def test_negative_index_raises(self):
-        with pytest.raises(ValueError):
-            spawn(1, -1)
-
-    def test_spawn_from_generator(self):
-        child = spawn(np.random.default_rng(5), 2)
-        assert isinstance(child, np.random.Generator)
-
-
-class TestCheckProbability:
-    def test_valid_values_pass(self):
-        assert check_probability(0.0) == 0.0
-        assert check_probability(1.0) == 1.0
-        assert check_probability(0.25) == 0.25
-
-    def test_invalid_values_raise(self):
-        with pytest.raises(ValueError):
-            check_probability(-0.1)
-        with pytest.raises(ValueError):
-            check_probability(1.1, name="alpha")
-
-
 class TestLogging:
-    def test_get_logger_namespacing(self):
-        assert get_logger().name == "repro"
-        assert get_logger("experiments.fig7").name == "repro.experiments.fig7"
-
     def test_configure_logging_idempotent(self):
         logger = configure_logging(level=logging.DEBUG)
         handlers_before = len(logger.handlers)
         configure_logging(level=logging.DEBUG)
         assert len(logger.handlers) == handlers_before
-
-    def test_log_duration_emits_message(self, caplog):
-        logger = get_logger("test")
-        with caplog.at_level(logging.INFO, logger="repro.test"):
-            with log_duration("doing work", logger=logger):
-                pass
-        assert any("doing work" in record.message for record in caplog.records)

@@ -7,9 +7,7 @@ from repro.exceptions import EvaluationError
 from repro.spatial.grid import Grid
 from repro.spatial.partition import uniform_partition
 from repro.viz import (
-    partition_metric_surface,
     render_heatmap_ascii,
-    render_neighborhood_sizes,
     render_partition_ascii,
 )
 
@@ -72,25 +70,3 @@ class TestHeatmapAscii:
     def test_non_2d_raises(self):
         with pytest.raises(EvaluationError):
             render_heatmap_ascii(np.zeros(5))
-
-
-class TestMetricSurface:
-    def test_surface_assigns_region_values(self, quarters):
-        surface = partition_metric_surface(quarters, {0: 1.0, 1: 2.0, 2: 3.0, 3: 4.0})
-        assert surface.shape == (8, 8)
-        assert set(np.unique(surface)) == {1.0, 2.0, 3.0, 4.0}
-
-    def test_sequence_input_supported(self, quarters):
-        surface = partition_metric_surface(quarters, [5.0, 6.0, 7.0, 8.0])
-        assert surface.max() == 8.0
-
-    def test_missing_region_left_as_nan(self, quarters):
-        surface = partition_metric_surface(quarters, {0: 1.0})
-        assert np.isnan(surface).any()
-
-    def test_render_neighborhood_sizes_runs(self, quarters):
-        rng = np.random.default_rng(0)
-        rows = rng.integers(0, 8, 40)
-        cols = rng.integers(0, 8, 40)
-        text = render_neighborhood_sizes(quarters, rows, cols)
-        assert isinstance(text, str) and text
